@@ -30,7 +30,6 @@ from .metrics import (
     NotUltrametricError,
     classify_metric,
     distance_matrix,
-    edge_weights,
     is_nondegenerate,
 )
 
@@ -103,7 +102,7 @@ def tree_gh_report(t: LabeledGraph) -> tuple[bool, bool, bool, bool]:
         raise DegenerateLabelingError("every edge needs a positively labeled endpoint")
     dm = distance_matrix(t)
     sizes = len(distance_set(dm))
-    weights = list(edge_weights(t).weights.values())
+    weights = [max(t.labels[u], t.labels[v]) for u, v in t.edges]
     return (
         is_gh(dm),
         len(set(weights)) == len(weights),
@@ -203,12 +202,9 @@ def gh_report(g: LabeledGraph) -> GHReport:
     if not bound.holds:
         raise InternalCheckError("edge bound |D| <= |E|+1 failed")
 
-    gh: bool | None = None
-    if classification == ULTRAMETRIC:
-        gomory = check_gomory_hu(dm)
-        gh = is_gh(dm)
-    else:
-        gomory = len(d_set) <= len(dm.vertices)
+    n = len(dm.vertices)
+    gomory = len(d_set) <= n
+    gh = len(d_set) == n if classification == ULTRAMETRIC else None
     if not gomory:
         raise InternalCheckError("inequality |D| <= |X| failed")
 

@@ -19,7 +19,8 @@ from .metrics import (
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
-    _UnionFind,
+    _sorted_pairs,
+    _sweep,
     classify_metric,
 )
 
@@ -57,72 +58,40 @@ Node = Union[Leaf, Merge]
 def dendrogram(dm: DistanceMatrix) -> Node:
     """Build the merge tree of an ultrametric space.
 
-    Walk the distinct positive distances in ascending order; at each
-    height fuse every group of clusters joined by a pair at exactly that
-    distance into one node, so chains of equal-height merges collapse
-    into a single multiway node.
+    Sweep the pairs in ascending order of distance.  A merged cluster
+    stays open at its height until it merges again higher up, so
+    clusters chaining together at one height share a single multiway
+    node.  Children are ordered by their first vertex in declaration
+    order.
     """
     if classify_metric(dm) != ULTRAMETRIC:
         raise NotUltrametricError(
             "dendrograms need an ultrametric; collapse zero-distance "
             "classes first (zero_quotient)"
         )
-    n = len(dm.vertices)
-    if n == 1:
-        return Leaf(dm.vertices[0])
 
-    by_height: dict[Fraction, list[tuple[int, int]]] = {}
-    for i in range(n):
-        row = dm.entries[i]
-        for j in range(i + 1, n):
-            by_height.setdefault(row[j], []).append((i, j))
+    def close(height: Fraction, kids: list[tuple[int, Node]]) -> tuple[int, Node]:
+        if len(kids) == 1:
+            return kids[0]
+        kids.sort(key=lambda kid: kid[0])
+        return kids[0][0], Merge(height, tuple(node for _, node in kids))
 
-    uf = _UnionFind(n)
-    node_of: dict[int, Node] = {i: Leaf(v) for i, v in enumerate(dm.vertices)}
-    first_leaf = {i: i for i in range(n)}
+    # cluster root -> (height, [(first leaf index, child)]); leaves sit at 0
+    open_at = {i: (0, [(i, Leaf(v))]) for i, v in enumerate(dm.vertices)}
+    for w, a, b in _sweep(len(dm.vertices), _sorted_pairs(dm.entries)):
+        kids: list[tuple[int, Node]] = []
+        for root in (a[0], b[0]):
+            height, sub = open_at.pop(root)
+            if height == w:
+                kids.extend(sub)
+            else:
+                kids.append(close(height, sub))
+        open_at[a[0]] = (w, kids)
 
-    for height in sorted(by_height):
-        pair_roots = []
-        for i, j in by_height[height]:
-            ri, rj = uf.find(i), uf.find(j)
-            if ri != rj:
-                pair_roots.append((ri, rj))
-        if not pair_roots:
-            continue
-
-        # Group the touched clusters; one merge node per group, however
-        # many clusters chain together at this height.
-        parent: dict[int, int] = {}
-
-        def cfind(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        for a, b in pair_roots:
-            parent.setdefault(a, a)
-            parent.setdefault(b, b)
-            ra, rb = cfind(a), cfind(b)
-            if ra != rb:
-                parent[rb] = ra
-
-        groups: dict[int, list[int]] = {}
-        for a in parent:
-            groups.setdefault(cfind(a), []).append(a)
-
-        for olds in groups.values():
-            olds.sort(key=first_leaf.get)
-            children = tuple(node_of.pop(r) for r in olds)
-            keep = olds[0]
-            for r in olds[1:]:
-                uf.parent[r] = keep
-            node_of[keep] = Merge(height, children)
-
-    if len(node_of) != 1:
+    if len(open_at) != 1:
         raise InternalCheckError("dendrogram construction left unmerged clusters")
-    (root,) = node_of.values()
-    return root
+    ((height, kids),) = open_at.values()
+    return close(height, kids)[1]
 
 
 def canonical_form(node: Node) -> str:
@@ -132,10 +101,23 @@ def canonical_form(node: Node) -> str:
     height in lowest terms + the children's canonical strings in
     byte order + ``)``.  Equal strings mean isometric spaces.
     """
-    if isinstance(node, Leaf):
-        return LEAF_MARK
-    parts = sorted(canonical_form(child) for child in node.children)
-    return "(" + str(node.height) + "".join(parts) + ")"
+    # Post-order with an explicit stack, so depth is not bounded by the
+    # interpreter's recursion limit.
+    done: list[str] = []
+    stack: list[tuple[Node, bool]] = [(node, False)]
+    while stack:
+        item, expanded = stack.pop()
+        if isinstance(item, Leaf):
+            done.append(LEAF_MARK)
+        elif not expanded:
+            stack.append((item, True))
+            stack.extend((child, False) for child in item.children)
+        else:
+            k = len(item.children)
+            parts = sorted(done[-k:])
+            del done[-k:]
+            done.append("(" + str(item.height) + "".join(parts) + ")")
+    return done[0]
 
 
 def are_isometric(dm1: DistanceMatrix, dm2: DistanceMatrix) -> bool:

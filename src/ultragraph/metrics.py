@@ -48,20 +48,6 @@ class NotUltrametricError(ValueError):
     """Operation defined only for ultrametric (zero-free off-diagonal) input."""
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-
 @dataclass(frozen=True)
 class WeightedGraph:
     """Simple graph with one non-negative rational weight per edge."""
@@ -140,9 +126,11 @@ class DistanceMatrix:
     def validate(self) -> None:
         """Raise :class:`MatrixInvariantError` unless this is a pseudoultrametric.
 
-        Checks zero diagonal, symmetry, non-negativity, and the strong
-        triangle inequality ``d(x,y) <= max(d(x,z), d(z,y))`` for every
-        triple.
+        Checks zero diagonal, symmetry and non-negativity, then the
+        strong triangle inequality ``d(x,y) <= max(d(x,z), d(z,y))``
+        through a Kruskal sweep over the matrix's own entries: the
+        inequality holds for all triples exactly when every pair first
+        joined at height ``w`` has entry ``w``.  O(n^2 log n).
         """
         n = len(self.vertices)
         m = self.entries
@@ -158,14 +146,15 @@ class DistanceMatrix:
                     raise MatrixInvariantError(
                         f"negative distance at ({self.vertices[i]!r}, {self.vertices[j]!r})"
                     )
-        for i in range(n):
-            for j in range(i + 1, n):
-                dij = m[i][j]
-                for k in range(n):
-                    if dij > m[i][k] and dij > m[k][j]:
+        for w, a, b in _sweep(n, _sorted_pairs(m)):
+            for x in a:
+                row = m[x]
+                for y in b:
+                    if row[y] != w:
+                        p, q = self.vertices[min(x, y)], self.vertices[max(x, y)]
                         raise MatrixInvariantError(
-                            "strong triangle inequality fails on "
-                            f"({self.vertices[i]!r}, {self.vertices[j]!r}, {self.vertices[k]!r})"
+                            f"strong triangle inequality fails: d({p!r}, {q!r}) = {row[y]}, "
+                            f"but a path joins them with every step at most {w}"
                         )
 
     # -- serialization ----------------------------------------------
@@ -282,36 +271,60 @@ def edge_weights(g: LabeledGraph) -> WeightedGraph:
     return WeightedGraph(g.vertices, g.edges, weights)
 
 
+def _sweep(
+    n: int, pairs: list[tuple[Fraction, int, int]]
+) -> Iterator[tuple[Fraction, list[int], list[int]]]:
+    """Kruskal-style union-find sweep over points ``0 .. n-1``.
+
+    ``pairs`` holds ``(w, i, j)`` triples sorted by ``w``.  Each time
+    two clusters first meet, yield ``(w, a, b)`` with their member
+    lists, then absorb ``b`` into ``a``; ``a[0]`` is the surviving
+    root.  Every pair across ``a`` and ``b`` has minimax distance
+    exactly ``w``.
+    """
+    root = list(range(n))
+    members = [[i] for i in range(n)]
+    for w, i, j in pairs:
+        a, b = members[root[i]], members[root[j]]
+        if a is b:
+            continue
+        if len(a) < len(b):
+            a, b = b, a
+        yield w, a, b
+        for x in b:
+            root[x] = a[0]
+        a.extend(b)
+
+
+def _sorted_pairs(
+    entries: tuple[tuple[Fraction, ...], ...]
+) -> list[tuple[Fraction, int, int]]:
+    """Off-diagonal entries of a square matrix as sorted ``(w, i, j)``, ``i < j``."""
+    n = len(entries)
+    pairs = [(row[j], i, j) for i, row in enumerate(entries) for j in range(i + 1, n)]
+    pairs.sort()
+    return pairs
+
+
 def _bottleneck_matrix(
     vertices: tuple[str, ...], weighted_edges: list[tuple[Fraction, int, int]]
 ) -> DistanceMatrix:
-    """Minimax distances via a Kruskal-style sweep.
+    """Minimax distances via :func:`_sweep` over the weighted edges.
 
     ``weighted_edges`` must already be sorted by weight, ties in
-    declaration order.  When two components first meet at weight ``w``,
-    every pair across them is at distance exactly ``w``.
+    declaration order.
     """
     n = len(vertices)
     dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
     for i in range(n):
         dist[i][i] = _ZERO
 
-    uf = _UnionFind(n)
-    members: list[list[int]] = [[i] for i in range(n)]
-    for w, i, j in weighted_edges:
-        ri, rj = uf.find(i), uf.find(j)
-        if ri == rj:
-            continue
-        if len(members[ri]) < len(members[rj]):
-            ri, rj = rj, ri
-        for a in members[ri]:
-            row = dist[a]
-            for b in members[rj]:
-                row[b] = w
-                dist[b][a] = w
-        uf.parent[rj] = ri
-        members[ri].extend(members[rj])
-        members[rj] = []
+    for w, a, b in _sweep(n, weighted_edges):
+        for x in a:
+            row = dist[x]
+            for y in b:
+                row[y] = w
+                dist[y][x] = w
 
     for i in range(n):
         for j in range(i + 1, n):

@@ -114,6 +114,23 @@ def bijection_isometric(dm1: DistanceMatrix, dm2: DistanceMatrix) -> bool:
     return extend(0)
 
 
+def strong_triangle_violation(dm: DistanceMatrix) -> tuple[str, str, str] | None:
+    """First triple ``(x, y, z)`` with ``d(x,y) > max(d(x,z), d(z,y))``.
+
+    Tries every triple, in O(n^3); ``None`` when the strong triangle
+    inequality holds throughout.
+    """
+    n = len(dm.vertices)
+    m = dm.entries
+    for i in range(n):
+        for j in range(i + 1, n):
+            dij = m[i][j]
+            for k in range(n):
+                if dij > m[i][k] and dij > m[k][j]:
+                    return dm.vertices[i], dm.vertices[j], dm.vertices[k]
+    return None
+
+
 def cycle_vertex_sets(g: LabeledGraph) -> set[tuple[str, ...]]:
     """Every cycle subgraph, found by checking vertex-subset orderings.
 

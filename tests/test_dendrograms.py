@@ -1,5 +1,8 @@
 """Merge trees, canonical strings, and the isometry decision."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -25,6 +28,7 @@ from ultragraph import (
     dendrogram,
     distance_matrix,
     leaves,
+    zero_quotient,
 )
 from ultragraph.dendrograms import to_json_dict
 
@@ -105,6 +109,67 @@ def test_json_rendering():
             {"leaf": "c"},
         ],
     }
+
+
+def test_three_clusters_chaining_at_one_height_share_a_node():
+    # Declared out of name order: children follow declaration order.
+    g = LabeledGraph(
+        ("e", "c", "a", "b", "d"),
+        (("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")),
+        {"a": 1, "b": 1, "c": 2, "d": 1, "e": 1},
+    )
+    assert to_json_dict(dendrogram(_space(g))) == {
+        "height": "2",
+        "children": [
+            {"height": "1", "children": [{"leaf": "e"}, {"leaf": "d"}]},
+            {"leaf": "c"},
+            {"height": "1", "children": [{"leaf": "a"}, {"leaf": "b"}]},
+        ],
+    }
+
+
+def _digest_corpus(count=400, seed=20260417):
+    """Seeded graphs on up to 12 vertices with shuffled names, repeated
+    labels and zero labels, reduced by ``zero_quotient``."""
+    pool = (0, 0, Fraction(1, 2), 1, 1, 2, 3, 5)
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 12)
+        names = [f"v{k}" for k in range(n)]
+        rng.shuffle(names)
+        edges = [(names[rng.randrange(k)], names[k]) for k in range(1, n)]
+        edges += [
+            (names[i], names[j])
+            for i in range(n)
+            for j in range(i + 2, n)
+            if (names[i], names[j]) not in edges and rng.random() < 0.15
+        ]
+        rng.shuffle(edges)
+        labels = {v: rng.choice(pool) for v in names}
+        g = LabeledGraph(tuple(names), tuple(edges), labels)
+        _, q = zero_quotient(distance_matrix(g))
+        yield dendrogram(q)
+
+
+def test_dendrogram_bytes_are_pinned():
+    h = hashlib.sha256()
+    for node in _digest_corpus():
+        h.update(json.dumps(to_json_dict(node)).encode() + b"\n")
+        h.update(canonical_form(node).encode() + b"\n")
+    assert h.hexdigest() == "e47944f2e4750ab34e7808e32f47ac679d4b57d9374550dea0edbd6a17c4bc09"
+
+
+def test_canonical_form_of_a_very_deep_chain():
+    depth = 5000
+    node = Merge(Fraction(1), (Leaf("x0"), Leaf("x1")))
+    for k in range(2, depth + 1):
+        node = Merge(Fraction(k), (node, Leaf(f"x{k}")))
+    expected = (
+        "".join(f"({k}" for k in range(depth, 1, -1))
+        + "(1··)"
+        + "·)" * (depth - 1)
+    )
+    assert canonical_form(node) == expected
 
 
 @given(connected_graphs(pool=POSITIVE_POOL))

@@ -251,6 +251,55 @@ def test_invariant_violations_are_loud(entries):
         classify_metric(dm)
 
 
+def test_strong_triangle_error_names_pair_entry_and_height():
+    dm = DistanceMatrix(tuple("abc"), ((0, 3, 1), (3, 0, 1), (1, 1, 0)))
+    with pytest.raises(MatrixInvariantError) as info:
+        dm.validate()
+    message = str(info.value)
+    assert "strong triangle inequality" in message
+    assert "d('a', 'b') = 3" in message
+    assert "at most 1" in message
+
+
+def _symmetric_matrix(n, upper):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for (i, j), q in zip(combinations(range(n), 2), upper):
+        rows[i][j] = rows[j][i] = q
+    return DistanceMatrix(tuple(f"p{k}" for k in range(n)), tuple(map(tuple, rows)))
+
+
+def _validate_raises(dm) -> bool:
+    try:
+        dm.validate()
+    except MatrixInvariantError:
+        return True
+    return False
+
+
+@st.composite
+def symmetric_matrices(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pool = st.sampled_from((Fraction(0), Fraction(1), Fraction(2)))
+    upper = draw(st.lists(pool, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    return _symmetric_matrix(n, upper)
+
+
+@given(symmetric_matrices())
+def test_validate_agrees_with_triple_oracle(dm):
+    assert _validate_raises(dm) == (oracles.strong_triangle_violation(dm) is not None)
+
+
+@given(connected_graphs(min_n=2), st.data())
+def test_validate_catches_a_perturbed_entry(g, data):
+    dm = distance_matrix(g)
+    n = len(dm.vertices)
+    i, j = data.draw(st.sampled_from(list(combinations(range(n), 2))))
+    q = data.draw(st.sampled_from(LABEL_POOL))
+    upper = [q if (a, b) == (i, j) else dm.entries[a][b] for a, b in combinations(range(n), 2)]
+    bent = _symmetric_matrix(n, upper)
+    assert _validate_raises(bent) == (oracles.strong_triangle_violation(bent) is not None)
+
+
 # -- quotient -----------------------------------------------------------------
 
 
