@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .graphs import (
@@ -28,6 +29,9 @@ from .metrics import (
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
+    _bottleneck_rows,
+    _validate_rows,
+    _zero_free,
     classify_metric,
     distance_matrix,
     is_nondegenerate,
@@ -45,12 +49,15 @@ def distance_set(dm: DistanceMatrix) -> tuple[Fraction, ...]:
     return tuple(sorted(values))
 
 
+_ULTRAMETRIC_ONLY = (
+    "defined for ultrametric input only; collapse zero-distance "
+    "classes first (zero_quotient)"
+)
+
+
 def _require_ultrametric(dm: DistanceMatrix) -> None:
     if classify_metric(dm) != ULTRAMETRIC:
-        raise NotUltrametricError(
-            "defined for ultrametric input only; collapse zero-distance "
-            "classes first (zero_quotient)"
-        )
+        raise NotUltrametricError(_ULTRAMETRIC_ONLY)
 
 
 def check_gomory_hu(dm: DistanceMatrix) -> bool:
@@ -100,14 +107,44 @@ def tree_gh_report(t: LabeledGraph) -> tuple[bool, bool, bool, bool]:
         raise ValueError("tree_gh_report needs at least two vertices")
     if not is_nondegenerate(t):
         raise DegenerateLabelingError("every edge needs a positively labeled endpoint")
-    dm = distance_matrix(t)
-    sizes = len(distance_set(dm))
-    weights = [max(t.labels[u], t.labels[v]) for u, v in t.edges]
+    index = t._index
+    return _tree_criteria(
+        t.vertices,
+        [(index[u], index[v]) for u, v in t.edges],
+        [t.labels[v] for v in t.vertices],
+        sum(t.degree(v) for v in t.vertices),
+    )
+
+
+def _tree_criteria(
+    vertices: Sequence[str],
+    index_edges: Sequence[tuple[int, int]],
+    labels: Sequence,
+    degree_total: int,
+) -> tuple[bool, bool, bool, bool]:
+    """The criteria of :func:`tree_gh_report` for labels of any ordered type.
+
+    ``labels[i]`` labels ``vertices[i]``; ``index_edges`` are the tree's
+    edges as index pairs in declaration order.  The distance matrix is
+    swept from the labels, validated and checked zero-free before its
+    values are counted.  Only order and equality of labels are used, so
+    any strictly increasing relabeling (such as ranks) gives the same
+    verdicts.  Guards on the tree itself are the caller's job.
+    """
+    weighted = [(max(labels[i], labels[j]), i, j) for i, j in index_edges]
+    weighted.sort(key=itemgetter(0))
+    rows = _bottleneck_rows(vertices, weighted)
+    _validate_rows(vertices, rows)
+    if not _zero_free(rows):
+        raise NotUltrametricError(_ULTRAMETRIC_ONLY)
+    # the diagonal contributes the zero distance
+    sizes = len({d for row in rows for d in row})
+    weights = {w for w, _i, _j in weighted}
     return (
-        is_gh(dm),
-        len(set(weights)) == len(weights),
-        sizes == len(t.edges) + 1,
-        2 * sizes == 2 + sum(t.degree(v) for v in t.vertices),
+        sizes == len(vertices),
+        len(weights) == len(weighted),
+        sizes == len(index_edges) + 1,
+        2 * sizes == 2 + degree_total,
     )
 
 

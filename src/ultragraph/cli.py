@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 for success or an
 affirmative verdict, 1 for a well-formed but negative verdict, 2 for
-input errors, 3 for an internal self-check failure (a bug, not bad
-input).
+input errors (running out of memory included), 3 for an internal
+self-check failure (a bug, not bad input) or for input nested deeper
+than the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -326,6 +327,15 @@ def main(argv: list[str] | None = None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        print(
+            "internal check failed: recursion limit exceeded; the input nests too deeply",
+            file=sys.stderr,
+        )
+        return 3
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
+        return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

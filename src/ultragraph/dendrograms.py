@@ -126,36 +126,52 @@ def are_isometric(dm1: DistanceMatrix, dm2: DistanceMatrix) -> bool:
 
 
 def leaves(node: Node) -> Iterator[str]:
-    if isinstance(node, Leaf):
-        yield node.vertex
-    else:
-        for child in node.children:
-            yield from leaves(child)
+    """Leaf vertices, left to right."""
+    # Explicit stacks here and below, so depth is not bounded by the
+    # interpreter's recursion limit.
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Leaf):
+            yield item.vertex
+        else:
+            stack.extend(reversed(item.children))
 
 
 def cophenetic_distances(node: Node) -> dict[frozenset[str], Fraction]:
     """Pairwise merge heights; inverts :func:`dendrogram` for tests."""
     dists: dict[frozenset[str], Fraction] = {}
-
-    def collect(node: Node) -> list[str]:
-        if isinstance(node, Leaf):
-            return [node.vertex]
-        blocks = [collect(child) for child in node.children]
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                for x in blocks[i]:
-                    for y in blocks[j]:
-                        dists[frozenset((x, y))] = node.height
-        return [x for block in blocks for x in block]
-
-    collect(node)
+    done: list[list[str]] = []
+    stack: list[tuple[Node, bool]] = [(node, False)]
+    while stack:
+        item, expanded = stack.pop()
+        if isinstance(item, Leaf):
+            done.append([item.vertex])
+        elif not expanded:
+            stack.append((item, True))
+            stack.extend((child, False) for child in reversed(item.children))
+        else:
+            k = len(item.children)
+            blocks = done[-k:]
+            del done[-k:]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    for x in blocks[i]:
+                        for y in blocks[j]:
+                            dists[frozenset((x, y))] = item.height
+            done.append([x for block in blocks for x in block])
     return dists
 
 
 def to_json_dict(node: Node) -> dict:
-    if isinstance(node, Leaf):
-        return {"leaf": node.vertex}
-    return {
-        "height": str(node.height),
-        "children": [to_json_dict(child) for child in node.children],
-    }
+    root: dict = {}
+    stack: list[tuple[Node, dict]] = [(node, root)]
+    while stack:
+        item, doc = stack.pop()
+        if isinstance(item, Leaf):
+            doc["leaf"] = item.vertex
+        else:
+            doc["height"] = str(item.height)
+            doc["children"] = kids = [{} for _ in item.children]
+            stack.extend(zip(item.children, kids))
+    return root

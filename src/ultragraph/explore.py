@@ -7,7 +7,18 @@ finite universe, keeps the GH spaces, buckets them by distance set, and
 compares canonical forms inside each bucket.  A report claims nothing
 beyond the universe it states.
 
-Work is partitioned by the first Pruefer symbol, so shards can run in
+Labelings are scanned as tuples of integer ranks ``1 .. k`` into the
+sorted universe, and every per-labeling check runs on those ints: the
+four tree criteria (cross-checked against each other), the Kruskal
+sweep to a distance matrix, its validation and the ultrametric check.
+This is exact.  The rank map is strictly increasing and every distance
+is a label, so ``max``, ``<``, ``==`` and the sizes of distance sets
+come out the same on ranks as on the Fractions.  Only the GH labelings
+are mapped back to Fractions, to build their distance sets and
+canonical forms through the public routes.
+
+Work is partitioned by the first Pruefer symbol, and each shard
+enumerates only its own block of sequences, so shards can run in
 parallel processes; merging is order-independent and the emitted report
 is byte-identical for every parallelism width.
 """
@@ -15,20 +26,22 @@ is byte-identical for every parallelism width.
 from __future__ import annotations
 
 import json
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
-from .analysis import distance_set, is_gh, tree_gh_report
+from .analysis import _tree_criteria, distance_set, is_gh
 from .dendrograms import are_isometric, canonical_form, dendrogram
 from .graphs import (
     CapExceededError,
     LabeledGraph,
     _coerce_rational,
+    is_tree,
     tree_from_pruefer,
 )
 from .metrics import (
@@ -168,16 +181,34 @@ def _automorphisms(
     return autos
 
 
-def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterable[tuple[Fraction, ...]]:
+def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterable[tuple[int, ...]]:
+    """Labelings of one tree as tuples of ranks ``1 .. k`` into ``cfg.universe``."""
+    ranks = range(1, len(cfg.universe) + 1)
     if cfg.mode == EXHAUSTIVE:
-        return product(cfg.universe, repeat=n)
+        return product(ranks, repeat=n)
     # One generator per tree, seeded by position, so sampled runs do not
-    # depend on how trees were split across shards.
+    # depend on how trees were split across shards.  Choosing from the
+    # ranks draws the same indices as choosing from the universe.
     rng = random.Random(f"{cfg.seed}:{n}:{tree_index}")
     return [
-        tuple(rng.choice(cfg.universe) for _ in range(n))
+        tuple(rng.choice(ranks) for _ in range(n))
         for _ in range(cfg.samples_per_tree)
     ]
+
+
+def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """The shard's Pruefer sequences, those starting with ``prefix``.
+
+    Yields ``(tree_index, sequence)`` in lexicographic order, where
+    ``tree_index`` is the sequence's position among all ``n**(n-2)``;
+    it seeds sampled mode, so it must not depend on the sharding.
+    """
+    if n == 2:
+        yield 0, ()
+        return
+    base = prefix * n ** (n - 3)
+    for k, rest in enumerate(product(range(n), repeat=n - 3)):
+        yield base + k, (prefix, *rest)
 
 
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
@@ -185,6 +216,8 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
 
     Returns entry tuples ``(tree_index, labeling, edges, distance_set,
     canonical_form)`` for every GH space found, in deterministic order.
+    Labelings are scanned as rank tuples (see the module docstring);
+    only GH labelings are turned back into Fractions.
     """
     cfg, n, prefix = task
     names = tuple(str(i + 1) for i in range(n))
@@ -193,31 +226,34 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
     labelings = 0
     entries: list = []
 
-    for tree_index, seq in enumerate(product(range(n), repeat=n - 2)):
-        if n >= 3 and seq[0] != prefix:
-            continue
+    for tree_index, seq in _pruefer_block(n, prefix):
         index_edges = tree_from_pruefer(seq, n)
         edges = tuple((names[i], names[j]) for i, j in index_edges)
         skeleton = LabeledGraph(names, edges, zero_labels)
+        # Label-independent guards of tree_gh_report, once per tree.
+        # Nondegeneracy needs no check: every rank is at least 1.
+        if not is_tree(skeleton):
+            raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
+        degree_total = sum(skeleton.degree(v) for v in names)
         trees += 1
         autos = None
         if cfg.reduce_symmetry:
             autos = [p for p in _automorphisms(index_edges, n) if p != tuple(range(n))]
-        for labeling in _labelings(cfg, n, tree_index):
+        for ranks in _labelings(cfg, n, tree_index):
             if autos:
-                image = min(tuple(labeling[p[i]] for i in range(n)) for p in autos)
-                if image < labeling:
+                image = min(tuple(ranks[p[i]] for i in range(n)) for p in autos)
+                if image < ranks:
                     continue
             labelings += 1
-            g = skeleton.with_labels(dict(zip(names, labeling)))
-            verdicts = tree_gh_report(g)
+            verdicts = _tree_criteria(names, index_edges, ranks, degree_total)
             if len(set(verdicts)) > 1:
                 raise InternalCheckError(
-                    f"tree criteria disagree on {edges} with labels {labeling}"
+                    f"tree criteria disagree on {edges} with label ranks {ranks}"
                 )
             if not verdicts[0]:
                 continue
-            dm = distance_matrix(g)
+            labeling = tuple(cfg.universe[r - 1] for r in ranks)
+            dm = distance_matrix(skeleton.with_labels(dict(zip(names, labeling))))
             entries.append(
                 (
                     tree_index,
@@ -268,8 +304,11 @@ def search_conjecture(
     for n in range(2, cfg.n_max + 1):
         prefixes = [0] if n == 2 else list(range(n))
         tasks = [(cfg, n, p) for p in prefixes]
-        if cfg.jobs > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # Under fork, the pool starts every worker at once: never more
+        # than there are shards or CPUs.
+        workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_scan_shard, tasks))
         else:
             results = [_scan_shard(task) for task in tasks]

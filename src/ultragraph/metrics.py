@@ -17,7 +17,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import (
     DisconnectedGraphError,
@@ -126,36 +126,9 @@ class DistanceMatrix:
     def validate(self) -> None:
         """Raise :class:`MatrixInvariantError` unless this is a pseudoultrametric.
 
-        Checks zero diagonal, symmetry and non-negativity, then the
-        strong triangle inequality ``d(x,y) <= max(d(x,z), d(z,y))``
-        through a Kruskal sweep over the matrix's own entries: the
-        inequality holds for all triples exactly when every pair first
-        joined at height ``w`` has entry ``w``.  O(n^2 log n).
+        See :func:`_validate_rows` for the checks and their cost.
         """
-        n = len(self.vertices)
-        m = self.entries
-        for i in range(n):
-            if m[i][i] != 0:
-                raise MatrixInvariantError(f"nonzero diagonal at {self.vertices[i]!r}")
-            for j in range(i + 1, n):
-                if m[i][j] != m[j][i]:
-                    raise MatrixInvariantError(
-                        f"asymmetry at ({self.vertices[i]!r}, {self.vertices[j]!r})"
-                    )
-                if m[i][j] < 0:
-                    raise MatrixInvariantError(
-                        f"negative distance at ({self.vertices[i]!r}, {self.vertices[j]!r})"
-                    )
-        for w, a, b in _sweep(n, _sorted_pairs(m)):
-            for x in a:
-                row = m[x]
-                for y in b:
-                    if row[y] != w:
-                        p, q = self.vertices[min(x, y)], self.vertices[max(x, y)]
-                        raise MatrixInvariantError(
-                            f"strong triangle inequality fails: d({p!r}, {q!r}) = {row[y]}, "
-                            f"but a path joins them with every step at most {w}"
-                        )
+        _validate_rows(self.vertices, self.entries)
 
     # -- serialization ----------------------------------------------
 
@@ -183,6 +156,53 @@ class DistanceMatrix:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DistanceMatrix":
         return cls(tuple(doc["vertices"]), tuple(tuple(row) for row in doc["matrix"]))
+
+
+def _validate_rows(vertices: Sequence[str], m: Sequence[Sequence]) -> None:
+    """Raise :class:`MatrixInvariantError` unless ``m`` is a pseudoultrametric.
+
+    Checks zero diagonal, symmetry and non-negativity, then the strong
+    triangle inequality ``d(x,y) <= max(d(x,z), d(z,y))`` through a
+    Kruskal sweep over the matrix's own entries: the inequality holds
+    for all triples exactly when every pair first joined at height
+    ``w`` has entry ``w``.  O(n^2 log n).  Entries may be of any totally
+    ordered type that compares with ``0``; ``vertices`` only name the
+    offending entries.
+    """
+    n = len(vertices)
+    for i in range(n):
+        if m[i][i] != 0:
+            raise MatrixInvariantError(f"nonzero diagonal at {vertices[i]!r}")
+        for j in range(i + 1, n):
+            if m[i][j] != m[j][i]:
+                raise MatrixInvariantError(
+                    f"asymmetry at ({vertices[i]!r}, {vertices[j]!r})"
+                )
+            if m[i][j] < 0:
+                raise MatrixInvariantError(
+                    f"negative distance at ({vertices[i]!r}, {vertices[j]!r})"
+                )
+    for w, a, b in _sweep(n, _sorted_pairs(m)):
+        for x in a:
+            row = m[x]
+            for y in b:
+                if row[y] != w:
+                    p, q = vertices[min(x, y)], vertices[max(x, y)]
+                    raise MatrixInvariantError(
+                        f"strong triangle inequality fails: d({p!r}, {q!r}) = {row[y]}, "
+                        f"but a path joins them with every step at most {w}"
+                    )
+
+
+def _zero_free(m: Sequence[Sequence]) -> bool:
+    """True when no off-diagonal entry of the square matrix ``m`` is zero."""
+    n = len(m)
+    for i in range(n):
+        row = m[i]
+        for j in range(i + 1, n):
+            if row[j] == 0:
+                return False
+    return True
 
 
 # -- weighted-format parsing --------------------------------------------
@@ -306,18 +326,19 @@ def _sorted_pairs(
     return pairs
 
 
-def _bottleneck_matrix(
-    vertices: tuple[str, ...], weighted_edges: list[tuple[Fraction, int, int]]
-) -> DistanceMatrix:
-    """Minimax distances via :func:`_sweep` over the weighted edges.
+def _bottleneck_rows(
+    vertices: Sequence[str], weighted_edges: list[tuple]
+) -> list[list]:
+    """Minimax distances via :func:`_sweep` over the weighted edges, as rows.
 
-    ``weighted_edges`` must already be sorted by weight, ties in
-    declaration order.
+    ``weighted_edges`` holds ``(w, i, j)`` triples already sorted by
+    weight, ties in declaration order.  Weights may be of any totally
+    ordered type; the diagonal is ``0``.
     """
     n = len(vertices)
-    dist: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
+    dist: list[list] = [[None] * n for _ in range(n)]
     for i in range(n):
-        dist[i][i] = _ZERO
+        dist[i][i] = 0
 
     for w, a, b in _sweep(n, weighted_edges):
         for x in a:
@@ -330,7 +351,16 @@ def _bottleneck_matrix(
         for j in range(i + 1, n):
             if dist[i][j] is None:
                 raise DisconnectedGraphError(vertices[i], vertices[j])
-    return DistanceMatrix(vertices, tuple(tuple(row) for row in dist))
+    return dist
+
+
+def _bottleneck_matrix(
+    vertices: tuple[str, ...], weighted_edges: list[tuple[Fraction, int, int]]
+) -> DistanceMatrix:
+    """:func:`_bottleneck_rows` as a :class:`DistanceMatrix` of Fractions."""
+    return DistanceMatrix(
+        vertices, tuple(tuple(row) for row in _bottleneck_rows(vertices, weighted_edges))
+    )
 
 
 def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
@@ -414,13 +444,7 @@ def classify_metric(dm: DistanceMatrix) -> str:
     an internal error rather than a verdict.
     """
     dm.validate()
-    n = len(dm.vertices)
-    for i in range(n):
-        row = dm.entries[i]
-        for j in range(i + 1, n):
-            if row[j] == 0:
-                return PSEUDOULTRAMETRIC
-    return ULTRAMETRIC
+    return ULTRAMETRIC if _zero_free(dm.entries) else PSEUDOULTRAMETRIC
 
 
 def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import string
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations
 
@@ -84,3 +86,19 @@ def connected_graphs(draw, min_n=1, max_n=6, pool=LABEL_POOL, extra_edges=True):
 
 def labeled_trees(min_n=2, max_n=6, pool=POSITIVE_POOL):
     return connected_graphs(min_n=min_n, max_n=max_n, pool=pool, extra_edges=False)
+
+
+@contextmanager
+def recursion_headroom(frames: int):
+    """Lower the recursion limit to ``frames`` above the current depth."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ultragraph import DistanceMatrix, distance_matrix, parse_graph
+from conftest import recursion_headroom
+from ultragraph import DistanceMatrix, cli, distance_matrix, parse_graph
 from ultragraph.cli import main
 
 P3 = "v a 1\nv b 2\nv c 3\ne a b\ne b c\n"
@@ -302,6 +303,39 @@ def test_explore_rejects_bad_universe(capsys):
     capsys.readouterr()
     assert main(["explore", "--max-n", "1"]) == 2
     capsys.readouterr()
+
+
+# -- deep and oversized input ---------------------------------------------
+
+
+def test_deep_input_exits_3_with_one_line(graph_file, capsys):
+    # An ascending path generates a chain dendrogram as deep as the path
+    # is long; the JSON encoder recurses once per level.
+    n = 200
+    text = "".join(f"v x{k} {k + 1}\n" for k in range(n))
+    text += "".join(f"e x{k} x{k + 1}\n" for k in range(n - 1))
+    path = graph_file(text)
+    assert main(["canon", "--format", "json", path]) == 0
+    assert json.loads(capsys.readouterr().out)[0]["dendrogram"]["height"] == str(n)
+
+    with recursion_headroom(150):
+        code = main(["canon", "--format", "json", path])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == (
+        "internal check failed: recursion limit exceeded; the input nests too deeply\n"
+    )
+
+
+def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "distance_matrix", exhausted)
+    assert main(["dist", graph_file(P3)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory; the input is too large\n"
 
 
 # -- parser ----------------------------------------------------------------

@@ -15,6 +15,7 @@ from conftest import (
     connected_graphs,
     graph_on,
     path_graph,
+    recursion_headroom,
     star_graph,
 )
 from ultragraph import (
@@ -159,17 +160,49 @@ def test_dendrogram_bytes_are_pinned():
     assert h.hexdigest() == "e47944f2e4750ab34e7808e32f47ac679d4b57d9374550dea0edbd6a17c4bc09"
 
 
-def test_canonical_form_of_a_very_deep_chain():
-    depth = 5000
+def _chain(depth: int) -> Merge:
+    """``depth`` nested merges; level ``k`` adds leaf ``xk`` at height ``k``."""
     node = Merge(Fraction(1), (Leaf("x0"), Leaf("x1")))
     for k in range(2, depth + 1):
         node = Merge(Fraction(k), (node, Leaf(f"x{k}")))
+    return node
+
+
+def test_canonical_form_of_a_very_deep_chain():
+    depth = 5000
+    node = _chain(depth)
     expected = (
         "".join(f"({k}" for k in range(depth, 1, -1))
         + "(1··)"
         + "·)" * (depth - 1)
     )
     assert canonical_form(node) == expected
+
+
+def test_leaves_of_a_very_deep_chain():
+    assert list(leaves(_chain(5000))) == [f"x{k}" for k in range(5001)]
+
+
+def test_json_of_a_very_deep_chain():
+    doc = to_json_dict(_chain(5000))
+    for k in range(5000, 1, -1):
+        assert doc["height"] == str(k)
+        assert doc["children"][1] == {"leaf": f"x{k}"}
+        doc = doc["children"][0]
+    assert doc == {"height": "1", "children": [{"leaf": "x0"}, {"leaf": "x1"}]}
+
+
+def test_cophenetic_distances_deeper_than_the_recursion_limit():
+    # The result is quadratic in the depth, so the chain stays small and
+    # the recursion limit comes down to meet it instead.
+    depth = 300
+    node = _chain(depth)
+    with recursion_headroom(100):
+        dists = cophenetic_distances(node)
+    assert len(dists) == (depth + 1) * depth // 2
+    for j in range(1, depth + 1):
+        for i in range(j):
+            assert dists[frozenset((f"x{i}", f"x{j}"))] == j
 
 
 @given(connected_graphs(pool=POSITIVE_POOL))

@@ -1,18 +1,25 @@
 """The distance-set collision search over small labeled trees."""
 
+import hashlib
 import json
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import oracles
 from conftest import path_graph, star_graph
 from ultragraph import (
     EXHAUSTIVE,
     SAMPLED,
     CapExceededError,
     Counterexample,
+    InternalCheckError,
     LabeledGraph,
+    MatrixInvariantError,
+    NotUltrametricError,
     SearchConfig,
     SpaceWitness,
     bucket_by_distance_set,
@@ -24,9 +31,13 @@ from ultragraph import (
     is_gh,
     reverify_counterexample,
     search_conjecture,
+    tree_from_pruefer,
+    tree_gh_report,
     write_counterexample_files,
 )
-from ultragraph.explore import _labelings
+from ultragraph import analysis, explore
+from ultragraph.analysis import _tree_criteria
+from ultragraph.explore import _labelings, _pruefer_block
 
 U123 = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -138,6 +149,122 @@ def test_sampled_labelings_depend_on_seed_and_position():
     assert list(_labelings(a, 4, 5)) == list(_labelings(a, 4, 5))
     assert list(_labelings(a, 4, 5)) != list(_labelings(b, 4, 5))
     assert list(_labelings(a, 4, 5)) != list(_labelings(a, 4, 6))
+
+
+# sha256 of search_conjecture(...).to_json(), recorded before the scan
+# moved to label ranks; the rank route must reproduce them byte for byte.
+PINNED_REPORTS = [
+    (
+        dict(n_max=4, universe=(1, 2, 3, 4)),
+        "78242e2457b26618118d2f105976d4bd109c3115df2c04cefd3ba85f6669dc7e",
+    ),
+    (
+        dict(n_max=5, universe=("1/2", 1, 2, 3), mode=SAMPLED, seed=7),
+        "bc17ce3d455364b6f9659d1e29a93e997e6b9c4970cc11eb0fc2a9bc4f9f28e0",
+    ),
+    (
+        dict(n_max=4, universe=(1, 2, 3, 4), reduce_symmetry=True),
+        "a99b3c9a440369e4207b41189b6a866f592d71ac5954c2d6962521a45c2b7175",
+    ),
+    (
+        dict(n_max=4, universe=("1/3", "1/2", 7)),
+        "831522168c43970c9909ede63f569102673d357b9787356ab0027d5a8915b04d",
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", PINNED_REPORTS)
+def test_report_bytes_are_pinned(kwargs, digest):
+    report = search_conjecture(SearchConfig(**kwargs)).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
+
+
+@given(st.data())
+def test_rank_verdicts_match_the_fraction_route(data):
+    universe = tuple(
+        sorted(
+            data.draw(
+                st.sets(
+                    st.fractions(min_value=Fraction(1, 12), max_value=9, max_denominator=12),
+                    min_size=1,
+                    max_size=4,
+                )
+            )
+        )
+    )
+    n = data.draw(st.integers(2, 6))
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    ranks = tuple(data.draw(st.integers(1, len(universe))) for _ in range(n))
+    index_edges = tree_from_pruefer(seq, n)
+    names = tuple(str(i + 1) for i in range(n))
+    g = LabeledGraph(
+        names,
+        tuple((names[i], names[j]) for i, j in index_edges),
+        {v: universe[r - 1] for v, r in zip(names, ranks)},
+    )
+    verdicts = _tree_criteria(names, index_edges, ranks, 2 * (n - 1))
+    assert verdicts == tree_gh_report(g)
+    distances = set(oracles.path_enumeration_distances(g).values()) | {0}
+    assert verdicts == (len(distances) == n,) * 4
+
+
+def test_rank_route_keeps_validate_and_the_ultrametric_check(monkeypatch):
+    real = analysis._bottleneck_rows
+
+    def bent(vertices, weighted):
+        rows = real(vertices, weighted)
+        rows[0][-1] += 1
+        return rows
+
+    monkeypatch.setattr(analysis, "_bottleneck_rows", bent)
+    with pytest.raises(MatrixInvariantError):
+        search_conjecture(SearchConfig(n_max=3, universe=U123))
+    # all zero: a valid pseudoultrametric, but not an ultrametric
+    monkeypatch.setattr(analysis, "_bottleneck_rows", lambda vs, _w: [[0] * len(vs) for _ in vs])
+    with pytest.raises(NotUltrametricError):
+        search_conjecture(SearchConfig(n_max=3, universe=U123))
+
+
+def test_scan_cross_checks_the_four_criteria(monkeypatch):
+    monkeypatch.setattr(explore, "_tree_criteria", lambda *_args: (True, False, True, True))
+    with pytest.raises(InternalCheckError, match="criteria disagree"):
+        search_conjecture(SearchConfig(n_max=2, universe=U123))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_shards_split_the_pruefer_sequences_in_order(n):
+    prefixes = [0] if n == 2 else range(n)
+    blocks = [item for p in prefixes for item in _pruefer_block(n, p)]
+    assert blocks == list(enumerate(product(range(n), repeat=n - 2)))
+
+
+def test_pool_never_exceeds_shards_or_cpus(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor; runs the shards in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(explore, "ProcessPoolExecutor", RecordingPool)
+    expected = search_conjecture(SearchConfig(n_max=4, universe=U123)).to_json()
+    for cpus, pools in ((64, [3, 4]), (2, [2, 2]), (1, []), (None, [])):
+        sizes.clear()
+        monkeypatch.setattr(explore.os, "cpu_count", lambda: cpus)
+        cfg = SearchConfig(n_max=4, universe=U123, jobs=10**6)
+        assert search_conjecture(cfg).to_json() == expected
+        # n=2 is a single shard and never gets a pool
+        assert sizes == pools
 
 
 def test_symmetry_reduction_prunes_without_changing_the_verdict():
