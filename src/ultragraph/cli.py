@@ -4,7 +4,7 @@ Exit codes are uniform across subcommands: 0 for success or an
 affirmative verdict, 1 for a well-formed but negative verdict, 2 for
 input errors (running out of memory included), 3 for an internal
 self-check failure (a bug, not bad input) or for input nested deeper
-than the interpreter's recursion limit.
+than the interpreter's recursion limit, and 130 when interrupted.
 """
 
 from __future__ import annotations
@@ -42,29 +42,66 @@ def _read(path: str) -> str:
 
 def _matrix_text(dm: DistanceMatrix) -> str:
     names = list(dm.vertices)
-    rows = [[str(q) for q in row] for row in dm.entries]
+    rows = dm._entry_strings()
     name_w = max(len(s) for s in names)
-    col_w = [
-        max(len(names[j]), max(len(row[j]) for row in rows))
-        for j in range(len(names))
-    ]
-    lines = [
-        " " * name_w + "  " + "  ".join(names[j].rjust(col_w[j]) for j in range(len(names)))
-    ]
-    for i, name in enumerate(names):
-        lines.append(
-            name.ljust(name_w)
-            + "  "
-            + "  ".join(rows[i][j].rjust(col_w[j]) for j in range(len(names)))
-        )
+    col_w = [max(len(name), *map(len, col)) for name, col in zip(names, zip(*rows))]
+    lines = [" " * name_w + "  " + "  ".join(map(str.rjust, names, col_w))]
+    for name, row in zip(names, rows):
+        lines.append(name.ljust(name_w) + "  " + "  ".join(map(str.rjust, row, col_w)))
     return "\n".join(lines) + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+_json_scalar = json.JSONEncoder().encode
+
+
+def _json_text(doc) -> str:
+    """``json.dumps(doc, indent=2)`` plus a newline, without recursion.
+
+    The standard encoder recurses once per nesting level, which a deep
+    dendrogram exceeds; this one keeps an explicit stack of text and of
+    non-empty containers still to open.  Scalars and empty containers go
+    through the standard encoder.  Keys must be strings.
+    """
+    out: list[str] = []
+    stack: list = [(doc, 0)]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            out.append(top)
+            continue
+        value, level = top
+        if not isinstance(value, _CONTAINERS) or not value:
+            out.append(_json_scalar(value))
+            continue
+        inner = "\n" + "  " * (level + 1)
+        if isinstance(value, dict):
+            opener, closer = "{", "}"
+            items = [(inner + _json_scalar(key) + ": ", v) for key, v in value.items()]
+        else:
+            opener, closer = "[", "]"
+            items = [(inner, v) for v in value]
+        todo = []
+        pending = [opener]
+        for k, (prefix, v) in enumerate(items):
+            pending.append("," + prefix if k else prefix)
+            if isinstance(v, _CONTAINERS) and v:
+                todo.append("".join(pending))
+                todo.append((v, level + 1))
+                pending = []
+            else:
+                pending.append(_json_scalar(v))
+        pending.append("\n" + "  " * level + closer)
+        todo.append("".join(pending))
+        stack.extend(reversed(todo))
+    return "".join(out) + "\n"
 
 
 def _emit_matrix(dm: DistanceMatrix, fmt: str) -> None:
     if fmt == "csv":
         sys.stdout.write(dm.to_csv())
     elif fmt == "json":
-        sys.stdout.write(json.dumps(dm.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(_json_text(dm.to_json_dict()))
     else:
         sys.stdout.write(_matrix_text(dm))
 
@@ -94,7 +131,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
 def cmd_check(args: argparse.Namespace) -> int:
     report = gh_report(parse_graph(_read(args.path)))
     if args.format == "json":
-        sys.stdout.write(json.dumps(report.to_json_dict(), indent=2) + "\n")
+        sys.stdout.write(_json_text(report.to_json_dict()))
     else:
         out = [
             f"vertices: {report.vertex_count}",
@@ -139,7 +176,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
             "identity": len(reps) == len(dm.vertices),
             **quotient.to_json_dict(),
         }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc))
     else:
         sys.stdout.write("representatives: " + " ".join(reps) + "\n")
         if len(reps) == len(dm.vertices):
@@ -204,7 +241,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
             }
             for path, node in results
         ]
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(_json_text(doc))
     else:
         for _path, node in results:
             print(canonical_form(node))
@@ -336,6 +373,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,8 +7,12 @@ equals the minimax (bottleneck) path distance for the edge weights
 computes with a sorted-edge union-find sweep.  A literal path-by-path
 evaluation is kept alongside as :func:`distance_oracle`.
 
-Everything is exact: labels, weights, and distances are
-:class:`fractions.Fraction` values.
+Everything is exact: ``Fraction`` at the API boundary, ranks inside the
+sweep.  Labels, weights and distances are :class:`fractions.Fraction`
+values wherever they enter or leave.  Every distance is ``0`` or one of
+the labels (weights), so the sweep only needs their order: it runs on
+integer ranks, and :func:`_bottleneck_matrix` maps ranks back to the
+Fractions they stand for.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import (
     DisconnectedGraphError,
@@ -103,7 +108,7 @@ class DistanceMatrix:
             raise ValueError("vertex names must be unique and non-empty")
         if len(self.entries) != n or any(len(row) != n for row in self.entries):
             raise ValueError(f"entries must form a {n}x{n} matrix")
-        rows = tuple(tuple(_coerce_rational(q) for q in row) for row in self.entries)
+        rows = tuple(tuple(map(_coerce_rational, row)) for row in self.entries)
         object.__setattr__(self, "vertices", tuple(self.vertices))
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
@@ -132,12 +137,25 @@ class DistanceMatrix:
 
     # -- serialization ----------------------------------------------
 
+    def _entry_strings(self) -> list[list[str]]:
+        """``str`` of every entry, row by row.
+
+        Each distinct entry object is formatted once.  Matrices from the
+        sweep share one object per distinct value, and the matrix keeps
+        every entry alive, so object identity is a sound key; hashing a
+        Fraction would cost more than the ``str`` it saves.
+        """
+        objects: dict[int, Fraction] = {}
+        for row in self.entries:
+            objects.update(zip(map(id, row), row))
+        text = {key: str(q) for key, q in objects.items()}
+        return [list(map(text.__getitem__, map(id, row))) for row in self.entries]
+
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(self.vertices)
-        for row in self.entries:
-            writer.writerow([str(q) for q in row])
+        writer.writerows(self._entry_strings())
         return buf.getvalue()
 
     @classmethod
@@ -150,7 +168,7 @@ class DistanceMatrix:
     def to_json_dict(self) -> dict:
         return {
             "vertices": list(self.vertices),
-            "matrix": [[str(q) for q in row] for row in self.entries],
+            "matrix": self._entry_strings(),
         }
 
     @classmethod
@@ -291,12 +309,10 @@ def edge_weights(g: LabeledGraph) -> WeightedGraph:
     return WeightedGraph(g.vertices, g.edges, weights)
 
 
-def _sweep(
-    n: int, pairs: list[tuple[Fraction, int, int]]
-) -> Iterator[tuple[Fraction, list[int], list[int]]]:
+def _sweep(n: int, pairs: Iterable[tuple]) -> Iterator[tuple]:
     """Kruskal-style union-find sweep over points ``0 .. n-1``.
 
-    ``pairs`` holds ``(w, i, j)`` triples sorted by ``w``.  Each time
+    ``pairs`` yields ``(w, i, j)`` triples sorted by ``w``.  Each time
     two clusters first meet, yield ``(w, a, b)`` with their member
     lists, then absorb ``b`` into ``a``; ``a[0]`` is the surviving
     root.  Every pair across ``a`` and ``b`` has minimax distance
@@ -326,12 +342,25 @@ def _sorted_pairs(
     return pairs
 
 
+def _ranks(values: Sequence[Fraction]) -> tuple[list[int], list[Fraction]]:
+    """Rank every value among the distinct values and ``0``.
+
+    Returns ``(rank, ordered)``: ``ordered`` holds ``0`` and the distinct
+    values ascending, and ``ordered[rank[k]] == values[k]``.  Equal values
+    share a rank, and rank ``0`` is the value ``0``, which is also the
+    sweep's diagonal.
+    """
+    ordered = sorted(set(values).union((_ZERO,)))
+    rank_of = {q: r for r, q in enumerate(ordered)}
+    return [rank_of[q] for q in values], ordered
+
+
 def _bottleneck_rows(
-    vertices: Sequence[str], weighted_edges: list[tuple]
+    vertices: Sequence[str], weighted_edges: Iterable[tuple]
 ) -> list[list]:
     """Minimax distances via :func:`_sweep` over the weighted edges, as rows.
 
-    ``weighted_edges`` holds ``(w, i, j)`` triples already sorted by
+    ``weighted_edges`` yields ``(w, i, j)`` triples already sorted by
     weight, ties in declaration order.  Weights may be of any totally
     ordered type; the diagonal is ``0``.
     """
@@ -355,31 +384,43 @@ def _bottleneck_rows(
 
 
 def _bottleneck_matrix(
-    vertices: tuple[str, ...], weighted_edges: list[tuple[Fraction, int, int]]
+    vertices: tuple[str, ...],
+    rank_edges: Iterable[tuple[int, int, int]],
+    ordered: list[Fraction],
 ) -> DistanceMatrix:
-    """:func:`_bottleneck_rows` as a :class:`DistanceMatrix` of Fractions."""
-    return DistanceMatrix(
-        vertices, tuple(tuple(row) for row in _bottleneck_rows(vertices, weighted_edges))
-    )
+    """Minimax distances for edges weighted by rank, as a :class:`DistanceMatrix`.
+
+    ``rank_edges`` holds ``(r, i, j)`` in declaration order, where ``r``
+    ranks the weight of edge ``{i, j}`` into ``ordered`` (see
+    :func:`_ranks`).  Ranks are bounded by ``len(ordered)``, so one stable
+    bucket pass sorts the edges, ties kept in declaration order.  This is
+    the only place ranks turn back into Fractions: the map is strictly
+    increasing and every distance is an edge weight or ``0``, so the
+    minimax matrix is the same as a sweep over the Fractions themselves.
+    """
+    buckets: list[list[tuple[int, int, int]]] = [[] for _ in ordered]
+    for edge in rank_edges:
+        buckets[edge[0]].append(edge)
+    rows = _bottleneck_rows(vertices, chain.from_iterable(buckets))
+    value = ordered.__getitem__
+    return DistanceMatrix(vertices, tuple(tuple(map(value, row)) for row in rows))
 
 
 def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
     """All pairwise labeled distances of a connected graph, exactly."""
     index = g._index
-    labels = g.labels
-    weighted = [
-        (max(labels[u], labels[v]), index[u], index[v]) for u, v in g.edges
-    ]
-    weighted.sort(key=lambda t: t[0])
-    return _bottleneck_matrix(g.vertices, weighted)
+    rank, ordered = _ranks([g.labels[v] for v in g.vertices])
+    rank_of = dict(zip(g.vertices, rank))
+    rank_edges = ((max(rank_of[u], rank_of[v]), index[u], index[v]) for u, v in g.edges)
+    return _bottleneck_matrix(g.vertices, rank_edges, ordered)
 
 
 def rho_w(wg: WeightedGraph) -> DistanceMatrix:
     """Minimax path distances for explicit edge weights."""
     index = wg.skeleton._index
-    weighted = [(wg.weights[(u, v)], index[u], index[v]) for u, v in wg.edges]
-    weighted.sort(key=lambda t: t[0])
-    return _bottleneck_matrix(wg.vertices, weighted)
+    rank, ordered = _ranks([wg.weights[e] for e in wg.edges])
+    rank_edges = ((r, index[u], index[v]) for r, (u, v) in zip(rank, wg.edges))
+    return _bottleneck_matrix(wg.vertices, rank_edges, ordered)
 
 
 def distance_oracle(

@@ -77,6 +77,33 @@ def edge_route_distances(g: LabeledGraph) -> dict[tuple[int, int], Fraction | No
     return out
 
 
+def fraction_sorted_minimax(wg: WeightedGraph) -> list[list[Fraction]]:
+    """Minimax path distances for explicit weights, as rows in vertex order.
+
+    Kruskal over the edges sorted by their Fraction weights: when an edge
+    first joins two components, every pair across them gets its weight.
+    Components are plain sets, merged by copying.
+    """
+    names = wg.vertices
+    n = len(names)
+    index = {v: k for k, v in enumerate(names)}
+    rows: list[list[Fraction | None]] = [[None] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = Fraction(0)
+    component = [{i} for i in range(n)]
+    for (u, v), w in sorted(wg.weights.items(), key=lambda item: item[1]):
+        a, b = component[index[u]], component[index[v]]
+        if a is b:
+            continue
+        for x in a:
+            for y in b:
+                rows[x][y] = rows[y][x] = w
+        merged = a | b
+        for x in merged:
+            component[x] = merged
+    return rows
+
+
 def bijection_isometric(dm1: DistanceMatrix, dm2: DistanceMatrix) -> bool:
     """Exhaustive search for a distance-preserving bijection.
 

@@ -1,12 +1,24 @@
 """Drive the command-line interface end to end through main()."""
 
+import hashlib
 import json
+import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import recursion_headroom
-from ultragraph import DistanceMatrix, cli, distance_matrix, parse_graph
+from ultragraph import (
+    DistanceMatrix,
+    canonical_form,
+    cli,
+    dendrogram,
+    distance_matrix,
+    parse_graph,
+)
 from ultragraph.cli import main
+from ultragraph.dendrograms import to_json_dict
 
 P3 = "v a 1\nv b 2\nv c 3\ne a b\ne b c\n"
 P3_FLAT = "v a 3\nv b 2\nv c 3\ne a b\ne b c\n"
@@ -305,26 +317,176 @@ def test_explore_rejects_bad_universe(capsys):
     capsys.readouterr()
 
 
+# -- pinned outputs --------------------------------------------------------
+
+# Label spellings with ties, zeros and one value written three ways.
+_LABEL_POOLS = (
+    ("0", "1", "2"),
+    ("1/2", "2/4", "0.5", "1", "3"),
+    ("0", "0", "1/3", "2", "7/3"),
+    ("1", "2", "3", "4", "5", "6", "7", "8"),
+    ("0", "1/2", "2/4", "0.5", "5/7", "10/14"),
+)
+
+
+def _random_edges(rng, n, extra):
+    """A random spanning tree on ``range(n)`` plus each other pair with
+    probability ``extra``, shuffled and randomly oriented."""
+    edges = {tuple(sorted((v, rng.randrange(v)))) for v in range(1, n)}
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < extra:
+                edges.add((i, j))
+    edges = [(j, i) if rng.random() < 0.5 else (i, j) for i, j in sorted(edges)]
+    rng.shuffle(edges)
+    return edges
+
+
+def _graph_doc(names, tokens, edges, weights=None):
+    lines = [f"v {v} {t}" for v, t in zip(names, tokens)]
+    for k, (i, j) in enumerate(edges):
+        w = "" if weights is None else f" {weights[k]}"
+        lines.append(f"e {names[i]} {names[j]}{w}")
+    return "\n".join(lines) + "\n"
+
+
+def _labeled_corpus():
+    """Seeded labeled documents: single vertices, a zero-labeled edge, a
+    zero label with no zero edge, ``1/2 = 2/4 = 0.5``, a disconnected
+    graph, a 150-vertex ascending path (a 149-level dendrogram), 60 small
+    random graphs and one 45-vertex dense graph."""
+    rng = random.Random(4041)
+    docs = [
+        "v a 0\n",
+        "v solo 5/3\n",
+        "v a 0\nv b 0\nv c 1\ne a b\ne b c\n",
+        "v a 0\nv b 2\nv c 0\nv d 1\ne a b\ne b c\ne c d\n",
+        "v a 1/2\nv b 2/4\nv c 0.5\nv d 1\ne a b\ne b c\ne c d\ne d a\n",
+        DISCONNECTED,
+        _graph_doc(
+            [f"p{i}" for i in range(150)], range(1, 151), [(i, i + 1) for i in range(149)]
+        ),
+    ]
+    for k in range(60):
+        n = rng.randint(2, 12)
+        names = [f"v{i}" for i in rng.sample(range(100), n)]
+        pool = _LABEL_POOLS[k % len(_LABEL_POOLS)]
+        tokens = [rng.choice(pool) for _ in range(n)]
+        docs.append(_graph_doc(names, tokens, _random_edges(rng, n, rng.random() / 2)))
+    n = 45
+    tokens = [rng.choice(("0", "1/3", "2/6", "1", "7/2", "10", "12/5")) for _ in range(n)]
+    docs.append(_graph_doc([f"n{i}" for i in range(n)], tokens, _random_edges(rng, n, 0.3)))
+    return docs
+
+
+def _weighted_corpus():
+    """Seeded weighted documents with many tied weights, including zeros."""
+    rng = random.Random(4042)
+    docs = ["v a\n", WEIGHTED_BAD, WEIGHTED_GOOD]
+    for k in range(40):
+        n = rng.randint(2, 9)
+        names = [f"w{i}" for i in range(n)]
+        edges = _random_edges(rng, n, 0.4)
+        pool = _LABEL_POOLS[k % len(_LABEL_POOLS)]
+        weights = [rng.choice(pool) for _ in edges]
+        docs.append(_graph_doc(names, [""] * n, edges, weights).replace(" \n", "\n"))
+    return docs
+
+
+# sha256 over every document's exit code, stdout and stderr, recorded
+# before the distance sweep moved to integer ranks.
+_PINNED = {
+    ("dist", "text"): "3545e24cdbe46f0d04c99dae1512360a37f68b0e27e1eab1f7b36b6374818520",
+    ("dist", "csv"): "157982748e38388c0296feb2d9df0b9e670ba33d9dcde18d3287b4fcc5674729",
+    ("dist", "json"): "fc5bbd92cea1d3809f11f5d9681764ddb9cbef6c14261654d9c8de87b049c058",
+    ("quotient", "text"): "47af30bb356d66321161a59003e4637447eaed7d759f1f6bb8158d7e465068b3",
+    ("quotient", "json"): "d195c1f0bdbf554d657168ea22e10736b11464b749f6beab928ce24be8094cc2",
+    ("canon", "json"): "b63c89c233f247a3b6d8b4ce6951db09cc4560b11e9bdd0501d0a9b502e1c814",
+    ("check", "json"): "394af27e8c59bd98c7c0d720fddf74a4690f7db92ceb32cc1226640026c207b0",
+    ("realizable", None): "116e8a47e1ad274f0f21315296c7c2138a04fcd2d37beb32cc09c6337fad859e",
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(_PINNED))
+def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, command, fmt):
+    # relative paths: canon prints them
+    monkeypatch.chdir(tmp_path)
+    corpus = _weighted_corpus() if command == "realizable" else _labeled_corpus()
+    h = hashlib.sha256()
+    for k, doc in enumerate(corpus):
+        name = f"g{k}.graph"
+        (tmp_path / name).write_text(doc, encoding="utf-8")
+        argv = [command, name]
+        if fmt is not None:
+            argv += ["--format", fmt]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        h.update(f"{code}\n{out}\n{err}\n".encode())
+    assert h.hexdigest() == _PINNED[command, fmt]
+
+
 # -- deep and oversized input ---------------------------------------------
 
 
-def test_deep_input_exits_3_with_one_line(graph_file, capsys):
-    # An ascending path generates a chain dendrogram as deep as the path
-    # is long; the JSON encoder recurses once per level.
-    n = 200
+def _ascending_path(n):
     text = "".join(f"v x{k} {k + 1}\n" for k in range(n))
-    text += "".join(f"e x{k} x{k + 1}\n" for k in range(n - 1))
-    path = graph_file(text)
-    assert main(["canon", "--format", "json", path]) == 0
-    assert json.loads(capsys.readouterr().out)[0]["dendrogram"]["height"] == str(n)
+    return text + "".join(f"e x{k} x{k + 1}\n" for k in range(n - 1))
+
+
+def test_deep_dendrogram_json_needs_no_recursion(graph_file, capsys):
+    # An ascending path generates a chain dendrogram as deep as the path
+    # is long; json.dumps recurses once per level.
+    n = 200
+    path = graph_file(_ascending_path(n))
+    node = dendrogram(distance_matrix(parse_graph(_ascending_path(n))))
+    doc = [
+        {"path": path, "canonical_form": canonical_form(node), "dendrogram": to_json_dict(node)}
+    ]
+    expected = json.dumps(doc, indent=2) + "\n"
 
     with recursion_headroom(150):
+        assert cli._json_text(doc) == expected
         code = main(["canon", "--format", "json", path])
     out, err = capsys.readouterr()
-    assert code == 3
+    assert (code, out, err) == (0, expected, "")
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(_json_values)
+def test_json_text_matches_json_dumps(doc):
+    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_deep_input_exits_3_with_one_line(graph_file, capsys, monkeypatch):
+    def too_deep(node):
+        raise RecursionError
+
+    monkeypatch.setattr(cli, "canonical_form", too_deep)
+    assert main(["canon", graph_file(P3)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err == (
         "internal check failed: recursion limit exceeded; the input nests too deeply\n"
     )
+
+
+def test_interrupt_exits_130_with_one_line(graph_file, capsys, monkeypatch):
+    def interrupted(g):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "distance_matrix", interrupted)
+    assert main(["dist", graph_file(P3)]) == 130
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "interrupted\n"
 
 
 def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):

@@ -182,6 +182,7 @@ def test_matrix_facts(g):
     dm.validate()
     labels = g.labels
     values = set(labels.values())
+    assert all(isinstance(d, Fraction) for row in dm.entries for d in row)
     for x, y, d in dm.pairs():
         assert d >= max(labels[x], labels[y])
         assert d in values
@@ -354,6 +355,21 @@ def test_rho_on_tree_is_path_maximum():
     )
     r = rho_w(wg)
     assert r.get("a", "c") == 4
+
+
+@st.composite
+def tied_weighted_graphs(draw):
+    """Connected graphs whose weights come from a few values, ``1/2`` spelled two ways."""
+    g = draw(connected_graphs(max_n=7))
+    pool = (0, "1/2", "2/4", 1, 2)
+    return WeightedGraph(g.vertices, g.edges, {e: draw(st.sampled_from(pool)) for e in g.edges})
+
+
+@given(tied_weighted_graphs())
+def test_rho_matches_fraction_sorted_minimax(wg):
+    r = rho_w(wg)
+    assert [list(row) for row in r.entries] == oracles.fraction_sorted_minimax(wg)
+    assert all(isinstance(d, Fraction) for row in r.entries for d in row)
 
 
 def test_realizability_witness_on_unique_cycle_maximum():
