@@ -27,7 +27,6 @@ from .dendrograms import (
     Merge,
     are_isometric,
     canonical_form,
-    cophenetic_distances,
     dendrogram,
     leaves,
 )
@@ -39,7 +38,6 @@ from .explore import (
     RunRecord,
     SearchConfig,
     SpaceWitness,
-    bucket_by_distance_set,
     reverify_counterexample,
     search_conjecture,
     write_counterexample_files,
@@ -51,7 +49,6 @@ from .graphs import (
     LabeledGraph,
     NotATreeError,
     connectivity_witness,
-    degree_sum_identity,
     enumerate_cycles,
     enumerate_simple_paths,
     enumerate_trees,
@@ -72,7 +69,6 @@ from .metrics import (
     NotUltrametricError,
     RealizabilityResult,
     WeightedGraph,
-    adjacent_distance,
     classify_metric,
     distance_matrix,
     distance_oracle,

@@ -138,31 +138,6 @@ def leaves(node: Node) -> Iterator[str]:
             stack.extend(reversed(item.children))
 
 
-def cophenetic_distances(node: Node) -> dict[frozenset[str], Fraction]:
-    """Pairwise merge heights; inverts :func:`dendrogram` for tests."""
-    dists: dict[frozenset[str], Fraction] = {}
-    done: list[list[str]] = []
-    stack: list[tuple[Node, bool]] = [(node, False)]
-    while stack:
-        item, expanded = stack.pop()
-        if isinstance(item, Leaf):
-            done.append([item.vertex])
-        elif not expanded:
-            stack.append((item, True))
-            stack.extend((child, False) for child in reversed(item.children))
-        else:
-            k = len(item.children)
-            blocks = done[-k:]
-            del done[-k:]
-            for i in range(k):
-                for j in range(i + 1, k):
-                    for x in blocks[i]:
-                        for y in blocks[j]:
-                            dists[frozenset((x, y))] = item.height
-            done.append([x for block in blocks for x in block])
-    return dists
-
-
 def to_json_dict(node: Node) -> dict:
     root: dict = {}
     stack: list[tuple[Node, dict]] = [(node, root)]

@@ -389,18 +389,6 @@ def _witness(entry: tuple) -> SpaceWitness:
     return SpaceWitness(graph=graph, canonical=canon)
 
 
-def bucket_by_distance_set(
-    spaces: Iterable[DistanceMatrix],
-) -> dict[tuple[Fraction, ...], list[DistanceMatrix]]:
-    """Group GH spaces by their distance set, preserving input order."""
-    buckets: dict[tuple[Fraction, ...], list[DistanceMatrix]] = {}
-    for dm in spaces:
-        if not is_gh(dm):
-            raise ValueError("bucket_by_distance_set expects GH spaces only")
-        buckets.setdefault(distance_set(dm), []).append(dm)
-    return buckets
-
-
 def write_counterexample_files(report: ConjectureReport, out_dir: str | Path) -> list[Path]:
     """Dump each counterexample as a pair of graph files for re-checking."""
     out = Path(out_dir)

@@ -11,6 +11,7 @@ rejected at construction time; pass strings like ``"1/2"`` instead.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,9 @@ from typing import Iterator, Mapping, Sequence
 
 DEFAULT_CYCLE_CAP = 10
 DEFAULT_TREE_CAP = 8
+
+# Python's int-string digit limit (0: none); before 3.10.7, its default.
+_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
 
 
 class GraphFormatError(ValueError):
@@ -165,69 +169,92 @@ class LabeledGraph:
 # -- parsing -----------------------------------------------------------
 
 
-def _parse_label(token: str, line_no: int) -> Fraction:
+def _parse_rational(token: str, line_no: int, category: str, what: str) -> Fraction:
+    """A non-negative rational token: ``3/2``, ``1.5`` or ``15e-1``.
+
+    An exponent beyond the int-string limit is refused before ``Fraction``
+    spends seconds on ``10**exp``, a value that could not be printed anyway.
+    """
+    limit = _int_digits_limit()
+    mantissa, e, exponent = token.lower().partition("e")
     try:
-        value = Fraction(token)
+        huge = bool(e) and 0 < limit < abs(int(exponent))
+        value = Fraction(mantissa + "e0" if huge else token)
     except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(line_no, "bad-label", f"malformed label {token!r}") from None
+        raise GraphFormatError(line_no, category, f"malformed {what} {token!r}") from None
+    if huge:
+        raise GraphFormatError(line_no, category, f"exponent of {what} {token!r} exceeds {limit}")
     if value < 0:
-        raise GraphFormatError(line_no, "bad-label", f"negative label {token!r}")
+        raise GraphFormatError(line_no, category, f"negative {what} {token!r}")
     return value
 
 
-def parse_graph(text: str) -> LabeledGraph:
-    """Parse the line-based graph format.
+# Record shapes of the two formats: per directive, the token counts a
+# line may have and the usage its ``malformed-line`` error shows.
+_LABELED_RECORDS = {"v": ((3,), "v <id> <label>"), "e": ((3,), "e <id> <id>")}
+_WEIGHTED_RECORDS = {"v": ((2, 3), "v <id> [label]"), "e": ((4,), "e <id> <id> <weight>")}
 
-    Grammar, one record per line: ``# comment``, ``v <id> <label>``,
-    ``e <id> <id>``.  Blank lines are ignored.  Labels are decimals
-    (``1.5``) or rationals (``3/2``).  The order of ``v`` lines defines
-    the vertex order.
+
+def _read_records(text: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]):
+    """Read a graph document of either format in one pass.
+
+    Skips blanks and ``#`` comments, checks each record's token count
+    against ``shapes``, then duplicate vertices, undeclared endpoints,
+    self-loops and duplicate edges.  Returns ``(labels, edges)`` in
+    declaration order: vertex -> label (a third ``v`` token), ``(u, v)``
+    as written -> weight (a fourth ``e`` token), ``None`` if absent.
     """
-    vertices: list[str] = []
-    labels: dict[str, Fraction] = {}
-    edges: list[tuple[str, str]] = []
-    edge_seen: set[frozenset[str]] = set()
-
+    labels: dict[str, Fraction | None] = {}
+    edges: dict[tuple[str, str], Fraction | None] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) != 3:
-                raise GraphFormatError(
-                    line_no, "malformed-line", f"expected 'v <id> <label>', got {line!r}"
-                )
-            _, vid, label_tok = tokens
+        head = tokens[0]
+        if head not in shapes:
+            raise GraphFormatError(
+                line_no, "malformed-line", f"unknown directive {head!r} in {line!r}"
+            )
+        counts, usage = shapes[head]
+        if len(tokens) not in counts:
+            raise GraphFormatError(line_no, "malformed-line", f"expected '{usage}', got {line!r}")
+        if head == "v":
+            vid = tokens[1]
             if vid in labels:
                 raise GraphFormatError(line_no, "duplicate-vertex", f"duplicate vertex id {vid!r}")
-            labels[vid] = _parse_label(label_tok, line_no)
-            vertices.append(vid)
-        elif tokens[0] == "e":
-            if len(tokens) != 3:
+            labels[vid] = None
+            if len(tokens) == 3:
+                labels[vid] = _parse_rational(tokens[2], line_no, "bad-label", "label")
+        else:
+            u, v = tokens[1], tokens[2]
+            if u not in labels or v not in labels:
+                end = u if u not in labels else v
                 raise GraphFormatError(
-                    line_no, "malformed-line", f"expected 'e <id> <id>', got {line!r}"
+                    line_no, "undeclared-endpoint", f"undeclared endpoint {end!r}"
                 )
-            _, u, v = tokens
-            if u not in labels:
-                raise GraphFormatError(line_no, "undeclared-endpoint", f"undeclared endpoint {u!r}")
-            if v not in labels:
-                raise GraphFormatError(line_no, "undeclared-endpoint", f"undeclared endpoint {v!r}")
             if u == v:
                 raise GraphFormatError(line_no, "self-loop", f"self-loop at {u!r}")
-            key = frozenset((u, v))
-            if key in edge_seen:
+            if (u, v) in edges or (v, u) in edges:
                 raise GraphFormatError(line_no, "duplicate-edge", f"duplicate edge {u!r} {v!r}")
-            edge_seen.add(key)
-            edges.append((u, v))
-        else:
-            raise GraphFormatError(
-                line_no, "malformed-line", f"unknown directive {tokens[0]!r} in {line!r}"
-            )
-
-    if not vertices:
+            edges[u, v] = None
+            if len(tokens) == 4:
+                edges[u, v] = _parse_rational(tokens[3], line_no, "bad-weight", "weight")
+    if not labels:
         raise GraphFormatError(0, "empty-graph", "no vertices declared")
-    return LabeledGraph(tuple(vertices), tuple(edges), labels)
+    return labels, edges
+
+
+def parse_graph(text: str) -> LabeledGraph:
+    """Parse the labeled graph format.
+
+    Grammar, one record per line: ``# comment``, ``v <id> <label>``,
+    ``e <id> <id>``.  Blank lines are ignored.  Labels are decimals
+    (``1.5``, ``15e-1``) or rationals (``3/2``).  The order of ``v`` lines
+    defines the vertex order.  The weighted format shares the reader.
+    """
+    labels, edges = _read_records(text, _LABELED_RECORDS)
+    return LabeledGraph(tuple(labels), tuple(edges), labels)
 
 
 # -- predicates and traversals -----------------------------------------
@@ -296,11 +323,6 @@ def spanning_tree(g: LabeledGraph) -> LabeledGraph:
                 tree_edges.append((u, w))
                 queue.append(w)
     return LabeledGraph(g.vertices, tuple(tree_edges), dict(g.labels))
-
-
-def degree_sum_identity(g: LabeledGraph) -> bool:
-    """Check the handshake identity: the degree total equals ``2 |E|``."""
-    return sum(g.degree(v) for v in g.vertices) == 2 * len(g.edges)
 
 
 def enumerate_simple_paths(g: LabeledGraph, x: str, y: str) -> Iterator[tuple[str, ...]]:

@@ -13,6 +13,9 @@ values wherever they enter or leave.  Every distance is ``0`` or one of
 the labels (weights), so the sweep only needs their order: it runs on
 integer ranks, and :func:`_bottleneck_matrix` maps ranks back to the
 Fractions they stand for.
+
+Weighted graph documents go through the line reader of both formats,
+:func:`ultragraph.graphs._read_records`.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import (
     DisconnectedGraphError,
-    GraphFormatError,
     LabeledGraph,
     CapExceededError,
+    _WEIGHTED_RECORDS,
     _coerce_rational,
+    _read_records,
     enumerate_simple_paths,
 )
 
@@ -226,73 +230,17 @@ def _zero_free(m: Sequence[Sequence]) -> bool:
 # -- weighted-format parsing --------------------------------------------
 
 
-def _parse_rational(token: str, line_no: int, category: str, what: str) -> Fraction:
-    try:
-        value = Fraction(token)
-    except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(line_no, category, f"malformed {what} {token!r}") from None
-    if value < 0:
-        raise GraphFormatError(line_no, category, f"negative {what} {token!r}")
-    return value
-
 
 def parse_weighted_graph(text: str) -> WeightedGraph:
     """Parse the weighted variant of the graph format.
 
-    Vertex lines are ``v <id>`` (a trailing label is accepted and
+    Vertex lines are ``v <id>`` (a trailing label is checked and
     ignored, so labeled documents can be reused); edge lines are
-    ``e <id> <id> <weight>``.
+    ``e <id> <id> <weight>``.  Everything else, errors included, is as
+    in :func:`ultragraph.graphs.parse_graph`, whose line reader this shares.
     """
-    order: list[str] = []
-    declared: set[str] = set()
-    edges: list[tuple[str, str]] = []
-    weights: dict[tuple[str, str], Fraction] = {}
-    seen: set[frozenset[str]] = set()
-
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        tokens = line.split()
-        if tokens[0] == "v":
-            if len(tokens) not in (2, 3):
-                raise GraphFormatError(
-                    line_no, "malformed-line", f"expected 'v <id> [label]', got {line!r}"
-                )
-            vid = tokens[1]
-            if vid in declared:
-                raise GraphFormatError(line_no, "duplicate-vertex", f"duplicate vertex id {vid!r}")
-            if len(tokens) == 3:
-                _parse_rational(tokens[2], line_no, "bad-label", "label")
-            declared.add(vid)
-            order.append(vid)
-        elif tokens[0] == "e":
-            if len(tokens) != 4:
-                raise GraphFormatError(
-                    line_no, "malformed-line", f"expected 'e <id> <id> <weight>', got {line!r}"
-                )
-            _, u, v, wtok = tokens
-            for end in (u, v):
-                if end not in declared:
-                    raise GraphFormatError(
-                        line_no, "undeclared-endpoint", f"undeclared endpoint {end!r}"
-                    )
-            if u == v:
-                raise GraphFormatError(line_no, "self-loop", f"self-loop at {u!r}")
-            key = frozenset((u, v))
-            if key in seen:
-                raise GraphFormatError(line_no, "duplicate-edge", f"duplicate edge {u!r} {v!r}")
-            seen.add(key)
-            edges.append((u, v))
-            weights[(u, v)] = _parse_rational(wtok, line_no, "bad-weight", "weight")
-        else:
-            raise GraphFormatError(
-                line_no, "malformed-line", f"unknown directive {tokens[0]!r} in {line!r}"
-            )
-
-    if not order:
-        raise GraphFormatError(0, "empty-graph", "no vertices declared")
-    return WeightedGraph(tuple(order), tuple(edges), weights)
+    labels, weights = _read_records(text, _WEIGHTED_RECORDS)
+    return WeightedGraph(tuple(labels), tuple(weights), weights)
 
 
 # -- the two distance routes --------------------------------------------
@@ -458,17 +406,6 @@ def oracle_matrix(g: LabeledGraph, cap: int = DEFAULT_ORACLE_CAP) -> DistanceMat
 
 
 # -- pointwise facts and classification ----------------------------------
-
-
-def adjacent_distance(g: LabeledGraph, u: str, v: str) -> Fraction:
-    """Distance across an edge, which is just ``max(l(u), l(v))``.
-
-    No path can beat the direct edge: every path from ``u`` already
-    carries ``l(u)`` and ``l(v)`` is a lower bound on the last hop.
-    """
-    if not g.has_edge(u, v):
-        raise ValueError(f"({u!r}, {v!r}) is not an edge")
-    return max(g.labels[u], g.labels[v])
 
 
 def is_nondegenerate(g: LabeledGraph) -> bool:

@@ -102,3 +102,211 @@ def recursion_headroom(frames: int):
         yield
     finally:
         sys.setrecursionlimit(old)
+
+
+# Graph documents run through both parsers, with each parser's outcome:
+# ``None`` when the document parses, else ``(category, line_no, message)``
+# of the GraphFormatError.  Covers every error category, every usage
+# string, either undeclared end, and the order in which the checks fire.
+PARSE_CASES = (
+    (
+        "frog a 1\n",
+        ("malformed-line", 1, "unknown directive 'frog' in 'frog a 1'"),
+        ("malformed-line", 1, "unknown directive 'frog' in 'frog a 1'"),
+    ),
+    (
+        "V a 1\n",
+        ("malformed-line", 1, "unknown directive 'V' in 'V a 1'"),
+        ("malformed-line", 1, "unknown directive 'V' in 'V a 1'"),
+    ),
+    (
+        "v a\n",
+        ("malformed-line", 1, "expected 'v <id> <label>', got 'v a'"),
+        None,
+    ),
+    (
+        "v a 1 9\n",
+        ("malformed-line", 1, "expected 'v <id> <label>', got 'v a 1 9'"),
+        ("malformed-line", 1, "expected 'v <id> [label]', got 'v a 1 9'"),
+    ),
+    (
+        "v a x y\n",
+        ("malformed-line", 1, "expected 'v <id> <label>', got 'v a x y'"),
+        ("malformed-line", 1, "expected 'v <id> [label]', got 'v a x y'"),
+    ),
+    (
+        "v a 1\nv b 2\ne a b\n",
+        None,
+        ("malformed-line", 3, "expected 'e <id> <id> <weight>', got 'e a b'"),
+    ),
+    (
+        "v a 1\nv b 2\ne a b 3\n",
+        ("malformed-line", 3, "expected 'e <id> <id>', got 'e a b 3'"),
+        None,
+    ),
+    (
+        "v a 1\nv b 2\ne a b 3 4\n",
+        ("malformed-line", 3, "expected 'e <id> <id>', got 'e a b 3 4'"),
+        ("malformed-line", 3, "expected 'e <id> <id> <weight>', got 'e a b 3 4'"),
+    ),
+    (
+        "v a 1\ne a\n",
+        ("malformed-line", 2, "expected 'e <id> <id>', got 'e a'"),
+        ("malformed-line", 2, "expected 'e <id> <id> <weight>', got 'e a'"),
+    ),
+    (
+        "v a -1\n",
+        ("bad-label", 1, "negative label '-1'"),
+        ("bad-label", 1, "negative label '-1'"),
+    ),
+    (
+        "v a beef\n",
+        ("bad-label", 1, "malformed label 'beef'"),
+        ("bad-label", 1, "malformed label 'beef'"),
+    ),
+    (
+        "v a 1/0\n",
+        ("bad-label", 1, "malformed label '1/0'"),
+        ("bad-label", 1, "malformed label '1/0'"),
+    ),
+    (
+        "v a 1\nv a beef\n",
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+    ),
+    (
+        "v a\nv b\ne a b pork\n",
+        ("malformed-line", 1, "expected 'v <id> <label>', got 'v a'"),
+        ("bad-weight", 3, "malformed weight 'pork'"),
+    ),
+    (
+        "v a 1\nv b 1\ne a b -1\n",
+        ("malformed-line", 3, "expected 'e <id> <id>', got 'e a b -1'"),
+        ("bad-weight", 3, "negative weight '-1'"),
+    ),
+    (
+        "v a 1\nv b 1\ne a b 1/0\n",
+        ("malformed-line", 3, "expected 'e <id> <id>', got 'e a b 1/0'"),
+        ("bad-weight", 3, "malformed weight '1/0'"),
+    ),
+    (
+        "v a 1\nv a 2\n",
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+    ),
+    (
+        "# c\n\n  v a 1\n\t\nv a 2\n",
+        ("duplicate-vertex", 5, "duplicate vertex id 'a'"),
+        ("duplicate-vertex", 5, "duplicate vertex id 'a'"),
+    ),
+    (
+        "v a 1\x0cv a 2\n",
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+    ),
+    (
+        "v a 1\r\nv a 2\r\n",
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+        ("duplicate-vertex", 2, "duplicate vertex id 'a'"),
+    ),
+    (
+        "e a b\n",
+        ("undeclared-endpoint", 1, "undeclared endpoint 'a'"),
+        ("malformed-line", 1, "expected 'e <id> <id> <weight>', got 'e a b'"),
+    ),
+    (
+        "e a b 1\n",
+        ("malformed-line", 1, "expected 'e <id> <id>', got 'e a b 1'"),
+        ("undeclared-endpoint", 1, "undeclared endpoint 'a'"),
+    ),
+    (
+        "v a 1\ne a b\n",
+        ("undeclared-endpoint", 2, "undeclared endpoint 'b'"),
+        ("malformed-line", 2, "expected 'e <id> <id> <weight>', got 'e a b'"),
+    ),
+    (
+        "v a 1\ne a b 1\n",
+        ("malformed-line", 2, "expected 'e <id> <id>', got 'e a b 1'"),
+        ("undeclared-endpoint", 2, "undeclared endpoint 'b'"),
+    ),
+    (
+        "v a 1\ne b a\n",
+        ("undeclared-endpoint", 2, "undeclared endpoint 'b'"),
+        ("malformed-line", 2, "expected 'e <id> <id> <weight>', got 'e b a'"),
+    ),
+    (
+        "v a 1\ne a a\n",
+        ("self-loop", 2, "self-loop at 'a'"),
+        ("malformed-line", 2, "expected 'e <id> <id> <weight>', got 'e a a'"),
+    ),
+    (
+        "v a 1\ne a a 2\n",
+        ("malformed-line", 2, "expected 'e <id> <id>', got 'e a a 2'"),
+        ("self-loop", 2, "self-loop at 'a'"),
+    ),
+    (
+        "v a 1\ne a a beef\n",
+        ("malformed-line", 2, "expected 'e <id> <id>', got 'e a a beef'"),
+        ("self-loop", 2, "self-loop at 'a'"),
+    ),
+    (
+        "v a 1\nv b 2\ne a b\ne b a\n",
+        ("duplicate-edge", 4, "duplicate edge 'b' 'a'"),
+        ("malformed-line", 3, "expected 'e <id> <id> <weight>', got 'e a b'"),
+    ),
+    (
+        "v a 1\nv b 2\ne a b 1\ne b a 1\n",
+        ("malformed-line", 3, "expected 'e <id> <id>', got 'e a b 1'"),
+        ("duplicate-edge", 4, "duplicate edge 'b' 'a'"),
+    ),
+    (
+        "v a 1\nv b 2\ne a b\ne a b\n",
+        ("duplicate-edge", 4, "duplicate edge 'a' 'b'"),
+        ("malformed-line", 3, "expected 'e <id> <id> <weight>', got 'e a b'"),
+    ),
+    (
+        "v a 1\nv b 2\ne a b 1\ne a b 2\n",
+        ("malformed-line", 3, "expected 'e <id> <id>', got 'e a b 1'"),
+        ("duplicate-edge", 4, "duplicate edge 'a' 'b'"),
+    ),
+    (
+        "v a 1\nv b 2\ne a b 1\ne b a beef\n",
+        ("malformed-line", 3, "expected 'e <id> <id>', got 'e a b 1'"),
+        ("duplicate-edge", 4, "duplicate edge 'b' 'a'"),
+    ),
+    (
+        "",
+        ("empty-graph", 0, "no vertices declared"),
+        ("empty-graph", 0, "no vertices declared"),
+    ),
+    (
+        "# only a comment\n\n   \n",
+        ("empty-graph", 0, "no vertices declared"),
+        ("empty-graph", 0, "no vertices declared"),
+    ),
+    (
+        "v\ta\t1\n  v  b   3/2\n# e a a\ne\ta b\n",
+        None,
+        ("malformed-line", 4, "expected 'e <id> <id> <weight>', got 'e\\ta b'"),
+    ),
+    (
+        "v a 1.5e1\nv b 2\ne b a\n",
+        None,
+        ("malformed-line", 3, "expected 'e <id> <id> <weight>', got 'e b a'"),
+    ),
+    (
+        "v a 1e3\nv b\ne a b 25e-1\n",
+        ("malformed-line", 2, "expected 'v <id> <label>', got 'v b'"),
+        None,
+    ),
+    (
+        "#v a 1\nv a 1\n#e a a\n",
+        None,
+        None,
+    ),
+    (
+        "v a 1\nv b beef\n",
+        ("bad-label", 2, "malformed label 'beef'"),
+        ("bad-label", 2, "malformed label 'beef'"),
+    ),
+)

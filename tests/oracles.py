@@ -9,8 +9,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from typing import Iterable
 
-from ultragraph import DistanceMatrix, LabeledGraph, WeightedGraph
+from ultragraph import DistanceMatrix, LabeledGraph, Leaf, WeightedGraph, distance_set, is_gh
+from ultragraph.dendrograms import Node
 
 
 def path_enumeration_distances(g: LabeledGraph) -> dict[tuple[int, int], Fraction | None]:
@@ -277,3 +279,59 @@ def connected_edge_subsets(n: int) -> list[tuple[tuple[int, int], ...]]:
         if components == 1:
             out.append(tuple(edges))
     return out
+
+
+# -- small facts that only the tests use ----------------------------------
+
+
+def degree_sum_identity(g: LabeledGraph) -> bool:
+    """Check the handshake identity: the degree total equals ``2 |E|``."""
+    return sum(g.degree(v) for v in g.vertices) == 2 * len(g.edges)
+
+
+def adjacent_distance(g: LabeledGraph, u: str, v: str) -> Fraction:
+    """Distance across an edge, which is just ``max(l(u), l(v))``.
+
+    No path can beat the direct edge: every path from ``u`` already
+    carries ``l(u)`` and ``l(v)`` is a lower bound on the last hop.
+    """
+    if not g.has_edge(u, v):
+        raise ValueError(f"({u!r}, {v!r}) is not an edge")
+    return max(g.labels[u], g.labels[v])
+
+
+def cophenetic_distances(node: Node) -> dict[frozenset[str], Fraction]:
+    """Pairwise merge heights; inverts :func:`dendrogram` for tests."""
+    dists: dict[frozenset[str], Fraction] = {}
+    done: list[list[str]] = []
+    stack: list[tuple[Node, bool]] = [(node, False)]
+    while stack:
+        item, expanded = stack.pop()
+        if isinstance(item, Leaf):
+            done.append([item.vertex])
+        elif not expanded:
+            stack.append((item, True))
+            stack.extend((child, False) for child in reversed(item.children))
+        else:
+            k = len(item.children)
+            blocks = done[-k:]
+            del done[-k:]
+            for i in range(k):
+                for j in range(i + 1, k):
+                    for x in blocks[i]:
+                        for y in blocks[j]:
+                            dists[frozenset((x, y))] = item.height
+            done.append([x for block in blocks for x in block])
+    return dists
+
+
+def bucket_by_distance_set(
+    spaces: Iterable[DistanceMatrix],
+) -> dict[tuple[Fraction, ...], list[DistanceMatrix]]:
+    """Group GH spaces by their distance set, preserving input order."""
+    buckets: dict[tuple[Fraction, ...], list[DistanceMatrix]] = {}
+    for dm in spaces:
+        if not is_gh(dm):
+            raise ValueError("bucket_by_distance_set expects GH spaces only")
+        buckets.setdefault(distance_set(dm), []).append(dm)
+    return buckets

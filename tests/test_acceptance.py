@@ -17,6 +17,7 @@ from itertools import product
 import pytest
 
 import oracles
+from oracles import bucket_by_distance_set
 from conftest import LABEL_POOL, POSITIVE_POOL, names_for, path_graph, star_graph
 from ultragraph import (
     PSEUDOULTRAMETRIC,
@@ -26,7 +27,6 @@ from ultragraph import (
     SearchConfig,
     WeightedGraph,
     are_isometric,
-    bucket_by_distance_set,
     canonical_form,
     check_edge_bound,
     check_gomory_hu,

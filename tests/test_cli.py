@@ -3,12 +3,17 @@
 import hashlib
 import json
 import random
+import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from io import StringIO
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import recursion_headroom
+from conftest import PARSE_CASES, recursion_headroom
 from ultragraph import (
     DistanceMatrix,
     canonical_form,
@@ -425,6 +430,28 @@ def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, command, fmt
     assert h.hexdigest() == _PINNED[command, fmt]
 
 
+# sha256 over exit code, stdout and stderr of each PARSE_CASES document,
+# recorded before the two parsers were merged.
+_PINNED_PARSE_CASES = {
+    "dist": "e5b210125f42fd5b88ddb9bd01c82380ca293aa8c4bc64e5734726010da7c359",
+    "check": "ea131f40a52af75ea0ecfd6ed5b8b175173e650892ff9725c209fbd525a5bc45",
+    "realizable": "57137f5f4e55789fc4fcabb0d09d764132997ce004e93f70335aadf1e789e03e",
+}
+
+
+@pytest.mark.parametrize("command", list(_PINNED_PARSE_CASES))
+def test_parse_case_outputs_are_pinned(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    h = hashlib.sha256()
+    for k, (doc, _labeled, _weighted) in enumerate(PARSE_CASES):
+        name = f"m{k}.graph"
+        (tmp_path / name).write_bytes(doc.encode())
+        code = main([command, name])
+        out, err = capsys.readouterr()
+        h.update(f"{code}\n{out}\n{err}\n".encode())
+    assert h.hexdigest() == _PINNED_PARSE_CASES[command]
+
+
 # -- deep and oversized input ---------------------------------------------
 
 
@@ -498,6 +525,59 @@ def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: out of memory; the input is too large\n"
+
+
+def test_huge_exponent_exits_2_at_once(graph_file, capsys):
+    # Expanding 10**10000000 alone took about 12 s before exponents were bounded.
+    limit = sys.get_int_max_str_digits()
+    for command, doc, message in (
+        ("dist", "v a 1e10000000\nv b 1\ne a b\n", "line 1: exponent of label '1e10000000'"),
+        ("check", "v a 1e10000000\n", "line 1: exponent of label '1e10000000'"),
+        ("realizable", "v a\nv b\ne a b 1e-9999999\n", "line 3: exponent of weight '1e-9999999'"),
+    ):
+        start = time.perf_counter()
+        code = main([command, graph_file(doc)])
+        elapsed = time.perf_counter() - start
+        assert (code, *capsys.readouterr()) == (2, "", f"error: {message} exceeds {limit}\n")
+        assert elapsed < 1
+
+
+# The line format's tokens and near misses: repeated and undeclared ids,
+# numbers in every accepted form, invalid and negative numbers, huge
+# exponents, unknown directives, stray tokens and blank lines, after a
+# well-formed prefix or none.
+_FUZZ_IDS = ("a", "b", "c", "d")
+_FUZZ_NUMBERS = ("0", "1", "2", "0.5", "2/4", "1/0", "-1", "1e99999999", "1e-99999999", "x")
+_fuzz_ids = st.sampled_from(_FUZZ_IDS)
+_fuzz_numbers = st.sampled_from(_FUZZ_NUMBERS)
+_fuzz_lines = st.one_of(
+    st.tuples(st.just("v"), _fuzz_ids, _fuzz_numbers),
+    st.tuples(st.just("v"), _fuzz_ids),
+    st.tuples(st.just("e"), _fuzz_ids, _fuzz_ids),
+    st.tuples(st.just("e"), _fuzz_ids, _fuzz_ids, _fuzz_numbers),
+    st.lists(st.sampled_from(("v", "e", "#", "w", *_FUZZ_IDS, *_FUZZ_NUMBERS)), max_size=5),
+).map(" ".join)
+
+
+# deadline: hypothesis's default, which the suite profile turns off
+@settings(deadline=timedelta(milliseconds=200))
+@given(
+    st.builds(
+        "{}{}".format,
+        st.sampled_from(("", "v a 1\nv b 2\nv c 0\n", "v a\nv b\nv c\n")),
+        st.lists(_fuzz_lines, max_size=6).map("\n".join),
+    )
+)
+def test_any_document_keeps_the_exit_code_contract(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "fuzz.graph"
+    path.write_text(doc, encoding="utf-8")
+    for command in ("dist", "check", "realizable"):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
 
 
 # -- parser ----------------------------------------------------------------

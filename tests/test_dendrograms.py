@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import cophenetic_distances
 from conftest import (
     POSITIVE_POOL,
     connected_graphs,
@@ -25,7 +26,6 @@ from ultragraph import (
     NotUltrametricError,
     are_isometric,
     canonical_form,
-    cophenetic_distances,
     dendrogram,
     distance_matrix,
     leaves,

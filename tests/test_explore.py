@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from oracles import bucket_by_distance_set
 from conftest import path_graph, star_graph
 from ultragraph import (
     EXHAUSTIVE,
@@ -22,7 +23,6 @@ from ultragraph import (
     NotUltrametricError,
     SearchConfig,
     SpaceWitness,
-    bucket_by_distance_set,
     canonical_form,
     dendrogram,
     distance_matrix,

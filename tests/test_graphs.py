@@ -1,5 +1,6 @@
 """Graph construction, parsing, predicates, and enumerators."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -8,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import degree_sum_identity
 from conftest import (
+    PARSE_CASES,
     connected_graphs,
     graph_on,
     labeled_trees,
@@ -24,13 +27,13 @@ from ultragraph import (
     LabeledGraph,
     NotATreeError,
     connectivity_witness,
-    degree_sum_identity,
     enumerate_cycles,
     enumerate_simple_paths,
     enumerate_trees,
     is_connected,
     is_tree,
     parse_graph,
+    parse_weighted_graph,
     root_levels,
     spanning_tree,
     tree_from_pruefer,
@@ -134,6 +137,41 @@ def test_parse_error_categories(text, category, line_no):
         parse_graph(text)
     assert err.value.category == category
     assert err.value.line_no == line_no
+
+
+@pytest.mark.parametrize("text, labeled, weighted", PARSE_CASES)
+def test_parse_cases_are_pinned_for_both_formats(text, labeled, weighted):
+    for parse, expected in ((parse_graph, labeled), (parse_weighted_graph, weighted)):
+        if expected is None:
+            parse(text)
+            continue
+        category, line_no, message = expected
+        with pytest.raises(GraphFormatError) as err:
+            parse(text)
+        assert (err.value.category, err.value.line_no) == (category, line_no)
+        assert str(err.value) == f"line {line_no}: {message}"
+
+
+def test_exponent_bound_of_rational_tokens():
+    limit = sys.get_int_max_str_digits()
+    labeled, weighted = "v a {}\n", "v a\nv b\ne a b {}\n"
+    for token in (f"1e{limit}", f"1e-{limit}", f"7E+{limit}"):
+        assert parse_graph(labeled.format(token)).label("a") == Fraction(token)
+        assert parse_weighted_graph(weighted.format(token)).weight("a", "b") == Fraction(token)
+    for token in (f"1e{limit + 1}", "1e-99999999", "-2.5E99999999"):
+        for parse, doc, category, where in (
+            (parse_graph, labeled, "bad-label", "line 1: exponent of label"),
+            (parse_weighted_graph, weighted, "bad-weight", "line 3: exponent of weight"),
+        ):
+            with pytest.raises(GraphFormatError) as err:
+                parse(doc.format(token))
+            assert err.value.category == category
+            assert str(err.value) == f"{where} {token!r} exceeds {limit}"
+    # Not rationals at all, whatever the exponent.
+    for token in ("x1e99999999", "1/2e99999999", "1e99999999x", "e99999999"):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(labeled.format(token))
+        assert str(err.value) == f"line 1: malformed label {token!r}"
 
 
 @given(connected_graphs())

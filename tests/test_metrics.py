@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import adjacent_distance
 from conftest import (
     LABEL_POOL,
     connected_graphs,
@@ -29,7 +30,6 @@ from ultragraph import (
     LabeledGraph,
     MatrixInvariantError,
     WeightedGraph,
-    adjacent_distance,
     classify_metric,
     distance_matrix,
     distance_oracle,
