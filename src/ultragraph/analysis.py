@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -30,6 +31,7 @@ from .metrics import (
     InternalCheckError,
     NotUltrametricError,
     _bottleneck_rows,
+    _ranks,
     _validate_rows,
     _zero_free,
     classify_metric,
@@ -43,10 +45,15 @@ class DegenerateLabelingError(ValueError):
 
 
 def distance_set(dm: DistanceMatrix) -> tuple[Fraction, ...]:
-    """All distinct distance values, ascending; zero is always present."""
-    values = {q for row in dm.entries for q in row}
-    values.add(Fraction(0))
-    return tuple(sorted(values))
+    """All distinct distance values, ascending; zero is always present.
+
+    Counted on the matrix's rank rows: the ranks present, with rank ``0``
+    for zero, map back to their values in ascending order.
+    """
+    rows, ordered = dm._rank_table()
+    present = set(chain.from_iterable(rows))
+    present.add(0)
+    return tuple(ordered[r] for r in sorted(present))
 
 
 _ULTRAMETRIC_ONLY = (
@@ -108,37 +115,42 @@ def tree_gh_report(t: LabeledGraph) -> tuple[bool, bool, bool, bool]:
     if not is_nondegenerate(t):
         raise DegenerateLabelingError("every edge needs a positively labeled endpoint")
     index = t._index
+    ranks, ordered = _ranks([t.labels[v] for v in t.vertices])
     return _tree_criteria(
         t.vertices,
         [(index[u], index[v]) for u, v in t.edges],
-        [t.labels[v] for v in t.vertices],
+        ranks,
         sum(t.degree(v) for v in t.vertices),
+        ordered,
     )
 
 
 def _tree_criteria(
     vertices: Sequence[str],
     index_edges: Sequence[tuple[int, int]],
-    labels: Sequence,
+    ranks: Sequence[int],
     degree_total: int,
+    ordered: Sequence,
 ) -> tuple[bool, bool, bool, bool]:
-    """The criteria of :func:`tree_gh_report` for labels of any ordered type.
+    """The criteria of :func:`tree_gh_report` on integer label ranks.
 
-    ``labels[i]`` labels ``vertices[i]``; ``index_edges`` are the tree's
+    ``ranks[i]`` ranks the label of ``vertices[i]``, ``ordered[r]`` is
+    the label of rank ``r`` and rank ``0`` is the value ``0`` (see
+    :func:`ultragraph.metrics._ranks`); ``index_edges`` are the tree's
     edges as index pairs in declaration order.  The distance matrix is
-    swept from the labels, validated and checked zero-free before its
+    swept from the ranks, validated and checked zero-free before its
     values are counted.  Only order and equality of labels are used, so
-    any strictly increasing relabeling (such as ranks) gives the same
-    verdicts.  Guards on the tree itself are the caller's job.
+    the verdicts are those of the labels themselves.  Guards on the tree
+    itself are the caller's job.
     """
-    weighted = [(max(labels[i], labels[j]), i, j) for i, j in index_edges]
+    weighted = [(max(ranks[i], ranks[j]), i, j) for i, j in index_edges]
     weighted.sort(key=itemgetter(0))
     rows = _bottleneck_rows(vertices, weighted)
-    _validate_rows(vertices, rows)
+    _validate_rows(vertices, rows, ordered)
     if not _zero_free(rows):
         raise NotUltrametricError(_ULTRAMETRIC_ONLY)
     # the diagonal contributes the zero distance
-    sizes = len({d for row in rows for d in row})
+    sizes = len(set(chain.from_iterable(rows)))
     weights = {w for w, _i, _j in weighted}
     return (
         sizes == len(vertices),

@@ -19,8 +19,6 @@ from .metrics import (
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
-    _sorted_pairs,
-    _sweep,
     classify_metric,
 )
 
@@ -58,10 +56,12 @@ Node = Union[Leaf, Merge]
 def dendrogram(dm: DistanceMatrix) -> Node:
     """Build the merge tree of an ultrametric space.
 
-    Sweep the pairs in ascending order of distance.  A merged cluster
-    stays open at its height until it merges again higher up, so
-    clusters chaining together at one height share a single multiway
-    node.  Children are ordered by their first vertex in declaration
+    Replay the merge events of the Kruskal sweep that validation has
+    just run over the matrix's rank rows, in ascending order of distance.
+    A merged cluster stays open at its height until it merges again
+    higher up, so clusters chaining together at one height share a
+    single multiway node.  Heights are ranks until a :class:`Merge` is
+    built.  Children are ordered by their first vertex in declaration
     order.
     """
     if classify_metric(dm) != ULTRAMETRIC:
@@ -70,23 +70,25 @@ def dendrogram(dm: DistanceMatrix) -> Node:
             "classes first (zero_quotient)"
         )
 
-    def close(height: Fraction, kids: list[tuple[int, Node]]) -> tuple[int, Node]:
+    ordered = dm._rank_table()[1]
+
+    def close(height: int, kids: list[tuple[int, Node]]) -> tuple[int, Node]:
         if len(kids) == 1:
             return kids[0]
         kids.sort(key=lambda kid: kid[0])
-        return kids[0][0], Merge(height, tuple(node for _, node in kids))
+        return kids[0][0], Merge(ordered[height], tuple(node for _, node in kids))
 
-    # cluster root -> (height, [(first leaf index, child)]); leaves sit at 0
+    # cluster root -> (height rank, [(first leaf index, child)]); leaves sit at 0
     open_at = {i: (0, [(i, Leaf(v))]) for i, v in enumerate(dm.vertices)}
-    for w, a, b in _sweep(len(dm.vertices), _sorted_pairs(dm.entries)):
+    for w, a, b in dm._merges:
         kids: list[tuple[int, Node]] = []
-        for root in (a[0], b[0]):
+        for root in (a, b):
             height, sub = open_at.pop(root)
             if height == w:
                 kids.extend(sub)
             else:
                 kids.append(close(height, sub))
-        open_at[a[0]] = (w, kids)
+        open_at[a] = (w, kids)
 
     if len(open_at) != 1:
         raise InternalCheckError("dendrogram construction left unmerged clusters")

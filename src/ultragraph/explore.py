@@ -182,7 +182,11 @@ def _automorphisms(
 
 
 def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterable[tuple[int, ...]]:
-    """Labelings of one tree as tuples of ranks ``1 .. k`` into ``cfg.universe``."""
+    """Labelings of one tree as tuples of ranks ``1 .. k`` into ``cfg.universe``.
+
+    Both modes are lazy: sampled mode draws each labeling when it is
+    consumed, so ``samples_per_tree`` costs no memory up front.
+    """
     ranks = range(1, len(cfg.universe) + 1)
     if cfg.mode == EXHAUSTIVE:
         return product(ranks, repeat=n)
@@ -190,10 +194,10 @@ def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterable[tuple[int
     # depend on how trees were split across shards.  Choosing from the
     # ranks draws the same indices as choosing from the universe.
     rng = random.Random(f"{cfg.seed}:{n}:{tree_index}")
-    return [
+    return (
         tuple(rng.choice(ranks) for _ in range(n))
         for _ in range(cfg.samples_per_tree)
-    ]
+    )
 
 
 def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -220,6 +224,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
     only GH labelings are turned back into Fractions.
     """
     cfg, n, prefix = task
+    ordered = (Fraction(0), *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
     zero_labels = dict.fromkeys(names, 0)
     trees = 0
@@ -245,7 +250,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
                 if image < ranks:
                     continue
             labelings += 1
-            verdicts = _tree_criteria(names, index_edges, ranks, degree_total)
+            verdicts = _tree_criteria(names, index_edges, ranks, degree_total, ordered)
             if len(set(verdicts)) > 1:
                 raise InternalCheckError(
                     f"tree criteria disagree on {edges} with label ranks {ranks}"

@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import product
 from typing import Iterator, Mapping, Sequence
@@ -96,18 +97,18 @@ class LabeledGraph:
             if x < 0:
                 raise ValueError(f"vertex {v!r} has negative label {x}")
 
-        seen: set[frozenset[str]] = set()
+        seen: set[tuple[str, str]] = set()
         norm: list[tuple[str, str]] = []
         for u, v in self.edges:
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an undeclared endpoint")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            key = frozenset((u, v))
-            if key in seen:
+            edge = (u, v) if index[u] < index[v] else (v, u)
+            if edge in seen:
                 raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add(key)
-            norm.append((u, v) if index[u] < index[v] else (v, u))
+            seen.add(edge)
+            norm.append(edge)
 
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         for u, v in norm:
@@ -172,8 +173,10 @@ class LabeledGraph:
 def _parse_rational(token: str, line_no: int, category: str, what: str) -> Fraction:
     """A non-negative rational token: ``3/2``, ``1.5`` or ``15e-1``.
 
-    An exponent beyond the int-string limit is refused before ``Fraction``
-    spends seconds on ``10**exp``, a value that could not be printed anyway.
+    The int-string limit bounds the value, so that every output can print
+    it: its numerator and denominator must have at most ``limit`` digits.
+    An exponent beyond the limit is refused first, before ``Fraction``
+    spends seconds on ``10**exp``.
     """
     limit = _int_digits_limit()
     mantissa, e, exponent = token.lower().partition("e")
@@ -186,7 +189,17 @@ def _parse_rational(token: str, line_no: int, category: str, what: str) -> Fract
         raise GraphFormatError(line_no, category, f"exponent of {what} {token!r} exceeds {limit}")
     if value < 0:
         raise GraphFormatError(line_no, category, f"negative {what} {token!r}")
+    if limit and max(value.numerator, value.denominator) >= _digits_bound(limit):
+        raise GraphFormatError(
+            line_no, category, f"{what} {token!r} has more than {limit} digits"
+        )
     return value
+
+
+@lru_cache(maxsize=1)
+def _digits_bound(limit: int) -> int:
+    """The least integer with more than ``limit`` digits."""
+    return 10**limit
 
 
 # Record shapes of the two formats: per directive, the token counts a

@@ -7,12 +7,17 @@ equals the minimax (bottleneck) path distance for the edge weights
 computes with a sorted-edge union-find sweep.  A literal path-by-path
 evaluation is kept alongside as :func:`distance_oracle`.
 
-Everything is exact: ``Fraction`` at the API boundary, ranks inside the
-sweep.  Labels, weights and distances are :class:`fractions.Fraction`
-values wherever they enter or leave.  Every distance is ``0`` or one of
-the labels (weights), so the sweep only needs their order: it runs on
-integer ranks, and :func:`_bottleneck_matrix` maps ranks back to the
-Fractions they stand for.
+Everything is exact: ``Fraction`` at the API boundary, ranks inside.
+Labels, weights and distances are :class:`fractions.Fraction` values
+wherever they enter or leave.  Every distance is ``0`` or one of the
+labels (weights), so the sweep only needs their order: it runs on
+integer ranks.  A :class:`DistanceMatrix` keeps those rank rows next to
+its Fraction entries, together with the table that maps ranks back to
+values, and its checks (:func:`_validate_rows`, :func:`_zero_free`),
+the distance set, the zero quotient and the dendrogram all run on the
+ints.  A matrix built from outside (its constructor, ``from_csv``,
+``from_json_dict``) is ranked once, when first needed; rank ``0`` is
+always the value ``0``, so negative entries keep negative ranks.
 
 Weighted graph documents go through the line reader of both formats,
 :func:`ultragraph.graphs._read_records`.
@@ -25,6 +30,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import (
@@ -101,21 +107,71 @@ class WeightedGraph:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Symmetric matrix of exact pairwise distances, in vertex order."""
+    """Symmetric matrix of exact pairwise distances, in vertex order.
+
+    Besides its Fraction ``entries`` a matrix carries rank rows: each
+    entry as its sign-preserving rank among the distinct entries (see
+    :func:`_ranks`), with the table mapping ranks back to values.  The
+    checks, the distance set and the dendrogram only need the order of
+    the entries, so they run on those ints.  Matrices from the sweep are
+    built with their ranks; others are ranked once, on first use.
+    """
 
     vertices: tuple[str, ...]
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        n = len(self.vertices)
-        if len(set(self.vertices)) != n or n == 0:
-            raise ValueError("vertex names must be unique and non-empty")
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
-            raise ValueError(f"entries must form a {n}x{n} matrix")
+        _check_shape(self.vertices, self.entries)
         rows = tuple(tuple(map(_coerce_rational, row)) for row in self.entries)
-        object.__setattr__(self, "vertices", tuple(self.vertices))
+        self._freeze(self.vertices, rows)
+
+    @classmethod
+    def _from_ranks(
+        cls, vertices: Sequence[str], rank_rows: Sequence[Sequence[int]], ordered: Sequence
+    ) -> "DistanceMatrix":
+        """The matrix with entries ``ordered[r]`` for the ranks ``r`` of ``rank_rows``.
+
+        ``ordered`` is a rank table as :func:`_ranks` returns it.  Its
+        values are coerced once; every entry is one of those objects.
+        """
+        _check_shape(vertices, rank_rows)
+        values = list(map(_coerce_rational, ordered))
+        value = values.__getitem__
+        dm = cls.__new__(cls)
+        rows = tuple(tuple(map(value, row)) for row in rank_rows)
+        dm._freeze(vertices, rows, (rank_rows, values))
+        return dm
+
+    def _freeze(self, vertices: Sequence[str], rows: tuple, ranked=None) -> None:
+        object.__setattr__(self, "vertices", tuple(vertices))
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
+        if ranked is not None:
+            object.__setattr__(self, "_ranked", ranked)
+
+    def _rank_table(self) -> tuple[Sequence[Sequence[int]], list[Fraction]]:
+        """``(rank_rows, ordered)``: ``ordered[rank_rows[i][j]] == entries[i][j]``."""
+        ranked = self.__dict__.get("_ranked")
+        if ranked is None:
+            objects = self._distinct_entries()
+            rank, ordered = _ranks(list(objects.values()))
+            rank_of = dict(zip(objects, rank)).__getitem__
+            rows = tuple(tuple(map(rank_of, map(id, row))) for row in self.entries)
+            ranked = (rows, ordered)
+            object.__setattr__(self, "_ranked", ranked)
+        return ranked
+
+    def _distinct_entries(self) -> dict[int, Fraction]:
+        """Each distinct entry object, keyed by ``id``.
+
+        Matrices from the sweep share one object per distinct value, and
+        the matrix keeps every entry alive, so object identity is a sound
+        key; hashing a Fraction costs more than an ``id``.
+        """
+        objects: dict[int, Fraction] = {}
+        for row in self.entries:
+            objects.update(zip(map(id, row), row))
+        return objects
 
     def get(self, x: str, y: str) -> Fraction:
         return self.entries[self._index[x]][self._index[y]]
@@ -129,30 +185,24 @@ class DistanceMatrix:
 
     def submatrix(self, keep: tuple[str, ...]) -> "DistanceMatrix":
         idx = [self._index[v] for v in keep]
-        rows = tuple(tuple(self.entries[i][j] for j in idx) for i in idx)
-        return DistanceMatrix(tuple(keep), rows)
+        rows, ordered = self._rank_table()
+        sub = [[rows[i][j] for j in idx] for i in idx]
+        return DistanceMatrix._from_ranks(tuple(keep), sub, ordered)
 
     def validate(self) -> None:
         """Raise :class:`MatrixInvariantError` unless this is a pseudoultrametric.
 
-        See :func:`_validate_rows` for the checks and their cost.
+        See :func:`_validate_rows` for the checks and their cost.  The
+        merge events of its sweep are kept for :func:`dendrogram`.
         """
-        _validate_rows(self.vertices, self.entries)
+        rows, ordered = self._rank_table()
+        object.__setattr__(self, "_merges", _validate_rows(self.vertices, rows, ordered))
 
     # -- serialization ----------------------------------------------
 
     def _entry_strings(self) -> list[list[str]]:
-        """``str`` of every entry, row by row.
-
-        Each distinct entry object is formatted once.  Matrices from the
-        sweep share one object per distinct value, and the matrix keeps
-        every entry alive, so object identity is a sound key; hashing a
-        Fraction would cost more than the ``str`` it saves.
-        """
-        objects: dict[int, Fraction] = {}
-        for row in self.entries:
-            objects.update(zip(map(id, row), row))
-        text = {key: str(q) for key, q in objects.items()}
+        """``str`` of every entry, row by row; each distinct object once."""
+        text = {key: str(q) for key, q in self._distinct_entries().items()}
         return [list(map(text.__getitem__, map(id, row))) for row in self.entries]
 
     def to_csv(self) -> str:
@@ -180,51 +230,67 @@ class DistanceMatrix:
         return cls(tuple(doc["vertices"]), tuple(tuple(row) for row in doc["matrix"]))
 
 
-def _validate_rows(vertices: Sequence[str], m: Sequence[Sequence]) -> None:
+def _check_shape(vertices: Sequence[str], rows: Sequence[Sequence]) -> None:
+    n = len(vertices)
+    if len(set(vertices)) != n or n == 0:
+        raise ValueError("vertex names must be unique and non-empty")
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ValueError(f"entries must form a {n}x{n} matrix")
+
+
+def _validate_rows(
+    vertices: Sequence[str], m: Sequence[Sequence[int]], ordered: Sequence
+) -> list[tuple[int, int, int]]:
     """Raise :class:`MatrixInvariantError` unless ``m`` is a pseudoultrametric.
 
-    Checks zero diagonal, symmetry and non-negativity, then the strong
-    triangle inequality ``d(x,y) <= max(d(x,z), d(z,y))`` through a
-    Kruskal sweep over the matrix's own entries: the inequality holds
-    for all triples exactly when every pair first joined at height
-    ``w`` has entry ``w``.  O(n^2 log n).  Entries may be of any totally
-    ordered type that compares with ``0``; ``vertices`` only name the
-    offending entries.
+    ``m`` holds sign-preserving integer ranks (zero is rank ``0``) and
+    ``ordered[r]`` is the value of rank ``r``; values appear only in
+    messages, and ``vertices`` only name the offending entries.  Checks
+    zero diagonal, symmetry and non-negativity, then the strong triangle
+    inequality ``d(x,y) <= max(d(x,z), d(z,y))`` through a Kruskal sweep
+    over the matrix's own entries: the inequality holds for all triples
+    exactly when every pair first joined at height ``w`` has entry
+    ``w``.  The pairs are ordered by a stable sort on their int ranks,
+    ties in row-major order.  Returns the sweep's merge events
+    ``(w, a, b)``: clusters rooted at ``a`` and ``b`` join at rank ``w``
+    into one rooted at ``a``.
     """
     n = len(vertices)
-    for i in range(n):
-        if m[i][i] != 0:
+    pairs = []
+    for i, row in enumerate(m):
+        if row[i] != 0:
             raise MatrixInvariantError(f"nonzero diagonal at {vertices[i]!r}")
         for j in range(i + 1, n):
-            if m[i][j] != m[j][i]:
+            w = row[j]
+            if w != m[j][i]:
                 raise MatrixInvariantError(
                     f"asymmetry at ({vertices[i]!r}, {vertices[j]!r})"
                 )
-            if m[i][j] < 0:
+            if w < 0:
                 raise MatrixInvariantError(
                     f"negative distance at ({vertices[i]!r}, {vertices[j]!r})"
                 )
-    for w, a, b in _sweep(n, _sorted_pairs(m)):
+            pairs.append((w, i, j))
+    pairs.sort(key=itemgetter(0))
+    merges = []
+    for w, a, b in _sweep(n, pairs):
         for x in a:
             row = m[x]
             for y in b:
                 if row[y] != w:
                     p, q = vertices[min(x, y)], vertices[max(x, y)]
                     raise MatrixInvariantError(
-                        f"strong triangle inequality fails: d({p!r}, {q!r}) = {row[y]}, "
-                        f"but a path joins them with every step at most {w}"
+                        f"strong triangle inequality fails: d({p!r}, {q!r}) = "
+                        f"{ordered[row[y]]}, but a path joins them with every step "
+                        f"at most {ordered[w]}"
                     )
+        merges.append((w, a[0], b[0]))
+    return merges
 
 
-def _zero_free(m: Sequence[Sequence]) -> bool:
-    """True when no off-diagonal entry of the square matrix ``m`` is zero."""
-    n = len(m)
-    for i in range(n):
-        row = m[i]
-        for j in range(i + 1, n):
-            if row[j] == 0:
-                return False
-    return True
+def _zero_free(m: Sequence[Sequence[int]]) -> bool:
+    """True when no off-diagonal entry of ``m`` is zero; its diagonal must be zero."""
+    return all(row.count(0) == 1 for row in m)
 
 
 # -- weighted-format parsing --------------------------------------------
@@ -280,27 +346,21 @@ def _sweep(n: int, pairs: Iterable[tuple]) -> Iterator[tuple]:
         a.extend(b)
 
 
-def _sorted_pairs(
-    entries: tuple[tuple[Fraction, ...], ...]
-) -> list[tuple[Fraction, int, int]]:
-    """Off-diagonal entries of a square matrix as sorted ``(w, i, j)``, ``i < j``."""
-    n = len(entries)
-    pairs = [(row[j], i, j) for i, row in enumerate(entries) for j in range(i + 1, n)]
-    pairs.sort()
-    return pairs
-
-
 def _ranks(values: Sequence[Fraction]) -> tuple[list[int], list[Fraction]]:
     """Rank every value among the distinct values and ``0``.
 
-    Returns ``(rank, ordered)``: ``ordered`` holds ``0`` and the distinct
-    values ascending, and ``ordered[rank[k]] == values[k]``.  Equal values
-    share a rank, and rank ``0`` is the value ``0``, which is also the
-    sweep's diagonal.
+    Returns ``(rank, ordered)`` with ``ordered[rank[k]] == values[k]``.
+    Ranks are strictly increasing in the value, equal values share a
+    rank, and rank ``0`` is the value ``0``, which is also the sweep's
+    diagonal; so a rank has the sign of its value.  ``ordered`` holds
+    ``0`` and the positive values ascending, then the negative values
+    ascending, which Python's negative indices reach: the value of rank
+    ``-1`` is the largest negative value.
     """
     ordered = sorted(set(values).union((_ZERO,)))
-    rank_of = {q: r for r, q in enumerate(ordered)}
-    return [rank_of[q] for q in values], ordered
+    zero = ordered.index(_ZERO)
+    rank_of = {q: r - zero for r, q in enumerate(ordered)}
+    return [rank_of[q] for q in values], ordered[zero:] + ordered[:zero]
 
 
 def _bottleneck_rows(
@@ -341,17 +401,16 @@ def _bottleneck_matrix(
     ``rank_edges`` holds ``(r, i, j)`` in declaration order, where ``r``
     ranks the weight of edge ``{i, j}`` into ``ordered`` (see
     :func:`_ranks`).  Ranks are bounded by ``len(ordered)``, so one stable
-    bucket pass sorts the edges, ties kept in declaration order.  This is
-    the only place ranks turn back into Fractions: the map is strictly
-    increasing and every distance is an edge weight or ``0``, so the
-    minimax matrix is the same as a sweep over the Fractions themselves.
+    bucket pass sorts the edges, ties kept in declaration order.  The rank
+    map is strictly increasing and every distance is an edge weight or
+    ``0``, so the minimax matrix is the same as a sweep over the Fractions
+    themselves.  The matrix keeps the rank rows alongside its entries.
     """
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in ordered]
     for edge in rank_edges:
         buckets[edge[0]].append(edge)
     rows = _bottleneck_rows(vertices, chain.from_iterable(buckets))
-    value = ordered.__getitem__
-    return DistanceMatrix(vertices, tuple(tuple(map(value, row)) for row in rows))
+    return DistanceMatrix._from_ranks(vertices, rows, ordered)
 
 
 def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
@@ -422,7 +481,7 @@ def classify_metric(dm: DistanceMatrix) -> str:
     an internal error rather than a verdict.
     """
     dm.validate()
-    return ULTRAMETRIC if _zero_free(dm.entries) else PSEUDOULTRAMETRIC
+    return ULTRAMETRIC if _zero_free(dm._rank_table()[0]) else PSEUDOULTRAMETRIC
 
 
 def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
@@ -434,14 +493,11 @@ def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
     the set of distance values unchanged.
     """
     dm.validate()
-    reps: list[str] = []
-    for v in dm.vertices:
-        for r in reps:
-            if dm.get(r, v) == 0:
-                break
-        else:
-            reps.append(v)
-    return tuple(reps), dm.submatrix(tuple(reps))
+    # A vertex represents its class when no earlier vertex is at distance
+    # zero from it: its row's first zero (rank 0) is its diagonal.
+    rows = dm._rank_table()[0]
+    reps = tuple(v for i, (v, row) in enumerate(zip(dm.vertices, rows)) if row.index(0) == i)
+    return reps, dm.submatrix(reps)
 
 
 class RealizabilityResult(NamedTuple):

@@ -11,7 +11,19 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Iterable
 
-from ultragraph import DistanceMatrix, LabeledGraph, Leaf, WeightedGraph, distance_set, is_gh
+from ultragraph import (
+    PSEUDOULTRAMETRIC,
+    ULTRAMETRIC,
+    DistanceMatrix,
+    LabeledGraph,
+    Leaf,
+    MatrixInvariantError,
+    Merge,
+    NotUltrametricError,
+    WeightedGraph,
+    distance_set,
+    is_gh,
+)
 from ultragraph.dendrograms import Node
 
 
@@ -335,3 +347,115 @@ def bucket_by_distance_set(
             raise ValueError("bucket_by_distance_set expects GH spaces only")
         buckets.setdefault(distance_set(dm), []).append(dm)
     return buckets
+
+
+# -- the matrix routes on Fraction entries ----------------------------------
+#
+# DistanceMatrix checks, distance sets, quotients and dendrograms as they
+# ran before matrices carried integer ranks: every comparison, sort and
+# hash is on the Fraction entries themselves.  Messages and tie-breaks
+# are kept, so the rank route must match them exactly.
+
+
+def _fraction_sweep(n: int, pairs):
+    """Union-find sweep yielding ``(w, a, b)`` as clusters first meet."""
+    root = list(range(n))
+    members = [[i] for i in range(n)]
+    for w, i, j in pairs:
+        a, b = members[root[i]], members[root[j]]
+        if a is b:
+            continue
+        if len(a) < len(b):
+            a, b = b, a
+        yield w, a, b
+        for x in b:
+            root[x] = a[0]
+        a.extend(b)
+
+
+def _fraction_sorted_pairs(m) -> list[tuple[Fraction, int, int]]:
+    n = len(m)
+    pairs = [(row[j], i, j) for i, row in enumerate(m) for j in range(i + 1, n)]
+    pairs.sort()
+    return pairs
+
+
+def fraction_validate(dm: DistanceMatrix) -> None:
+    """Pseudoultrametric checks on the Fraction entries, sorted by value."""
+    vertices, m = dm.vertices, dm.entries
+    n = len(vertices)
+    for i in range(n):
+        if m[i][i] != 0:
+            raise MatrixInvariantError(f"nonzero diagonal at {vertices[i]!r}")
+        for j in range(i + 1, n):
+            if m[i][j] != m[j][i]:
+                raise MatrixInvariantError(
+                    f"asymmetry at ({vertices[i]!r}, {vertices[j]!r})"
+                )
+            if m[i][j] < 0:
+                raise MatrixInvariantError(
+                    f"negative distance at ({vertices[i]!r}, {vertices[j]!r})"
+                )
+    for w, a, b in _fraction_sweep(n, _fraction_sorted_pairs(m)):
+        for x in a:
+            row = m[x]
+            for y in b:
+                if row[y] != w:
+                    p, q = vertices[min(x, y)], vertices[max(x, y)]
+                    raise MatrixInvariantError(
+                        f"strong triangle inequality fails: d({p!r}, {q!r}) = {row[y]}, "
+                        f"but a path joins them with every step at most {w}"
+                    )
+
+
+def fraction_classify(dm: DistanceMatrix) -> str:
+    fraction_validate(dm)
+    m = dm.entries
+    n = len(m)
+    zero_free = all(m[i][j] != 0 for i in range(n) for j in range(i + 1, n))
+    return ULTRAMETRIC if zero_free else PSEUDOULTRAMETRIC
+
+
+def fraction_distance_set(dm: DistanceMatrix) -> tuple[Fraction, ...]:
+    values = {q for row in dm.entries for q in row}
+    values.add(Fraction(0))
+    return tuple(sorted(values))
+
+
+def fraction_zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
+    """Each vertex joins the first earlier representative at distance zero."""
+    fraction_validate(dm)
+    reps: list[str] = []
+    for v in dm.vertices:
+        if all(dm.get(r, v) != 0 for r in reps):
+            reps.append(v)
+    rows = tuple(tuple(dm.get(x, y) for y in reps) for x in reps)
+    return tuple(reps), DistanceMatrix(tuple(reps), rows)
+
+
+def fraction_dendrogram(dm: DistanceMatrix) -> Node:
+    """Merge tree from a sweep over the Fraction-sorted pairs."""
+    if fraction_classify(dm) != ULTRAMETRIC:
+        raise NotUltrametricError(
+            "dendrograms need an ultrametric; collapse zero-distance "
+            "classes first (zero_quotient)"
+        )
+
+    def close(height, kids):
+        if len(kids) == 1:
+            return kids[0]
+        kids.sort(key=lambda kid: kid[0])
+        return kids[0][0], Merge(height, tuple(node for _, node in kids))
+
+    open_at = {i: (0, [(i, Leaf(v))]) for i, v in enumerate(dm.vertices)}
+    for w, a, b in _fraction_sweep(len(dm.vertices), _fraction_sorted_pairs(dm.entries)):
+        kids = []
+        for root in (a[0], b[0]):
+            height, sub = open_at.pop(root)
+            if height == w:
+                kids.extend(sub)
+            else:
+                kids.append(close(height, sub))
+        open_at[a[0]] = (w, kids)
+    ((height, kids),) = open_at.values()
+    return close(height, kids)[1]

@@ -542,6 +542,23 @@ def test_huge_exponent_exits_2_at_once(graph_file, capsys):
         assert elapsed < 1
 
 
+def test_unprintable_value_exits_2_with_its_line(graph_file, capsys):
+    # 10**limit has one digit more than the interpreter will print.
+    limit = sys.get_int_max_str_digits()
+    for command, doc, message in (
+        ("dist", f"v a 1e{limit}\nv b 1\ne a b\n", f"line 1: label '1e{limit}'"),
+        ("check", f"v b 1\nv a 1e{limit}\ne a b\n", f"line 2: label '1e{limit}'"),
+        ("canon", f"v a 1e-{limit}\n", f"line 1: label '1e-{limit}'"),
+        ("realizable", f"v a\nv b\ne a b 7e{limit}\n", f"line 3: weight '7e{limit}'"),
+    ):
+        code = main([command, graph_file(doc)])
+        assert (code, *capsys.readouterr()) == (
+            2,
+            "",
+            f"error: {message} has more than {limit} digits\n",
+        )
+
+
 # The line format's tokens and near misses: repeated and undeclared ids,
 # numbers in every accepted form, invalid and negative numbers, huge
 # exponents, unknown directives, stray tokens and blank lines, after a

@@ -2,8 +2,9 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given
@@ -151,6 +152,22 @@ def test_sampled_labelings_depend_on_seed_and_position():
     assert list(_labelings(a, 4, 5)) != list(_labelings(a, 4, 6))
 
 
+def test_sampled_labelings_are_drawn_one_at_a_time():
+    few = SearchConfig(n_max=4, universe=U123, mode=SAMPLED, samples_per_tree=30)
+    huge = SearchConfig(n_max=4, universe=U123, mode=SAMPLED, samples_per_tree=10**12)
+    tracemalloc.start()
+    try:
+        labelings = _labelings(huge, 4, 5)
+        first = list(islice(labelings, 5))
+        _size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert iter(labelings) is labelings
+    assert peak < 100_000
+    # the same generator, seeded by position, gives the same draws in order
+    assert first == list(_labelings(few, 4, 5))[:5]
+
+
 # sha256 of search_conjecture(...).to_json(), recorded before the scan
 # moved to label ranks; the rank route must reproduce them byte for byte.
 PINNED_REPORTS = [
@@ -202,7 +219,7 @@ def test_rank_verdicts_match_the_fraction_route(data):
         tuple((names[i], names[j]) for i, j in index_edges),
         {v: universe[r - 1] for v, r in zip(names, ranks)},
     )
-    verdicts = _tree_criteria(names, index_edges, ranks, 2 * (n - 1))
+    verdicts = _tree_criteria(names, index_edges, ranks, 2 * (n - 1), (0, *universe))
     assert verdicts == tree_gh_report(g)
     distances = set(oracles.path_enumeration_distances(g).values()) | {0}
     assert verdicts == (len(distances) == n,) * 4

@@ -77,6 +77,20 @@ def test_invalid_construction_rejected(vertices, edges, labels):
         LabeledGraph(vertices, edges, labels)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ((("a", "b"), ("b", "a")), "duplicate edge ('b', 'a')"),
+        ((("b", "a"), ("a", "b")), "duplicate edge ('a', 'b')"),
+        ((("a", "c"), ("b", "c"), ("a", "c")), "duplicate edge ('a', 'c')"),
+    ],
+)
+def test_constructor_rejects_an_edge_in_either_orientation_twice(edges, message):
+    with pytest.raises(ValueError) as err:
+        LabeledGraph(("a", "b", "c"), edges, {"a": 1, "b": 1, "c": 1})
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("bad", [0.5, True])
 def test_inexact_label_types_rejected(bad):
     with pytest.raises(TypeError):
@@ -155,9 +169,19 @@ def test_parse_cases_are_pinned_for_both_formats(text, labeled, weighted):
 def test_exponent_bound_of_rational_tokens():
     limit = sys.get_int_max_str_digits()
     labeled, weighted = "v a {}\n", "v a\nv b\ne a b {}\n"
-    for token in (f"1e{limit}", f"1e-{limit}", f"7E+{limit}"):
+    for token in (f"1e{limit - 1}", f"1e-{limit - 1}", f"7E+{limit - 1}"):
         assert parse_graph(labeled.format(token)).label("a") == Fraction(token)
         assert parse_weighted_graph(weighted.format(token)).weight("a", "b") == Fraction(token)
+    # One digit too many to print: the numerator or denominator is 10**limit or more.
+    for token in (f"1e{limit}", f"1e-{limit}", f"7E+{limit}"):
+        for parse, doc, category, where in (
+            (parse_graph, labeled, "bad-label", "line 1: label"),
+            (parse_weighted_graph, weighted, "bad-weight", "line 3: weight"),
+        ):
+            with pytest.raises(GraphFormatError) as err:
+                parse(doc.format(token))
+            assert err.value.category == category
+            assert str(err.value) == f"{where} {token!r} has more than {limit} digits"
     for token in (f"1e{limit + 1}", "1e-99999999", "-2.5E99999999"):
         for parse, doc, category, where in (
             (parse_graph, labeled, "bad-label", "line 1: exponent of label"),

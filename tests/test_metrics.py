@@ -29,8 +29,11 @@ from ultragraph import (
     GraphFormatError,
     LabeledGraph,
     MatrixInvariantError,
+    NotUltrametricError,
     WeightedGraph,
+    canonical_form,
     classify_metric,
+    dendrogram,
     distance_matrix,
     distance_oracle,
     distance_set,
@@ -475,3 +478,86 @@ def test_submatrix_and_get():
         ("a", "c", Fraction(3)),
         ("b", "c", Fraction(3)),
     ]
+
+
+# -- the rank route against the Fraction route --------------------------------
+
+# Each value in several spellings, so equal entries arrive as distinct
+# objects: 1/2, 2/4 and 0.5 must share a rank.
+_SPELLINGS = {
+    Fraction(0): (Fraction(0), 0, "0", "0/3"),
+    Fraction(1, 2): (Fraction(1, 2), "1/2", "2/4", "0.5"),
+    Fraction(1): (Fraction(1), 1, "2/2", "1.0"),
+    Fraction(2): (Fraction(2), 2, "4/2", "20e-1"),
+    Fraction(7, 3): (Fraction(7, 3), "7/3", "14/6"),
+    Fraction(3): (Fraction(3), 3, "6/2", "3.0"),
+    Fraction(-1): (Fraction(-1), -1, "-2/2"),
+}
+
+
+@st.composite
+def outside_matrices(draw, max_n=6):
+    """Square matrices as they could arrive from outside the sweep.
+
+    Mostly symmetric with a zero diagonal, drawn either from a graph's
+    distances (ultrametric or pseudoultrametric) or from arbitrary
+    non-negative values (often breaking the strong triangle inequality);
+    then, sometimes, one entry is bent: a nonzero diagonal, one half of a
+    pair changed (asymmetry) or a negative pair.
+    """
+    if draw(st.booleans()):
+        dm = distance_matrix(draw(connected_graphs(max_n=max_n)))
+        n, values = len(dm.vertices), [list(row) for row in dm.entries]
+    else:
+        n = draw(st.integers(1, max_n))
+        values = [[Fraction(0)] * n for _ in range(n)]
+        pool = st.sampled_from(sorted(q for q in _SPELLINGS if q >= 0))
+        for i, j in combinations(range(n), 2):
+            values[i][j] = values[j][i] = draw(pool)
+    bend = draw(st.sampled_from(("none", "none", "diagonal", "asymmetry", "negative")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    q = draw(st.sampled_from(sorted(_SPELLINGS)))
+    if bend == "diagonal":
+        values[i][i] = q
+    elif bend == "asymmetry" and i != j:
+        values[i][j] = q
+    elif bend == "negative" and i != j:
+        values[i][j] = values[j][i] = Fraction(-1)
+    rows = tuple(
+        tuple(draw(st.sampled_from(_SPELLINGS[v])) for v in row) for row in values
+    )
+    return DistanceMatrix(tuple(f"p{k}" for k in range(n)), rows)
+
+
+def _outcome(route, dm):
+    try:
+        return "ok", route(dm)
+    except (MatrixInvariantError, NotUltrametricError) as exc:
+        return type(exc), str(exc)
+
+
+@given(outside_matrices())
+def test_rank_route_matches_the_fraction_route(dm):
+    assert _outcome(DistanceMatrix.validate, dm) == _outcome(oracles.fraction_validate, dm)
+    assert _outcome(classify_metric, dm) == _outcome(oracles.fraction_classify, dm)
+    assert distance_set(dm) == oracles.fraction_distance_set(dm)
+    assert all(isinstance(q, Fraction) for q in distance_set(dm))
+    assert _outcome(zero_quotient, dm) == _outcome(oracles.fraction_zero_quotient, dm)
+    fast, slow = _outcome(dendrogram, dm), _outcome(oracles.fraction_dendrogram, dm)
+    assert fast == slow
+    if fast[0] == "ok":
+        assert canonical_form(fast[1]) == canonical_form(slow[1])
+
+
+@given(connected_graphs())
+def test_sweep_matrix_equals_and_hashes_like_its_round_trip(g):
+    dm = distance_matrix(g)
+    for back in (
+        DistanceMatrix.from_csv(dm.to_csv()),
+        DistanceMatrix.from_json_dict(json.loads(json.dumps(dm.to_json_dict()))),
+        DistanceMatrix(dm.vertices, dm.entries),
+    ):
+        assert back == dm and not back != dm
+        assert hash(back) == hash(dm)
+        assert distance_set(back) == distance_set(dm)
+        assert classify_metric(back) == classify_metric(dm)
