@@ -12,18 +12,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 from .analysis import distance_set, gh_labeling, gh_report, level_labeling
-from .dendrograms import are_isometric, canonical_form, dendrogram, to_json_dict
+from .dendrograms import Node, canonical_form, dendrogram, to_json_dict
 from .explore import (
     SearchConfig,
     search_conjecture,
     write_counterexample_files,
 )
-from .graphs import DEFAULT_CYCLE_CAP, enumerate_cycles, parse_graph
+from .graphs import enumerate_cycles, parse_graph
 from .metrics import (
-    DEFAULT_ORACLE_CAP,
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
@@ -114,7 +114,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.path))
     dm = distance_matrix(g)
     if args.oracle:
-        om = oracle_matrix(g, cap=args.cap_paths)
+        om = oracle_matrix(g)
         if om.entries != dm.entries:
             for x, y, d in dm.pairs():
                 if om.get(x, y) != d:
@@ -185,10 +185,10 @@ def cmd_quotient(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cycle_criterion(wg: WeightedGraph, cap: int) -> bool:
+def _cycle_criterion(wg: WeightedGraph) -> bool:
     # Realizable means every cycle attains its maximum weight at least
     # twice; kept as the slow cross-check behind --oracle.
-    for cycle in enumerate_cycles(wg.skeleton, cap=cap):
+    for cycle in enumerate_cycles(wg.skeleton):
         weights = [
             wg.weight(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
         ]
@@ -201,7 +201,7 @@ def cmd_realizable(args: argparse.Namespace) -> int:
     wg = parse_weighted_graph(_read(args.path))
     verdict = is_weight_realizable(wg)
     if args.oracle:
-        slow = _cycle_criterion(wg, cap=args.cap_cycles)
+        slow = _cycle_criterion(wg)
         if slow != verdict.realizable:
             print(
                 f"oracle mismatch: edge check says {verdict.realizable}, "
@@ -218,18 +218,25 @@ def cmd_realizable(args: argparse.Namespace) -> int:
     return 1
 
 
+def _dendrogram_of(path: str) -> Node | None:
+    """The file's dendrogram; None, with a note on stderr, if degenerate."""
+    dm = distance_matrix(parse_graph(_read(path)))
+    try:
+        return dendrogram(dm)
+    except NotUltrametricError:
+        print(
+            f"{path}: degenerate labeling gives only a pseudoultrametric; "
+            "run 'quotient' first",
+            file=sys.stderr,
+        )
+        return None
+
+
 def cmd_canon(args: argparse.Namespace) -> int:
     results = []
     for path in args.paths:
-        dm = distance_matrix(parse_graph(_read(path)))
-        try:
-            node = dendrogram(dm)
-        except NotUltrametricError:
-            print(
-                f"{path}: degenerate labeling gives only a pseudoultrametric; "
-                "run 'quotient' first",
-                file=sys.stderr,
-            )
+        node = _dendrogram_of(path)
+        if node is None:
             return 2
         results.append((path, node))
     if args.format == "json":
@@ -249,20 +256,14 @@ def cmd_canon(args: argparse.Namespace) -> int:
 
 
 def cmd_isometric(args: argparse.Namespace) -> int:
-    matrices = []
+    # Isometric exactly when the canonical forms agree (are_isometric).
+    forms = []
     for path in (args.path_a, args.path_b):
-        dm = distance_matrix(parse_graph(_read(path)))
-        try:
-            dendrogram(dm)
-        except NotUltrametricError:
-            print(
-                f"{path}: degenerate labeling gives only a pseudoultrametric; "
-                "run 'quotient' first",
-                file=sys.stderr,
-            )
+        node = _dendrogram_of(path)
+        if node is None:
             return 2
-        matrices.append(dm)
-    same = are_isometric(matrices[0], matrices[1])
+        forms.append(canonical_form(node))
+    same = forms[0] == forms[1]
     print(_bool(same))
     return 0 if same else 1
 
@@ -285,7 +286,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 1 if report.counterexamples else 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: subcommands are bound to the cmd_*
+    # functions, which look up the library's names when they run.
     parser = argparse.ArgumentParser(
         prog="ultragraph",
         description="Ultrametrics generated by vertex-labeled graphs.",
@@ -300,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check the sweep against literal path enumeration",
     )
-    p.add_argument("--cap-paths", type=int, default=DEFAULT_ORACLE_CAP, metavar="N")
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("check", help="distance-set report and GH verdict")
@@ -329,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="cross-check against exhaustive cycle enumeration",
     )
-    p.add_argument("--cap-cycles", type=int, default=DEFAULT_CYCLE_CAP, metavar="N")
     p.set_defaults(func=cmd_realizable)
 
     p = sub.add_parser("canon", help="canonical form of the generated ultrametric")

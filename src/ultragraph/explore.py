@@ -31,7 +31,7 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -60,9 +60,6 @@ class SearchConfig:
     """Everything that determines a search, and therefore its report.
 
     ``jobs`` controls processes only; it never changes the output.
-    ``reduce_symmetry`` skips labelings equal to an earlier one under a
-    tree automorphism (safe: automorphic labelings generate isometric
-    spaces), at the cost of per-tree automorphism search.
     """
 
     n_max: int
@@ -71,7 +68,6 @@ class SearchConfig:
     seed: int = 0
     jobs: int = 1
     samples_per_tree: int = 100
-    reduce_symmetry: bool = False
 
     def __post_init__(self):
         if self.n_max < 2:
@@ -144,7 +140,6 @@ class ConjectureReport:
     mode: str
     seed: int
     samples_per_tree: int
-    reduce_symmetry: bool
     runs: tuple[RunRecord, ...]
 
     @property
@@ -158,27 +153,13 @@ class ConjectureReport:
             "mode": self.mode,
             "seed": self.seed,
             "samples_per_tree": self.samples_per_tree,
-            "reduce_symmetry": self.reduce_symmetry,
+            # Kept so reports match earlier ones and perfbench/golden.json byte for byte.
+            "reduce_symmetry": False,
             "runs": [run.to_json_dict() for run in self.runs],
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
-
-
-def _automorphisms(
-    edges: tuple[tuple[int, int], ...], n: int
-) -> list[tuple[int, ...]]:
-    eset = {(i, j) for i, j in edges}
-    autos = []
-    for perm in permutations(range(n)):
-        for i, j in edges:
-            a, b = perm[i], perm[j]
-            if ((a, b) if a < b else (b, a)) not in eset:
-                break
-        else:
-            autos.append(perm)
-    return autos
 
 
 def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterable[tuple[int, ...]]:
@@ -241,14 +222,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         degree_total = sum(skeleton.degree(v) for v in names)
         trees += 1
-        autos = None
-        if cfg.reduce_symmetry:
-            autos = [p for p in _automorphisms(index_edges, n) if p != tuple(range(n))]
         for ranks in _labelings(cfg, n, tree_index):
-            if autos:
-                image = min(tuple(ranks[p[i]] for i in range(n)) for p in autos)
-                if image < ranks:
-                    continue
             labelings += 1
             verdicts = _tree_criteria(names, index_edges, ranks, degree_total, ordered)
             if len(set(verdicts)) > 1:
@@ -382,7 +356,6 @@ def search_conjecture(
         mode=cfg.mode,
         seed=cfg.seed,
         samples_per_tree=cfg.samples_per_tree,
-        reduce_symmetry=cfg.reduce_symmetry,
         runs=tuple(runs),
     )
 

@@ -24,6 +24,8 @@ from ultragraph import (
 )
 from ultragraph.cli import main
 from ultragraph.dendrograms import to_json_dict
+from ultragraph.graphs import DEFAULT_CYCLE_CAP
+from ultragraph.metrics import DEFAULT_ORACLE_CAP
 
 P3 = "v a 1\nv b 2\nv c 3\ne a b\ne b c\n"
 P3_FLAT = "v a 3\nv b 2\nv c 3\ne a b\ne b c\n"
@@ -286,6 +288,11 @@ def test_isometric_degenerate(graph_file, capsys):
     a = graph_file(DEGENERATE, name="p.graph")
     b = graph_file(P3, name="q.graph")
     assert main(["isometric", a, b]) == 2
+    assert main(["isometric", b, a]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    note = f"{a}: degenerate labeling gives only a pseudoultrametric; run 'quotient' first\n"
+    assert err == note * 2
 
 
 # -- explore ---------------------------------------------------------------
@@ -460,6 +467,35 @@ def _ascending_path(n):
     return text + "".join(f"e x{k} x{k + 1}\n" for k in range(n - 1))
 
 
+@pytest.mark.parametrize(
+    "command, flag, doc",
+    [("dist", "--cap-paths", P3), ("realizable", "--cap-cycles", WEIGHTED_GOOD)],
+    ids=["dist", "realizable"],
+)
+def test_oracle_caps_are_not_flags(graph_file, capsys, command, flag, doc):
+    with pytest.raises(SystemExit) as exc:
+        main([command, graph_file(doc), "--oracle", flag, "2000"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_oracles_refuse_large_graphs_with_one_line(graph_file, capsys):
+    n = 1500
+    weighted = "".join(f"v x{k}\n" for k in range(n)) + "".join(
+        f"e x{k} x{k + 1} {k + 1}\n" for k in range(n - 1)
+    )
+    for command, doc, what, cap in (
+        ("dist", _ascending_path(n), "oracle evaluation", DEFAULT_ORACLE_CAP),
+        ("realizable", weighted, "cycle enumeration", DEFAULT_CYCLE_CAP),
+    ):
+        code = main([command, graph_file(doc), "--oracle"])
+        assert (code, *capsys.readouterr()) == (
+            2,
+            "",
+            f"error: {what} capped at {cap} vertices, got {n}\n",
+        )
+
+
 def test_deep_dendrogram_json_needs_no_recursion(graph_file, capsys):
     # An ascending path generates a chain dendrogram as deep as the path
     # is long; json.dumps recurses once per level.
@@ -605,6 +641,14 @@ def test_no_arguments_is_a_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_parser_is_built_once(graph_file, capsys, monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    # subcommands still see names patched after the parser was built
+    monkeypatch.setattr(cli, "canonical_form", lambda node: "patched")
+    assert main(["canon", graph_file(P3)]) == 0
+    assert capsys.readouterr().out == "patched\n"
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -66,6 +66,15 @@ def test_config_rejects_bad_values(kwargs):
         SearchConfig(**kwargs)
 
 
+def test_reports_keep_the_retired_reduce_symmetry_key():
+    # The option is gone; its report key stays, always false, so reports
+    # match earlier ones byte for byte.
+    with pytest.raises(TypeError):
+        SearchConfig(n_max=2, universe=U123, reduce_symmetry=True)
+    report = search_conjecture(SearchConfig(n_max=2, universe=U123))
+    assert report.to_json_dict()["reduce_symmetry"] is False
+
+
 def test_mode_caps():
     with pytest.raises(CapExceededError):
         search_conjecture(SearchConfig(n_max=8, universe=U123))
@@ -180,10 +189,6 @@ PINNED_REPORTS = [
         "bc17ce3d455364b6f9659d1e29a93e997e6b9c4970cc11eb0fc2a9bc4f9f28e0",
     ),
     (
-        dict(n_max=4, universe=(1, 2, 3, 4), reduce_symmetry=True),
-        "a99b3c9a440369e4207b41189b6a866f592d71ac5954c2d6962521a45c2b7175",
-    ),
-    (
         dict(n_max=4, universe=("1/3", "1/2", 7)),
         "831522168c43970c9909ede63f569102673d357b9787356ab0027d5a8915b04d",
     ),
@@ -284,17 +289,6 @@ def test_pool_never_exceeds_shards_or_cpus(monkeypatch):
         assert sizes == pools
 
 
-def test_symmetry_reduction_prunes_without_changing_the_verdict():
-    naive = search_conjecture(SearchConfig(n_max=3, universe=U123))
-    reduced = search_conjecture(SearchConfig(n_max=3, universe=U123, reduce_symmetry=True))
-    assert reduced.counterexamples == ()
-    naive_run = naive.runs[1]
-    reduced_run = reduced.runs[1]
-    # the 3-point paths have one flip each, so about half the labelings go
-    assert reduced_run.labelings_examined < naive_run.labelings_examined
-    assert reduced_run.gh_spaces < naive_run.gh_spaces
-
-
 def test_progress_reports_once_per_size():
     lines = []
     search_conjecture(SearchConfig(n_max=3, universe=U123), progress=lines.append)
@@ -378,7 +372,6 @@ def test_counterexample_files_round_trip(tmp_path):
         mode=EXHAUSTIVE,
         seed=0,
         samples_per_tree=100,
-        reduce_symmetry=False,
         runs=(RunRecord(4, 16, 81, 30, 13, (fake,)),),
     )
     written = write_counterexample_files(doctored, tmp_path / "out")
