@@ -22,8 +22,9 @@ from .explore import (
     search_conjecture,
     write_counterexample_files,
 )
-from .graphs import enumerate_cycles, parse_graph
+from .graphs import DEFAULT_CYCLE_CAP, _require_cap, enumerate_cycles, parse_graph
 from .metrics import (
+    DEFAULT_ORACLE_CAP,
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
@@ -112,6 +113,9 @@ def _bool(x: bool) -> str:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.path))
+    if args.oracle:
+        # Refuse before the sweep, which alone costs O(n^2) memory.
+        _require_cap("oracle evaluation", len(g.vertices), DEFAULT_ORACLE_CAP)
     dm = distance_matrix(g)
     if args.oracle:
         om = oracle_matrix(g)
@@ -199,6 +203,8 @@ def _cycle_criterion(wg: WeightedGraph) -> bool:
 
 def cmd_realizable(args: argparse.Namespace) -> int:
     wg = parse_weighted_graph(_read(args.path))
+    if args.oracle:
+        _require_cap("cycle enumeration", len(wg.vertices), DEFAULT_CYCLE_CAP)
     verdict = is_weight_realizable(wg)
     if args.oracle:
         slow = _cycle_criterion(wg)

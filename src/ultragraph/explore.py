@@ -17,6 +17,15 @@ come out the same on ranks as on the Fractions.  Only the GH labelings
 are mapped back to Fractions, to build their distance sets and
 canonical forms through the public routes.
 
+Exhaustive mode goes one step further and checks each label *pattern*
+once per tree: the dense rank tuple over ``1 .. m`` with the same weak
+order as the labeling.  A pattern with ``m`` values stands for the
+``C(k, m)`` labelings it maps to under the strictly increasing maps
+``{1 .. m} -> {1 .. k}``, and by the argument above every check comes
+out the same on each of them as on the pattern.  So each pattern is
+checked once and counted ``C(k, m)`` times, and only GH patterns are
+expanded, each labeling going down the Fraction route by itself.
+
 Work is partitioned by the first Pruefer symbol, and each shard
 enumerates only its own block of sequences, so shards can run in
 parallel processes; merging is order-independent and the emitted report
@@ -31,7 +40,9 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations, product
+from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -162,15 +173,13 @@ class ConjectureReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterable[tuple[int, ...]]:
-    """Labelings of one tree as tuples of ranks ``1 .. k`` into ``cfg.universe``.
+def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterator[tuple[int, ...]]:
+    """Sampled labelings of one tree, as tuples of ranks ``1 .. k`` into ``cfg.universe``.
 
-    Both modes are lazy: sampled mode draws each labeling when it is
-    consumed, so ``samples_per_tree`` costs no memory up front.
+    Lazy: each labeling is drawn when it is consumed, so
+    ``samples_per_tree`` costs no memory up front.
     """
     ranks = range(1, len(cfg.universe) + 1)
-    if cfg.mode == EXHAUSTIVE:
-        return product(ranks, repeat=n)
     # One generator per tree, seeded by position, so sampled runs do not
     # depend on how trees were split across shards.  Choosing from the
     # ranks draws the same indices as choosing from the universe.
@@ -179,6 +188,34 @@ def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterable[tuple[int
         tuple(rng.choice(ranks) for _ in range(n))
         for _ in range(cfg.samples_per_tree)
     )
+
+
+# A search asks for one (n, k) at a time, once per shard.
+@lru_cache(maxsize=8)
+def _patterns(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every label pattern of ``n`` vertices over ``k`` ranks, with its multiplicity.
+
+    A pattern is a rank tuple over ``1 .. m`` that uses every value, with
+    ``m <= min(n, k)``; it is paired with ``C(k, m)``, the number of rank
+    tuples over ``1 .. k`` with the same weak order (see :func:`_images`).
+    The multiplicities add up to ``k**n``.
+    """
+    top = min(n, k)
+    return tuple(
+        (ranks, comb(k, max(ranks)))
+        for ranks in product(range(1, top + 1), repeat=n)
+        if len(set(ranks)) == max(ranks)
+    )
+
+
+def _images(pattern: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
+    """The rank tuples over ``1 .. k`` with this pattern.
+
+    One per strictly increasing map ``{1 .. m} -> {1 .. k}``, given by
+    its values ``f``.
+    """
+    for f in combinations(range(1, k + 1), max(pattern)):
+        yield tuple(f[r - 1] for r in pattern)
 
 
 def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -201,10 +238,14 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
 
     Returns entry tuples ``(tree_index, labeling, edges, distance_set,
     canonical_form)`` for every GH space found, in deterministic order.
-    Labelings are scanned as rank tuples (see the module docstring);
-    only GH labelings are turned back into Fractions.
+    Labelings are scanned as rank tuples (see the module docstring).
+    Exhaustive mode checks each label pattern once and counts it
+    ``C(k, m)`` times, then expands the GH patterns and lists their
+    labelings in product order; sampled mode checks each draw, in draw
+    order.  Only GH labelings are turned back into Fractions, one by one.
     """
     cfg, n, prefix = task
+    k = len(cfg.universe)
     ordered = (Fraction(0), *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
     zero_labels = dict.fromkeys(names, 0)
@@ -222,15 +263,23 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         degree_total = sum(skeleton.degree(v) for v in names)
         trees += 1
-        for ranks in _labelings(cfg, n, tree_index):
-            labelings += 1
+        if cfg.mode == EXHAUSTIVE:
+            classes: Iterable[tuple[tuple[int, ...], int]] = _patterns(n, k)
+        else:
+            classes = ((ranks, 1) for ranks in _labelings(cfg, n, tree_index))
+        gh: list[tuple[int, ...]] = []
+        for ranks, count in classes:
+            labelings += count
             verdicts = _tree_criteria(names, index_edges, ranks, degree_total, ordered)
             if len(set(verdicts)) > 1:
                 raise InternalCheckError(
                     f"tree criteria disagree on {edges} with label ranks {ranks}"
                 )
-            if not verdicts[0]:
-                continue
+            if verdicts[0]:
+                gh.append(ranks)
+        if cfg.mode == EXHAUSTIVE:
+            gh = sorted(ranks for pattern in gh for ranks in _images(pattern, k))
+        for ranks in gh:
             labeling = tuple(cfg.universe[r - 1] for r in ranks)
             dm = distance_matrix(skeleton.with_labels(dict(zip(names, labeling))))
             entries.append(

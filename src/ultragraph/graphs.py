@@ -51,6 +51,12 @@ class CapExceededError(ValueError):
     pass
 
 
+def _require_cap(what: str, n: int, cap: int) -> None:
+    """Refuse ``n`` vertices above ``cap`` for the exponential ``what``."""
+    if n > cap:
+        raise CapExceededError(f"{what} capped at {cap} vertices, got {n}")
+
+
 def _coerce_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -376,9 +382,7 @@ def enumerate_cycles(g: LabeledGraph, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[
     precede the last in declaration order.  Guarded by ``cap`` because
     the count is exponential.
     """
-    n = len(g.vertices)
-    if n > cap:
-        raise CapExceededError(f"cycle enumeration capped at {cap} vertices, got {n}")
+    _require_cap("cycle enumeration", len(g.vertices), cap)
     index = g._index
     adj = {v: [w for w in g.neighbors(v)] for v in g.vertices}
 
@@ -433,8 +437,7 @@ def enumerate_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[LabeledGrap
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    if n > cap:
-        raise CapExceededError(f"tree enumeration capped at {cap} vertices, got {n}")
+    _require_cap("tree enumeration", n, cap)
     names = tuple(str(i + 1) for i in range(n))
     labels = {v: Fraction(0) for v in names}
     if n == 1:

@@ -36,10 +36,10 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .graphs import (
     DisconnectedGraphError,
     LabeledGraph,
-    CapExceededError,
     _WEIGHTED_RECORDS,
     _coerce_rational,
     _read_records,
+    _require_cap,
     enumerate_simple_paths,
 )
 
@@ -438,10 +438,7 @@ def distance_oracle(
     Exponential in the worst case, hence the vertex cap; exists as the
     slow, obviously-correct route that the sweep is tested against.
     """
-    if len(g.vertices) > cap:
-        raise CapExceededError(
-            f"oracle evaluation capped at {cap} vertices, got {len(g.vertices)}"
-        )
+    _require_cap("oracle evaluation", len(g.vertices), cap)
     labels = g.labels
     best: Fraction | None = None
     for path in enumerate_simple_paths(g, x, y):

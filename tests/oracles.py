@@ -7,24 +7,34 @@ These are the second routes that the fast code is judged against.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Iterable
 
 from ultragraph import (
+    EXHAUSTIVE,
     PSEUDOULTRAMETRIC,
     ULTRAMETRIC,
     DistanceMatrix,
+    InternalCheckError,
     LabeledGraph,
     Leaf,
     MatrixInvariantError,
     Merge,
     NotUltrametricError,
     WeightedGraph,
+    canonical_form,
+    dendrogram,
+    distance_matrix,
     distance_set,
     is_gh,
+    is_tree,
+    tree_from_pruefer,
 )
+from ultragraph.analysis import _tree_criteria
 from ultragraph.dendrograms import Node
+from ultragraph.explore import _pruefer_block
 
 
 def path_enumeration_distances(g: LabeledGraph) -> dict[tuple[int, int], Fraction | None]:
@@ -459,3 +469,62 @@ def fraction_dendrogram(dm: DistanceMatrix) -> Node:
         open_at[a[0]] = (w, kids)
     ((height, kids),) = open_at.values()
     return close(height, kids)[1]
+
+
+# -- the explorer's scan, one labeling at a time -----------------------------
+#
+# The shard scan as it ran before exhaustive mode checked label patterns:
+# every rank tuple of every tree gets its own criteria check, in product
+# order (exhaustive) or draw order (sampled).
+
+
+def _reference_labelings(cfg, n: int, tree_index: int):
+    ranks = range(1, len(cfg.universe) + 1)
+    if cfg.mode == EXHAUSTIVE:
+        return product(ranks, repeat=n)
+    rng = random.Random(f"{cfg.seed}:{n}:{tree_index}")
+    return (
+        tuple(rng.choice(ranks) for _ in range(n))
+        for _ in range(cfg.samples_per_tree)
+    )
+
+
+def reference_scan_shard(task) -> tuple[int, int, list]:
+    """``(trees, labelings, entries)`` of one shard, checking every labeling."""
+    cfg, n, prefix = task
+    ordered = (Fraction(0), *cfg.universe)
+    names = tuple(str(i + 1) for i in range(n))
+    zero_labels = dict.fromkeys(names, 0)
+    trees = 0
+    labelings = 0
+    entries: list = []
+
+    for tree_index, seq in _pruefer_block(n, prefix):
+        index_edges = tree_from_pruefer(seq, n)
+        edges = tuple((names[i], names[j]) for i, j in index_edges)
+        skeleton = LabeledGraph(names, edges, zero_labels)
+        if not is_tree(skeleton):
+            raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
+        degree_total = sum(skeleton.degree(v) for v in names)
+        trees += 1
+        for ranks in _reference_labelings(cfg, n, tree_index):
+            labelings += 1
+            verdicts = _tree_criteria(names, index_edges, ranks, degree_total, ordered)
+            if len(set(verdicts)) > 1:
+                raise InternalCheckError(
+                    f"tree criteria disagree on {edges} with label ranks {ranks}"
+                )
+            if not verdicts[0]:
+                continue
+            labeling = tuple(cfg.universe[r - 1] for r in ranks)
+            dm = distance_matrix(skeleton.with_labels(dict(zip(names, labeling))))
+            entries.append(
+                (
+                    tree_index,
+                    labeling,
+                    edges,
+                    distance_set(dm),
+                    canonical_form(dendrogram(dm)),
+                )
+            )
+    return trees, labelings, entries

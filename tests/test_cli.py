@@ -496,6 +496,29 @@ def test_oracles_refuse_large_graphs_with_one_line(graph_file, capsys):
         )
 
 
+def test_oracles_refuse_before_any_distance_work(graph_file, capsys, monkeypatch):
+    def unreachable(*_args):
+        raise AssertionError("the cap is checked before any distance work")
+
+    monkeypatch.setattr(cli, "distance_matrix", unreachable)
+    monkeypatch.setattr(cli, "is_weight_realizable", unreachable)
+    # disconnected too: the cap is reported, not the missing edges
+    isolated = "".join(f"v x{k} 1\n" for k in range(12))
+    weighted = "".join(f"v x{k}\n" for k in range(11)) + "".join(
+        f"e x{k} x{k + 1} 1\n" for k in range(10)
+    )
+    for command, doc, what, cap, n in (
+        ("dist", isolated, "oracle evaluation", DEFAULT_ORACLE_CAP, 12),
+        ("realizable", weighted, "cycle enumeration", DEFAULT_CYCLE_CAP, 11),
+    ):
+        code = main([command, graph_file(doc), "--oracle"])
+        assert (code, *capsys.readouterr()) == (
+            2,
+            "",
+            f"error: {what} capped at {cap} vertices, got {n}\n",
+        )
+
+
 def test_deep_dendrogram_json_needs_no_recursion(graph_file, capsys):
     # An ascending path generates a chain dendrogram as deep as the path
     # is long; json.dumps recurses once per level.
@@ -625,6 +648,54 @@ def test_any_document_keeps_the_exit_code_contract(tmp_path_factory, doc):
     path = tmp_path_factory.getbasetemp() / "fuzz.graph"
     path.write_text(doc, encoding="utf-8")
     for command in ("dist", "check", "realizable"):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(path)])
+        assert code in (0, 1, 2, 3)
+        assert err.getvalue().count("\n") <= 1
+        assert "Traceback" not in err.getvalue()
+
+
+# Raw bytes: invalid UTF-8, lone surrogates, NUL, and every line break
+# str.splitlines honours, spliced between fragments of the line format.
+_HOSTILE_CHUNKS = (
+    b"\xff",
+    b"\xc3",
+    b"\xed\xa0\x80",
+    b"\xed\xbf\xbf",
+    b"\x00",
+    b"\x0b",
+    b"\x0c",
+    b"\x1c",
+    b"\x1d",
+    b"\x1e",
+    b"\x85",
+    b"\xc2\x85",
+    b"\xe2\x80\xa8",
+    b"\xe2\x80\xa9",
+    b"\r",
+    b"\n",
+    b" ",
+    b"\t",
+    b"v a 1",
+    b"v b 2",
+    b"v c",
+    b"e a b",
+    b"e b c 1",
+    b"1/2",
+    b"#",
+)
+
+
+@given(
+    st.lists(
+        st.one_of(st.binary(max_size=6), st.sampled_from(_HOSTILE_CHUNKS)), max_size=12
+    ).map(b"".join)
+)
+def test_any_bytes_keep_the_exit_code_contract(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "hostile.graph"
+    path.write_bytes(raw)
+    for command in ("dist", "check", "canon", "quotient", "realizable", "label"):
         out, err = StringIO(), StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = main([command, str(path)])

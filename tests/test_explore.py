@@ -5,6 +5,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 from itertools import islice, product
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
@@ -38,7 +39,7 @@ from ultragraph import (
 )
 from ultragraph import analysis, explore
 from ultragraph.analysis import _tree_criteria
-from ultragraph.explore import _labelings, _pruefer_block
+from ultragraph.explore import _images, _labelings, _patterns, _pruefer_block, _scan_shard
 
 U123 = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -178,7 +179,9 @@ def test_sampled_labelings_are_drawn_one_at_a_time():
 
 
 # sha256 of search_conjecture(...).to_json(), recorded before the scan
-# moved to label ranks; the rank route must reproduce them byte for byte.
+# moved to label ranks (the first three) and before exhaustive mode
+# checked label patterns (the last two); the scan must reproduce them
+# byte for byte.
 PINNED_REPORTS = [
     (
         dict(n_max=4, universe=(1, 2, 3, 4)),
@@ -191,6 +194,15 @@ PINNED_REPORTS = [
     (
         dict(n_max=4, universe=("1/3", "1/2", 7)),
         "831522168c43970c9909ede63f569102673d357b9787356ab0027d5a8915b04d",
+    ),
+    (
+        dict(n_max=5, universe=(1, 2, 3, 4)),
+        "5595962628974e0f735d942d16b0ac5c81a8df65321d0ebeb762febec1c521f8",
+    ),
+    # more labels than vertices: patterns with n values count C(6, n) times
+    (
+        dict(n_max=4, universe=("1/2", 1, "3/2", 2, 5, 7)),
+        "bd0ec9cf0e5dbfda2f59fb5010576e6e49d33a458c7aacea39220b400aa68099",
     ),
 ]
 
@@ -228,6 +240,82 @@ def test_rank_verdicts_match_the_fraction_route(data):
     assert verdicts == tree_gh_report(g)
     distances = set(oracles.path_enumeration_distances(g).values()) | {0}
     assert verdicts == (len(distances) == n,) * 4
+
+
+def _stirling2(n, m):
+    """Ways to split ``n`` things into ``m`` non-empty blocks."""
+    if n == m:
+        return 1
+    if m == 0 or m > n:
+        return 0
+    return m * _stirling2(n - 1, m) + _stirling2(n - 1, m - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_patterns_are_the_weak_orders_with_their_multiplicities(n):
+    for k in range(1, 8):
+        patterns = _patterns(n, k)
+        assert len(patterns) == sum(
+            factorial(m) * _stirling2(n, m) for m in range(1, min(n, k) + 1)
+        )
+        assert sum(count for _, count in patterns) == k**n
+        for pattern, count in patterns:
+            assert set(pattern) == set(range(1, max(pattern) + 1))
+            assert count == comb(k, max(pattern))
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (3, 2), (3, 5), (4, 4), (5, 3)])
+def test_pattern_images_partition_the_rank_tuples(n, k):
+    images = [list(_images(pattern, k)) for pattern, _count in _patterns(n, k)]
+    assert [len(block) for block in images] == [c for _, c in _patterns(n, k)]
+    flat = [ranks for block in images for ranks in block]
+    assert sorted(flat) == list(product(range(1, k + 1), repeat=n))
+
+
+def _pattern_of(ranks):
+    dense = {r: i + 1 for i, r in enumerate(sorted(set(ranks)))}
+    return tuple(dense[r] for r in ranks)
+
+
+@given(st.data())
+def test_criteria_depend_only_on_the_label_pattern(data):
+    k = data.draw(st.integers(1, 7))
+    universe = (0, *(Fraction(2 * r + 1, 3) for r in range(k)))
+    n = data.draw(st.integers(2, 6))
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    ranks = tuple(data.draw(st.integers(1, k)) for _ in range(n))
+    index_edges = tree_from_pruefer(seq, n)
+    names = tuple(str(i + 1) for i in range(n))
+    verdicts = _tree_criteria(names, index_edges, ranks, 2 * (n - 1), universe)
+    assert verdicts == _tree_criteria(
+        names, index_edges, _pattern_of(ranks), 2 * (n - 1), universe
+    )
+
+
+def _universes(max_size):
+    """Label universes with at least one non-integer value."""
+    return st.sets(
+        st.fractions(min_value=Fraction(1, 12), max_value=9, max_denominator=12),
+        min_size=1,
+        max_size=max_size,
+    ).filter(lambda u: any(q.denominator > 1 for q in u))
+
+
+@given(st.data())
+def test_pattern_scan_matches_the_labeling_scan(data):
+    n = data.draw(st.integers(2, 5))
+    universe = data.draw(_universes(3 if n == 5 else 6))
+    mode = data.draw(st.sampled_from((EXHAUSTIVE, SAMPLED)))
+    cfg = SearchConfig(
+        n_max=n,
+        universe=tuple(universe),
+        mode=mode,
+        seed=data.draw(st.integers(0, 99)),
+        samples_per_tree=data.draw(st.integers(1, 30)),
+    )
+    for prefix in [0] if n == 2 else range(n):
+        task = (cfg, n, prefix)
+        assert _scan_shard(task) == oracles.reference_scan_shard(task)
 
 
 def test_rank_route_keeps_validate_and_the_ultrametric_check(monkeypatch):
