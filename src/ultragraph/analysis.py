@@ -3,10 +3,10 @@
 For a space ``X`` with distance set ``D`` (all values, zero included),
 ``|D| <= |X|`` always holds; spaces attaining equality are the
 Gomory-Hu (GH) spaces.  On trees, membership admits three equivalent
-counting restatements, computed independently here so tests can pin the
-equivalence.  There is also a constructive side: every connected graph
-carries a labeling that makes it a GH space, built from a spanning tree
-and a level-monotone relabeling.
+counting restatements; :func:`gh_report` counts (i), (iii) and (iv) on
+the one matrix it validates and reads (ii) off the labels, so tests can
+pin the equivalence.  Constructively, every connected graph carries a GH
+labeling, built from a spanning tree and a level-monotone relabeling.
 """
 
 from __future__ import annotations
@@ -151,11 +151,18 @@ def _tree_criteria(
         raise NotUltrametricError(_ULTRAMETRIC_ONLY)
     # the diagonal contributes the zero distance
     sizes = len(set(chain.from_iterable(rows)))
-    weights = {w for w, _i, _j in weighted}
+    distinct = len({w for w, _i, _j in weighted})
+    return _count_criteria(sizes, len(vertices), len(weighted), distinct, degree_total)
+
+
+def _count_criteria(
+    sizes: int, n: int, edges: int, distinct_weights: int, degree_total: int
+) -> tuple[bool, bool, bool, bool]:
+    """The four criteria of :func:`tree_gh_report`, from the counts they compare."""
     return (
-        sizes == len(vertices),
-        len(weights) == len(weighted),
-        sizes == len(index_edges) + 1,
+        sizes == n,
+        distinct_weights == edges,
+        sizes == edges + 1,
         2 * sizes == 2 + degree_total,
     )
 
@@ -240,36 +247,34 @@ class GHReport:
 def gh_report(g: LabeledGraph) -> GHReport:
     """Compute the full report for a connected labeled graph.
 
-    The two inequalities are re-checked here and treated as internal
-    errors if they ever fail; same for disagreement among the four tree
-    criteria.
+    One validated matrix: the size of its distance set decides both
+    inequalities, the GH verdict and tree criteria (i), (iii) and (iv);
+    (ii) reads the labels.  A failing self-check is an internal error.
     """
     dm = distance_matrix(g)
     classification = classify_metric(dm)
     d_set = distance_set(dm)
-    bound = check_edge_bound(g, dm)
-    if not bound.holds:
+    size, n, m = len(d_set), len(g.vertices), len(g.edges)
+    if size > m + 1:
         raise InternalCheckError("edge bound |D| <= |E|+1 failed")
-
-    n = len(dm.vertices)
-    gomory = len(d_set) <= n
-    gh = len(d_set) == n if classification == ULTRAMETRIC else None
-    if not gomory:
+    if size > n:
         raise InternalCheckError("inequality |D| <= |X| failed")
 
-    tree_eq: tuple[bool, bool, bool, bool] | None = None
-    if len(g.vertices) >= 2 and is_tree(g) and is_nondegenerate(g):
-        tree_eq = tree_gh_report(g)
+    tree_eq = None
+    # The sweep proved g connected, so it is a tree exactly when |E| = |V| - 1.
+    if n >= 2 and m == n - 1 and is_nondegenerate(g):
+        distinct = len({max(g.labels[u], g.labels[v]) for u, v in g.edges})
+        tree_eq = _count_criteria(size, n, m, distinct, sum(map(g.degree, g.vertices)))
         if len(set(tree_eq)) > 1:
             raise InternalCheckError(f"tree criteria disagree: {tree_eq}")
 
     return GHReport(
-        vertex_count=len(g.vertices),
-        edge_count=len(g.edges),
+        vertex_count=n,
+        edge_count=m,
         classification=classification,
         distance_set=d_set,
-        gh=gh,
-        gomory_hu_holds=gomory,
-        edge_bound_holds=bound.holds,
+        gh=size == n if classification == ULTRAMETRIC else None,
+        gomory_hu_holds=True,
+        edge_bound_holds=True,
         tree_equivalences=tree_eq,
     )

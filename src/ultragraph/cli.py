@@ -22,7 +22,7 @@ from .explore import (
     search_conjecture,
     write_counterexample_files,
 )
-from .graphs import DEFAULT_CYCLE_CAP, _require_cap, enumerate_cycles, parse_graph
+from .graphs import DEFAULT_CYCLE_CAP, _rational, _require_cap, enumerate_cycles, parse_graph
 from .metrics import (
     DEFAULT_ORACLE_CAP,
     DistanceMatrix,
@@ -275,7 +275,8 @@ def cmd_isometric(args: argparse.Namespace) -> int:
 
 
 def cmd_explore(args: argparse.Namespace) -> int:
-    universe = tuple(tok for tok in args.labels.split(",") if tok.strip())
+    # Graph-file rules, so a bad value exits 2 before the search starts.
+    universe = tuple(_rational(tok, "label") for tok in args.labels.split(",") if tok.strip())
     cfg = SearchConfig(
         n_max=args.max_n,
         universe=universe,

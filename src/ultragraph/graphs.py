@@ -176,13 +176,14 @@ class LabeledGraph:
 # -- parsing -----------------------------------------------------------
 
 
-def _parse_rational(token: str, line_no: int, category: str, what: str) -> Fraction:
+def _rational(token: str, what: str) -> Fraction:
     """A non-negative rational token: ``3/2``, ``1.5`` or ``15e-1``.
 
     The int-string limit bounds the value, so that every output can print
     it: its numerator and denominator must have at most ``limit`` digits.
     An exponent beyond the limit is refused first, before ``Fraction``
-    spends seconds on ``10**exp``.
+    spends seconds on ``10**exp``.  A refused token raises ``ValueError``
+    naming it as ``what``.
     """
     limit = _int_digits_limit()
     mantissa, e, exponent = token.lower().partition("e")
@@ -190,16 +191,22 @@ def _parse_rational(token: str, line_no: int, category: str, what: str) -> Fract
         huge = bool(e) and 0 < limit < abs(int(exponent))
         value = Fraction(mantissa + "e0" if huge else token)
     except (ValueError, ZeroDivisionError):
-        raise GraphFormatError(line_no, category, f"malformed {what} {token!r}") from None
+        raise ValueError(f"malformed {what} {token!r}") from None
     if huge:
-        raise GraphFormatError(line_no, category, f"exponent of {what} {token!r} exceeds {limit}")
+        raise ValueError(f"exponent of {what} {token!r} exceeds {limit}")
     if value < 0:
-        raise GraphFormatError(line_no, category, f"negative {what} {token!r}")
+        raise ValueError(f"negative {what} {token!r}")
     if limit and max(value.numerator, value.denominator) >= _digits_bound(limit):
-        raise GraphFormatError(
-            line_no, category, f"{what} {token!r} has more than {limit} digits"
-        )
+        raise ValueError(f"{what} {token!r} has more than {limit} digits")
     return value
+
+
+def _parse_rational(token: str, line_no: int, category: str, what: str) -> Fraction:
+    """:func:`_rational`, its refusal raised as a :class:`GraphFormatError`."""
+    try:
+        return _rational(token, what)
+    except ValueError as exc:
+        raise GraphFormatError(line_no, category, str(exc)) from None
 
 
 @lru_cache(maxsize=1)

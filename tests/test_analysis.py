@@ -31,12 +31,14 @@ from ultragraph import (
     gh_report,
     is_gh,
     is_gh_complete,
+    is_nondegenerate,
     is_tree,
     level_labeling,
     root_levels,
     spanning_tree,
     tree_gh_report,
 )
+from ultragraph import analysis, graphs, metrics
 
 
 # -- distance sets and the two inequalities ---------------------------------
@@ -266,3 +268,53 @@ def test_report_never_trips_its_own_checks(g):
     assert report.edge_bound_holds
     if report.tree_equivalences is not None:
         assert len(set(report.tree_equivalences)) == 1
+    # The report's own counts agree with the public routes.
+    dm = distance_matrix(g)
+    assert report.edge_bound_holds == check_edge_bound(g, dm).holds
+    if report.classification == ULTRAMETRIC:
+        assert report.gh == is_gh(dm)
+    else:
+        assert report.gh is None
+    gated = len(g.vertices) >= 2 and is_tree(g) and is_nondegenerate(g)
+    assert (report.tree_equivalences is not None) == gated
+    if gated:
+        assert report.tree_equivalences == tree_gh_report(g)
+
+
+def _count_calls(monkeypatch, names):
+    """Count calls of each named function, in every module that holds it."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (graphs, metrics, analysis):
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return counts
+
+
+_PASSES = ("_ranks", "_bottleneck_rows", "_validate_rows", "distance_set", "connectivity_witness")
+
+
+def test_report_builds_one_matrix(monkeypatch):
+    # One rank pass, one sweep, one validation and one distance set; the
+    # sweep proves the graph connected, so no BFS runs either.
+    counts = _count_calls(monkeypatch, _PASSES)
+    report = gh_report(path_graph(1, 2, 3))
+    assert report.gh and report.tree_equivalences == (True,) * 4
+    assert counts == dict(zip(_PASSES, (1, 1, 1, 1, 0)))
+
+
+@pytest.mark.parametrize(
+    "g", [triangle(1, 2, 3), path_graph(0, 0, 1)], ids=["cycle", "degenerate"]
+)
+def test_report_gate_needs_no_second_pass(monkeypatch, g):
+    counts = _count_calls(monkeypatch, _PASSES)
+    assert gh_report(g).tree_equivalences is None
+    assert counts == dict(zip(_PASSES, (1, 1, 1, 1, 0)))

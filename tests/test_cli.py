@@ -322,9 +322,19 @@ def test_explore_out_dir_left_alone_without_counterexamples(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_explore_rejects_bad_universe(capsys):
-    assert main(["explore", "--labels", "1,0,2"]) == 2
-    capsys.readouterr()
+def test_explore_rejects_bad_universe(monkeypatch, capsys):
+    # Each value is refused before any search starts, by the graph-file
+    # rules for labels: one error line, exit 2, in well under a second.
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "search_conjecture", no_search)
+    for labels in ("1,0,2", "2/0", "1e9999999", "1e4300", "x", "-1"):
+        start = time.perf_counter()
+        assert main(["explore", "--labels", labels]) == 2, labels
+        assert time.perf_counter() - start < 1, labels
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (labels, err)
     assert main(["explore", "--max-n", "1"]) == 2
     capsys.readouterr()
 
