@@ -28,6 +28,7 @@ from .dendrograms import (
     are_isometric,
     canonical_form,
     dendrogram,
+    graph_dendrogram,
     leaves,
 )
 from .explore import (

@@ -4,9 +4,11 @@ For a space ``X`` with distance set ``D`` (all values, zero included),
 ``|D| <= |X|`` always holds; spaces attaining equality are the
 Gomory-Hu (GH) spaces.  On trees, membership admits three equivalent
 counting restatements; :func:`gh_report` counts (i), (iii) and (iv) on
-the one matrix it validates and reads (ii) off the labels, so tests can
-pin the equivalence.  Constructively, every connected graph carries a GH
-labeling, built from a spanning tree and a level-monotone relabeling.
+the distance set it reads off the graph's edge-sweep merges, with no
+matrix, and reads (ii) off the labels, so tests can pin the equivalence
+against :func:`tree_gh_report`, which sweeps and validates a matrix.
+Constructively, every connected graph carries a GH labeling, built from
+a spanning tree and a level-monotone relabeling.
 """
 
 from __future__ import annotations
@@ -26,16 +28,17 @@ from .graphs import (
     spanning_tree,
 )
 from .metrics import (
+    PSEUDOULTRAMETRIC,
     ULTRAMETRIC,
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
     _bottleneck_rows,
+    _merge_events,
     _ranks,
     _validate_rows,
     _zero_free,
     classify_metric,
-    distance_matrix,
     is_nondegenerate,
 )
 
@@ -189,7 +192,9 @@ def is_gh_complete(labels: Sequence) -> bool:
         for j in range(i + 1, len(names))
     )
     g = LabeledGraph(names, edges, dict(zip(names, values)))
-    return is_gh(distance_matrix(g))
+    # With at most one zero label every edge has a positive endpoint, so
+    # the space is ultrametric.
+    return len(_generated_distance_set(g)[0]) == len(values)
 
 
 def level_labeling(t: LabeledGraph, root: str) -> dict[str, Fraction]:
@@ -244,16 +249,27 @@ class GHReport:
         return doc
 
 
+def _generated_distance_set(g: LabeledGraph) -> tuple[tuple[Fraction, ...], bool]:
+    """The distance set of the space ``g`` generates, and whether it is ultrametric.
+
+    Read off the merge events of the graph's edge sweep, with no matrix:
+    the distances are ``0`` and the merge heights, and the space is
+    ultrametric exactly when no merge happens at height ``0``.
+    """
+    merges, ordered = _merge_events(g)
+    ranks = sorted({0}.union(w for w, _a, _b in merges))
+    return tuple(ordered[r] for r in ranks), not merges or merges[0][0] > 0
+
+
 def gh_report(g: LabeledGraph) -> GHReport:
     """Compute the full report for a connected labeled graph.
 
-    One validated matrix: the size of its distance set decides both
-    inequalities, the GH verdict and tree criteria (i), (iii) and (iv);
-    (ii) reads the labels.  A failing self-check is an internal error.
+    Off the merge events of one edge sweep: the size of the distance set
+    decides both inequalities, the GH verdict and tree criteria (i),
+    (iii) and (iv); (ii) reads the labels.  A failing self-check is an
+    internal error.
     """
-    dm = distance_matrix(g)
-    classification = classify_metric(dm)
-    d_set = distance_set(dm)
+    d_set, ultrametric = _generated_distance_set(g)
     size, n, m = len(d_set), len(g.vertices), len(g.edges)
     if size > m + 1:
         raise InternalCheckError("edge bound |D| <= |E|+1 failed")
@@ -261,8 +277,10 @@ def gh_report(g: LabeledGraph) -> GHReport:
         raise InternalCheckError("inequality |D| <= |X| failed")
 
     tree_eq = None
-    # The sweep proved g connected, so it is a tree exactly when |E| = |V| - 1.
-    if n >= 2 and m == n - 1 and is_nondegenerate(g):
+    # The sweep proved g connected, so it is a tree exactly when |E| = |V| - 1;
+    # the first edge swept always merges, so no zero merge means no edge
+    # joins two zero labels.
+    if n >= 2 and m == n - 1 and ultrametric:
         distinct = len({max(g.labels[u], g.labels[v]) for u, v in g.edges})
         tree_eq = _count_criteria(size, n, m, distinct, sum(map(g.degree, g.vertices)))
         if len(set(tree_eq)) > 1:
@@ -271,9 +289,9 @@ def gh_report(g: LabeledGraph) -> GHReport:
     return GHReport(
         vertex_count=n,
         edge_count=m,
-        classification=classification,
+        classification=ULTRAMETRIC if ultrametric else PSEUDOULTRAMETRIC,
         distance_set=d_set,
-        gh=size == n if classification == ULTRAMETRIC else None,
+        gh=size == n if ultrametric else None,
         gomory_hu_holds=True,
         edge_bound_holds=True,
         tree_equivalences=tree_eq,

@@ -16,7 +16,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from .analysis import distance_set, gh_labeling, gh_report, level_labeling
-from .dendrograms import Node, canonical_form, dendrogram, to_json_dict
+from .dendrograms import Node, canonical_form, graph_dendrogram, to_json_dict
 from .explore import (
     SearchConfig,
     search_conjecture,
@@ -226,9 +226,8 @@ def cmd_realizable(args: argparse.Namespace) -> int:
 
 def _dendrogram_of(path: str) -> Node | None:
     """The file's dendrogram; None, with a note on stderr, if degenerate."""
-    dm = distance_matrix(parse_graph(_read(path)))
     try:
-        return dendrogram(dm)
+        return graph_dendrogram(parse_graph(_read(path)))
     except NotUltrametricError:
         print(
             f"{path}: degenerate labeling gives only a pseudoultrametric; "

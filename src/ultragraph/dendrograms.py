@@ -5,24 +5,33 @@ rooted tree whose leaves are the points and whose internal nodes carry
 the merge heights.  Two spaces are isometric exactly when these trees
 match as height-labeled trees, so a canonical string of the tree turns
 isometry into string equality.
+
+The tree is the replay of Kruskal merge events: those of a validated
+matrix (:func:`dendrogram`), or, for the space a labeled graph
+generates, those of the graph's own edge sweep (:func:`graph_dendrogram`),
+which needs no matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Iterable, Iterator, Sequence, Union
 
-from .graphs import _coerce_rational
+from .graphs import LabeledGraph, _coerce_rational
 from .metrics import (
     ULTRAMETRIC,
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
+    _merge_events,
     classify_metric,
 )
 
 LEAF_MARK = "·"
+_NEEDS_ULTRAMETRIC = (
+    "dendrograms need an ultrametric; collapse zero-distance classes first (zero_quotient)"
+)
 
 
 @dataclass(frozen=True)
@@ -54,23 +63,56 @@ Node = Union[Leaf, Merge]
 
 
 def dendrogram(dm: DistanceMatrix) -> Node:
-    """Build the merge tree of an ultrametric space.
+    """Build the merge tree of an ultrametric space given as a matrix.
 
-    Replay the merge events of the Kruskal sweep that validation has
-    just run over the matrix's rank rows, in ascending order of distance.
-    A merged cluster stays open at its height until it merges again
-    higher up, so clusters chaining together at one height share a
-    single multiway node.  Heights are ranks until a :class:`Merge` is
-    built.  Children are ordered by their first vertex in declaration
-    order.
+    Validation sweeps the matrix's rank rows; its merge events are
+    replayed by :func:`_replay`.
     """
     if classify_metric(dm) != ULTRAMETRIC:
-        raise NotUltrametricError(
-            "dendrograms need an ultrametric; collapse zero-distance "
-            "classes first (zero_quotient)"
-        )
+        raise NotUltrametricError(_NEEDS_ULTRAMETRIC)
+    return _replay(dm.vertices, dm._merges, dm._rank_table()[1])
 
-    ordered = dm._rank_table()[1]
+
+def graph_dendrogram(g: LabeledGraph) -> Node:
+    """The merge tree of the space a connected labeled graph generates.
+
+    Replays the merge events of the graph's own edge sweep, with no
+    distance matrix: the space is ultrametric exactly when no merge
+    happens at height ``0``.  The result equals
+    ``dendrogram(distance_matrix(g))``.  In place of that route's
+    validation, besides the sweep's count of merges and the height check
+    of :class:`Merge`, every internal node must have a leaf child: the
+    endpoint labeled ``h`` of an edge merging at ``h`` is at distance
+    exactly ``h`` from every other point of the new cluster.
+    """
+    merges, ordered = _merge_events(g)
+    if merges and merges[0][0] == 0:
+        raise NotUltrametricError(_NEEDS_ULTRAMETRIC)
+    root = _replay(g.vertices, merges, ordered)
+    stack = [root] if isinstance(root, Merge) else []
+    while stack:
+        node = stack.pop()
+        below = [child for child in node.children if isinstance(child, Merge)]
+        if len(below) == len(node.children):
+            raise InternalCheckError(f"merge at height {node.height} has no leaf child")
+        stack.extend(below)
+    return root
+
+
+def _replay(
+    vertices: Sequence[str], merges: Iterable[tuple[int, int, int]], ordered: Sequence
+) -> Node:
+    """Replay Kruskal merge events ``(w, a, b)`` into a merge tree.
+
+    Events come in ascending order of their rank ``w``, with ``a`` and
+    ``b`` the indices of the two clusters' roots; ``a`` roots the union,
+    and ``ordered[w]`` is the height.  A merged cluster stays open at
+    its height until it merges again higher up, so clusters chaining
+    together at one height share a single multiway node.  Heights are
+    ranks until a :class:`Merge` is built.  Children are ordered by their
+    first vertex in declaration order, so the tree does not depend on the
+    order of events at one height.
+    """
 
     def close(height: int, kids: list[tuple[int, Node]]) -> tuple[int, Node]:
         if len(kids) == 1:
@@ -79,8 +121,8 @@ def dendrogram(dm: DistanceMatrix) -> Node:
         return kids[0][0], Merge(ordered[height], tuple(node for _, node in kids))
 
     # cluster root -> (height rank, [(first leaf index, child)]); leaves sit at 0
-    open_at = {i: (0, [(i, Leaf(v))]) for i, v in enumerate(dm.vertices)}
-    for w, a, b in dm._merges:
+    open_at = {i: (0, [(i, Leaf(v))]) for i, v in enumerate(vertices)}
+    for w, a, b in merges:
         kids: list[tuple[int, Node]] = []
         for root in (a, b):
             height, sub = open_at.pop(root)

@@ -14,8 +14,8 @@ sweep to a distance matrix, its validation and the ultrametric check.
 This is exact.  The rank map is strictly increasing and every distance
 is a label, so ``max``, ``<``, ``==`` and the sizes of distance sets
 come out the same on ranks as on the Fractions.  Only the GH labelings
-are mapped back to Fractions, to build their distance sets and
-canonical forms through the public routes.
+are mapped back to Fractions, to read their distance sets and canonical
+forms off the merge events of their own edge sweeps.
 
 Exhaustive mode goes one step further and checks each label *pattern*
 once per tree: the dense rank tuple over ``1 .. m`` with the same weak
@@ -46,8 +46,8 @@ from math import comb
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from .analysis import _tree_criteria, distance_set, is_gh
-from .dendrograms import are_isometric, canonical_form, dendrogram
+from .analysis import _generated_distance_set, _tree_criteria, distance_set, is_gh
+from .dendrograms import are_isometric, canonical_form, dendrogram, graph_dendrogram
 from .graphs import (
     CapExceededError,
     LabeledGraph,
@@ -58,7 +58,6 @@ from .graphs import (
 from .metrics import (
     DistanceMatrix,
     InternalCheckError,
-    distance_matrix,
     oracle_matrix,
 )
 
@@ -281,14 +280,14 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
             gh = sorted(ranks for pattern in gh for ranks in _images(pattern, k))
         for ranks in gh:
             labeling = tuple(cfg.universe[r - 1] for r in ranks)
-            dm = distance_matrix(skeleton.with_labels(dict(zip(names, labeling))))
+            g = skeleton.with_labels(dict(zip(names, labeling)))
             entries.append(
                 (
                     tree_index,
                     labeling,
                     edges,
-                    distance_set(dm),
-                    canonical_form(dendrogram(dm)),
+                    _generated_distance_set(g)[0],
+                    canonical_form(graph_dendrogram(g)),
                 )
             )
     return trees, labelings, entries

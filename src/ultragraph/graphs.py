@@ -185,6 +185,8 @@ def _rational(token: str, what: str) -> Fraction:
     spends seconds on ``10**exp``.  A refused token raises ``ValueError``
     naming it as ``what``.
     """
+    if "_" in token:  # digit separators, which Fraction takes from 3.11 on
+        raise ValueError(f"malformed {what} {token!r}")
     limit = _int_digits_limit()
     mantissa, e, exponent = token.lower().partition("e")
     try:
@@ -286,23 +288,27 @@ def parse_graph(text: str) -> LabeledGraph:
 # -- predicates and traversals -----------------------------------------
 
 
-def _bfs_order(g: LabeledGraph, start: str) -> list[str]:
-    seen = {start}
-    order = [start]
+def _bfs(g: LabeledGraph, start: str) -> dict[str, tuple[str | None, int]]:
+    """Breadth-first search from ``start``: each reached vertex -> (parent, level).
+
+    Neighbors are scanned in declaration order, and the dict keeps the
+    order of discovery; ``start`` has parent ``None`` and level ``0``.
+    """
+    found: dict[str, tuple[str | None, int]] = {start: (None, 0)}
     queue = deque([start])
     while queue:
         u = queue.popleft()
+        level = found[u][1] + 1
         for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
+            if w not in found:
+                found[w] = (u, level)
                 queue.append(w)
-    return order
+    return found
 
 
 def connectivity_witness(g: LabeledGraph) -> tuple[str, str] | None:
     """``None`` if connected, else a pair of vertices in different components."""
-    reached = set(_bfs_order(g, g.vertices[0]))
+    reached = _bfs(g, g.vertices[0])
     for v in g.vertices:
         if v not in reached:
             return (g.vertices[0], v)
@@ -337,18 +343,9 @@ def spanning_tree(g: LabeledGraph) -> LabeledGraph:
     deterministic function of the input document.  Labels carry over.
     """
     require_connected(g)
-    root = g.vertices[0]
-    seen = {root}
-    tree_edges: list[tuple[str, str]] = []
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in seen:
-                seen.add(w)
-                tree_edges.append((u, w))
-                queue.append(w)
-    return LabeledGraph(g.vertices, tuple(tree_edges), dict(g.labels))
+    found = _bfs(g, g.vertices[0])
+    tree_edges = tuple((u, w) for w, (u, _level) in found.items() if u is not None)
+    return LabeledGraph(g.vertices, tree_edges, dict(g.labels))
 
 
 def enumerate_simple_paths(g: LabeledGraph, x: str, y: str) -> Iterator[tuple[str, ...]]:
@@ -461,12 +458,4 @@ def root_levels(t: LabeledGraph, root: str) -> dict[str, int]:
         raise ValueError(f"unknown root {root!r}")
     if not is_tree(t):
         raise NotATreeError("root levels are only defined for trees")
-    levels = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in t.neighbors(u):
-            if w not in levels:
-                levels[w] = levels[u] + 1
-                queue.append(w)
-    return levels
+    return {v: level for v, (_parent, level) in _bfs(t, root).items()}

@@ -7,6 +7,12 @@ equals the minimax (bottleneck) path distance for the edge weights
 computes with a sorted-edge union-find sweep.  A literal path-by-path
 evaluation is kept alongside as :func:`distance_oracle`.
 
+The sweep's merge events (:func:`_merge_events`) are the whole space
+(single linkage, Gower and Ross 1969): ``d(x, y)`` is the height of the
+merge that first joins ``x`` and ``y``.  So the distance set, the
+classification and the dendrogram of a graph's space need no matrix;
+:func:`distance_matrix` fills the n² matrix for callers that print it.
+
 Everything is exact: ``Fraction`` at the API boundary, ranks inside.
 Labels, weights and distances are :class:`fractions.Fraction` values
 wherever they enter or leave.  Every distance is ``0`` or one of the
@@ -41,6 +47,7 @@ from .graphs import (
     _read_records,
     _require_cap,
     enumerate_simple_paths,
+    require_connected,
 )
 
 ULTRAMETRIC = "ultrametric"
@@ -391,35 +398,53 @@ def _bottleneck_rows(
     return dist
 
 
-def _bottleneck_matrix(
-    vertices: tuple[str, ...],
-    rank_edges: Iterable[tuple[int, int, int]],
-    ordered: list[Fraction],
-) -> DistanceMatrix:
-    """Minimax distances for edges weighted by rank, as a :class:`DistanceMatrix`.
+def _sorted_edges(
+    rank_edges: Iterable[tuple[int, int, int]], ordered: Sequence
+) -> Iterator[tuple[int, int, int]]:
+    """``(r, i, j)`` edge triples sorted by their rank ``r``, ties in input order.
 
-    ``rank_edges`` holds ``(r, i, j)`` in declaration order, where ``r``
-    ranks the weight of edge ``{i, j}`` into ``ordered`` (see
-    :func:`_ranks`).  Ranks are bounded by ``len(ordered)``, so one stable
-    bucket pass sorts the edges, ties kept in declaration order.  The rank
-    map is strictly increasing and every distance is an edge weight or
-    ``0``, so the minimax matrix is the same as a sweep over the Fractions
-    themselves.  The matrix keeps the rank rows alongside its entries.
+    ``r`` ranks the edge's weight into ``ordered`` (see :func:`_ranks`).
+    Ranks are bounded by ``len(ordered)``, so one stable bucket pass
+    sorts them.  The rank map is strictly increasing and every distance
+    is an edge weight or ``0``, so a sweep over the ranks joins the same
+    clusters at the same heights as a sweep over the values themselves.
     """
     buckets: list[list[tuple[int, int, int]]] = [[] for _ in ordered]
     for edge in rank_edges:
         buckets[edge[0]].append(edge)
-    rows = _bottleneck_rows(vertices, chain.from_iterable(buckets))
-    return DistanceMatrix._from_ranks(vertices, rows, ordered)
+    return chain.from_iterable(buckets)
 
 
-def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
-    """All pairwise labeled distances of a connected graph, exactly."""
+def _label_edges(g: LabeledGraph) -> tuple[Iterator[tuple[int, int, int]], list[Fraction]]:
+    """The edges weighted ``max(l(u), l(v))`` as sorted rank triples, with the rank table."""
     index = g._index
     rank, ordered = _ranks([g.labels[v] for v in g.vertices])
     rank_of = dict(zip(g.vertices, rank))
     rank_edges = ((max(rank_of[u], rank_of[v]), index[u], index[v]) for u, v in g.edges)
-    return _bottleneck_matrix(g.vertices, rank_edges, ordered)
+    return _sorted_edges(rank_edges, ordered), ordered
+
+
+def _merge_events(g: LabeledGraph) -> tuple[list[tuple[int, int, int]], list[Fraction]]:
+    """The merge events of a connected graph's edge sweep, and the rank table.
+
+    Events are ``(w, a, b)``, ascending in ``w``, as :func:`_validate_rows`
+    returns them.  A connected graph has exactly ``n - 1``; fewer mean a
+    disconnected graph, reported with the witness of
+    :func:`ultragraph.graphs.require_connected`.
+    """
+    n = len(g.vertices)
+    edges, ordered = _label_edges(g)
+    merges = [(w, a[0], b[0]) for w, a, b in _sweep(n, edges)]
+    if len(merges) != n - 1:
+        require_connected(g)
+        raise InternalCheckError(f"sweep made {len(merges)} merges on {n} connected vertices")
+    return merges, ordered
+
+
+def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
+    """All pairwise labeled distances of a connected graph, exactly."""
+    edges, ordered = _label_edges(g)
+    return DistanceMatrix._from_ranks(g.vertices, _bottleneck_rows(g.vertices, edges), ordered)
 
 
 def rho_w(wg: WeightedGraph) -> DistanceMatrix:
@@ -427,7 +452,8 @@ def rho_w(wg: WeightedGraph) -> DistanceMatrix:
     index = wg.skeleton._index
     rank, ordered = _ranks([wg.weights[e] for e in wg.edges])
     rank_edges = ((r, index[u], index[v]) for r, (u, v) in zip(rank, wg.edges))
-    return _bottleneck_matrix(wg.vertices, rank_edges, ordered)
+    rows = _bottleneck_rows(wg.vertices, _sorted_edges(rank_edges, ordered))
+    return DistanceMatrix._from_ranks(wg.vertices, rows, ordered)
 
 
 def distance_oracle(

@@ -25,6 +25,7 @@ from ultragraph import (
     NotUltrametricError,
     check_edge_bound,
     check_gomory_hu,
+    classify_metric,
     distance_matrix,
     distance_set,
     gh_labeling,
@@ -270,6 +271,8 @@ def test_report_never_trips_its_own_checks(g):
         assert len(set(report.tree_equivalences)) == 1
     # The report's own counts agree with the public routes.
     dm = distance_matrix(g)
+    assert report.distance_set == distance_set(dm)
+    assert report.classification == classify_metric(dm)
     assert report.edge_bound_holds == check_edge_bound(g, dm).holds
     if report.classification == ULTRAMETRIC:
         assert report.gh == is_gh(dm)
@@ -299,16 +302,24 @@ def _count_calls(monkeypatch, names):
     return counts
 
 
-_PASSES = ("_ranks", "_bottleneck_rows", "_validate_rows", "distance_set", "connectivity_witness")
+_PASSES = (
+    "_ranks",
+    "distance_matrix",
+    "_bottleneck_rows",
+    "_validate_rows",
+    "distance_set",
+    "connectivity_witness",
+)
 
 
-def test_report_builds_one_matrix(monkeypatch):
-    # One rank pass, one sweep, one validation and one distance set; the
-    # sweep proves the graph connected, so no BFS runs either.
+def test_report_builds_no_matrix(monkeypatch):
+    # One rank pass feeds one edge sweep, whose merges give the report:
+    # no matrix, no validation, no distance set of a matrix; the sweep
+    # proves the graph connected, so no BFS runs either.
     counts = _count_calls(monkeypatch, _PASSES)
     report = gh_report(path_graph(1, 2, 3))
     assert report.gh and report.tree_equivalences == (True,) * 4
-    assert counts == dict(zip(_PASSES, (1, 1, 1, 1, 0)))
+    assert counts == dict(zip(_PASSES, (1, 0, 0, 0, 0, 0)))
 
 
 @pytest.mark.parametrize(
@@ -317,4 +328,4 @@ def test_report_builds_one_matrix(monkeypatch):
 def test_report_gate_needs_no_second_pass(monkeypatch, g):
     counts = _count_calls(monkeypatch, _PASSES)
     assert gh_report(g).tree_equivalences is None
-    assert counts == dict(zip(_PASSES, (1, 1, 1, 1, 0)))
+    assert counts == dict(zip(_PASSES, (1, 0, 0, 0, 0, 0)))

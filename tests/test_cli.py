@@ -4,9 +4,11 @@ import hashlib
 import json
 import random
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from fractions import Fraction
 from io import StringIO
 
 import pytest
@@ -16,10 +18,13 @@ from hypothesis import strategies as st
 from conftest import PARSE_CASES, recursion_headroom
 from ultragraph import (
     DistanceMatrix,
+    Leaf,
+    Merge,
     canonical_form,
     cli,
     dendrogram,
     distance_matrix,
+    metrics,
     parse_graph,
 )
 from ultragraph.cli import main
@@ -339,6 +344,24 @@ def test_explore_rejects_bad_universe(monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_digit_separators_are_refused_on_every_version(graph_file, monkeypatch, capsys):
+    # Fraction accepts "1_000" from Python 3.11 on; the grammar has no "_".
+    def no_search(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    monkeypatch.setattr(cli, "search_conjecture", no_search)
+    for token in ("1_000", "1e1_0"):
+        labeled = graph_file(f"v a {token}\nv b 1\ne a b\n", "l.graph")
+        weighted = graph_file(f"v a\nv b\ne a b {token}\n", "w.graph")
+        for argv, message in (
+            (["check", labeled], "line 1: malformed label"),
+            (["realizable", weighted], "line 3: malformed weight"),
+            (["explore", "--labels", f"1,{token}"], "malformed label"),
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr() == ("", f"error: {message} {token!r}\n")
+
+
 # -- pinned outputs --------------------------------------------------------
 
 # Label spellings with ties, zeros and one value written three ways.
@@ -545,6 +568,70 @@ def test_deep_dendrogram_json_needs_no_recursion(graph_file, capsys):
         code = main(["canon", "--format", "json", path])
     out, err = capsys.readouterr()
     assert (code, out, err) == (0, expected, "")
+
+
+def test_long_path_reports_without_a_matrix(tmp_path, monkeypatch, capsys):
+    # check, canon and isometric read the edge sweep's merges; the matrix
+    # sweep and its validation are quadratic in n and must not run.
+    def no_matrix(*_args):
+        raise AssertionError("an n^2 matrix was built")
+
+    monkeypatch.setattr(metrics, "_bottleneck_rows", no_matrix)
+    monkeypatch.setattr(metrics, "_validate_rows", no_matrix)
+    n = 3000
+    path = tmp_path / "path.graph"
+    path.write_text(_ascending_path(n), encoding="utf-8")
+    assert main(["check", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("tree equivalences: true true true true\n")
+    assert main(["isometric", str(path), str(path)]) == 0
+    assert capsys.readouterr() == ("true\n", "")
+
+    # The JSON nests 2n levels deep and its indentation makes it 144 MB:
+    # compare digests, streaming json.dumps's chunks in a thread with a
+    # deep stack.  The expected dendrogram is the chain built by hand.
+    out = _Digest()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert main(["canon", "--format", "json", str(path)]) == 0
+    node = Leaf("x0")
+    for k in range(1, n):
+        node = Merge(Fraction(k + 1), (node, Leaf(f"x{k}")))
+    doc = [{"path": str(path), "canonical_form": canonical_form(node)}]
+    doc[0]["dendrogram"] = to_json_dict(node)
+    expected = _Digest()
+
+    def dumps():
+        with recursion_headroom(4 * n):
+            for chunk in json.JSONEncoder(indent=2).iterencode(doc):
+                expected.write(chunk)
+            expected.write("\n")
+
+    _run_with_stack(dumps, 64 << 20)
+    assert out.hexdigest() == expected.hexdigest()
+
+
+class _Digest:
+    """A text sink that keeps only the sha256 of what it is written."""
+
+    def __init__(self):
+        self._h = hashlib.sha256()
+
+    def write(self, text):
+        self._h.update(text.encode())
+        return len(text)
+
+    def hexdigest(self):
+        return self._h.hexdigest()
+
+
+def _run_with_stack(fn, size, timeout=300):
+    old = threading.stack_size(size)
+    try:
+        worker = threading.Thread(target=fn, daemon=True)
+        worker.start()
+    finally:
+        threading.stack_size(old)
+    worker.join(timeout)
+    assert not worker.is_alive(), f"still running after {timeout} s"
 
 
 _json_values = st.recursive(

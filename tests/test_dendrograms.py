@@ -20,6 +20,8 @@ from conftest import (
     star_graph,
 )
 from ultragraph import (
+    DistanceMatrix,
+    InternalCheckError,
     LabeledGraph,
     Leaf,
     Merge,
@@ -28,9 +30,11 @@ from ultragraph import (
     canonical_form,
     dendrogram,
     distance_matrix,
+    graph_dendrogram,
     leaves,
     zero_quotient,
 )
+from ultragraph import dendrograms
 from ultragraph.dendrograms import to_json_dict
 
 
@@ -74,6 +78,8 @@ def test_canonical_renders_heights_in_lowest_terms():
 def test_degenerate_space_is_refused():
     with pytest.raises(NotUltrametricError):
         dendrogram(_space(path_graph(0, 0, 1)))
+    with pytest.raises(NotUltrametricError):
+        graph_dendrogram(path_graph(0, 0, 1))
     with pytest.raises(NotUltrametricError):
         are_isometric(_space(path_graph(0, 0, 1)), _space(path_graph(1, 2, 3)))
 
@@ -213,6 +219,59 @@ def test_merge_heights_reconstruct_the_matrix(g):
     heights = cophenetic_distances(node)
     for x, y, d in dm.pairs():
         assert heights[frozenset((x, y))] == d
+    merged = graph_dendrogram(g)
+    assert (to_json_dict(merged), canonical_form(merged)) == (
+        to_json_dict(node),
+        canonical_form(node),
+    )
+
+
+@given(connected_graphs())
+def test_both_routes_refuse_exactly_the_degenerate_spaces(g):
+    try:
+        expected = to_json_dict(dendrogram(_space(g)))
+    except NotUltrametricError:
+        with pytest.raises(NotUltrametricError):
+            graph_dendrogram(g)
+    else:
+        assert to_json_dict(graph_dendrogram(g)) == expected
+
+
+@given(connected_graphs(pool=POSITIVE_POOL))
+def test_every_merge_of_a_generated_space_has_a_leaf_child(g):
+    # Judged on the matrix route, which does not run the check.
+    stack = [dendrogram(_space(g))]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Merge):
+            assert any(isinstance(child, Leaf) for child in node.children)
+            stack.extend(node.children)
+
+
+def _two_pairs():
+    # d(a,b) = d(c,d) = 1 and every other distance 2: an ultrametric no
+    # labeled graph generates, since its root has no leaf child.
+    one, two = Fraction(1), Fraction(2)
+    return DistanceMatrix(
+        ("a", "b", "c", "d"),
+        ((0, one, two, two), (one, 0, two, two), (two, two, 0, one), (two, two, one, 0)),
+    )
+
+
+def test_matrix_route_accepts_a_root_without_leaf_children():
+    ab = Merge(Fraction(1), (Leaf("a"), Leaf("b")))
+    cd = Merge(Fraction(1), (Leaf("c"), Leaf("d")))
+    assert dendrogram(_two_pairs()) == Merge(Fraction(2), (ab, cd))
+
+
+def test_graph_route_checks_for_leaf_children(monkeypatch):
+    dm = _two_pairs()
+    dm.validate()
+    monkeypatch.setattr(
+        dendrograms, "_merge_events", lambda _g: (dm._merges, dm._rank_table()[1])
+    )
+    with pytest.raises(InternalCheckError, match="^merge at height 2 has no leaf child$"):
+        graph_dendrogram(path_graph(1, 2, 3, 4))
 
 
 @given(connected_graphs(pool=POSITIVE_POOL), st.randoms(use_true_random=False))

@@ -2,7 +2,7 @@
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +27,7 @@ from ultragraph import (
     DisconnectedGraphError,
     DistanceMatrix,
     GraphFormatError,
+    InternalCheckError,
     LabeledGraph,
     MatrixInvariantError,
     NotUltrametricError,
@@ -39,6 +40,8 @@ from ultragraph import (
     distance_set,
     edge_weights,
     enumerate_simple_paths,
+    gh_report,
+    graph_dendrogram,
     is_nondegenerate,
     is_weight_realizable,
     oracle_matrix,
@@ -46,6 +49,7 @@ from ultragraph import (
     rho_w,
     zero_quotient,
 )
+from ultragraph import metrics
 
 
 def _weighted_triangle(wab, wbc, wca) -> WeightedGraph:
@@ -116,6 +120,24 @@ def test_disconnected_input_names_witnesses():
     with pytest.raises(DisconnectedGraphError) as err:
         distance_matrix(g)
     assert err.value.witnesses == ("a", "c")
+
+
+@pytest.mark.parametrize(
+    "edges, witnesses", [([(0, 1)], ("a", "c")), ([(1, 2)], ("a", "b")), ([], ("a", "b"))]
+)
+def test_merge_route_names_the_matrix_witnesses(edges, witnesses):
+    g = graph_on(4, edges, (1, 2, 3, 4))
+    for route in (distance_matrix, gh_report, graph_dendrogram):
+        with pytest.raises(DisconnectedGraphError) as err:
+            route(g)
+        assert err.value.witnesses == witnesses
+
+
+def test_merge_route_counts_its_merges(monkeypatch):
+    real = metrics._sweep
+    monkeypatch.setattr(metrics, "_sweep", lambda n, pairs: islice(real(n, pairs), n - 2))
+    with pytest.raises(InternalCheckError, match="^sweep made 1 merges on 3 connected"):
+        gh_report(path_graph(1, 2, 3))
 
 
 # -- the slow route ---------------------------------------------------------
