@@ -4,8 +4,8 @@ The distance between two vertices of a connected labeled graph is the
 smallest over all joining paths of the largest vertex label on the
 path.  This package computes those distances exactly, classifies the
 resulting spaces by their distance sets, builds canonical dendrograms
-for isometry testing, and searches small trees for distance-set
-collisions.
+for isometry testing, and counts the GH spaces of small trees per
+distance set, checking that each is the caterpillar of its distance set.
 """
 
 from .analysis import (
@@ -41,7 +41,6 @@ from .explore import (
     SpaceWitness,
     reverify_counterexample,
     search_conjecture,
-    write_counterexample_files,
 )
 from .graphs import (
     CapExceededError,

@@ -272,9 +272,9 @@ def gh_report(g: LabeledGraph) -> GHReport:
     d_set, ultrametric = _generated_distance_set(g)
     size, n, m = len(d_set), len(g.vertices), len(g.edges)
     if size > m + 1:
-        raise InternalCheckError("edge bound |D| <= |E|+1 failed")
+        raise InternalCheckError(f"edge bound |D| <= |E|+1 failed: |D| = {size}, |E| = {m}")
     if size > n:
-        raise InternalCheckError("inequality |D| <= |X| failed")
+        raise InternalCheckError(f"inequality |D| <= |X| failed: |D| = {size}, |X| = {n}")
 
     tree_eq = None
     # The sweep proved g connected, so it is a tree exactly when |E| = |V| - 1;

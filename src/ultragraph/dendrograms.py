@@ -133,7 +133,10 @@ def _replay(
         open_at[a] = (w, kids)
 
     if len(open_at) != 1:
-        raise InternalCheckError("dendrogram construction left unmerged clusters")
+        roots = ", ".join(repr(vertices[i]) for i in sorted(open_at))
+        raise InternalCheckError(
+            f"dendrogram construction left {len(open_at)} unmerged clusters, rooted at {roots}"
+        )
     ((height, kids),) = open_at.values()
     return close(height, kids)[1]
 

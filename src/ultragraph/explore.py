@@ -1,11 +1,36 @@
-"""Search for distance-set collisions among GH tree spaces.
+"""Count GH tree spaces per distance set, checking that each is a caterpillar.
 
 The question driving this module: if two labeled trees generate GH
-spaces with the same distance set, must the spaces be isometric?  The
-search enumerates trees by Pruefer sequence, bind labelings over a
-finite universe, keeps the GH spaces, buckets them by distance set, and
-compares canonical forms inside each bucket.  A report claims nothing
-beyond the universe it states.
+spaces with the same distance set, must the spaces be isometric?  They
+must, on any connected graph:
+
+Proposition.  Two GH spaces generated by connected labeled graphs with
+the same distance set ``{0, h_1 < ... < h_{n-1}}`` are isometric: the
+dendrogram of each is the caterpillar with those heights, whose
+canonical form is ``(h_{n-1}(...(h_1··)·)...·)``.
+
+Proof.  A GH space on ``n`` points has ``n - 1`` distinct positive
+distances, and each is the height of at least one internal node of its
+dendrogram, so the dendrogram has at least ``n - 1`` internal nodes.  A
+rooted tree with ``n`` leaves whose internal nodes have at least two
+children has at most ``n - 1``, with equality exactly when it is binary;
+so the dendrogram is binary and each height sits at exactly one node.
+In a generated space every internal node has a leaf child: the
+endpoint labeled ``h`` of an edge merging at ``h`` is at distance at
+least ``h`` from every other point (:func:`graph_dendrogram` checks
+this).  A binary tree whose internal nodes all have a leaf child is a
+caterpillar: its internal nodes form one chain, here with heights
+rising toward the root, so the heights fix the tree.  Equal canonical
+forms mean isometric spaces.
+
+The search enumerates trees by Pruefer sequence and labelings over a
+finite universe, keeps the GH spaces and counts them per distance set.
+Each GH space's canonical form is checked against the caterpillar of
+its distance set, which is stronger than comparing the forms inside
+each distance set; a failure raises :class:`InternalCheckError`.
+``pairs_tested`` counts the pairs of GH spaces sharing a distance set,
+the pairs the proposition covers.  A report claims nothing beyond the
+universe it states.
 
 Labelings are scanned as tuples of integer ranks ``1 .. k`` into the
 sorted universe, and every per-labeling check runs on those ints: the
@@ -23,13 +48,13 @@ order as the labeling.  A pattern with ``m`` values stands for the
 ``C(k, m)`` labelings it maps to under the strictly increasing maps
 ``{1 .. m} -> {1 .. k}``, and by the argument above every check comes
 out the same on each of them as on the pattern.  So each pattern is
-checked once and counted ``C(k, m)`` times, and only GH patterns are
-expanded, each labeling going down the Fraction route by itself.
+checked once and counted ``C(k, m)`` times, and only the labelings of
+GH patterns are streamed, each going down the Fraction route by itself.
 
 Work is partitioned by the first Pruefer symbol, and each shard
 enumerates only its own block of sequences, so shards can run in
-parallel processes; merging is order-independent and the emitted report
-is byte-identical for every parallelism width.
+parallel processes; merging adds up counts, so the emitted report is
+byte-identical for every parallelism width.
 """
 
 from __future__ import annotations
@@ -37,17 +62,17 @@ from __future__ import annotations
 import json
 import os
 import random
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from .analysis import _generated_distance_set, _tree_criteria, distance_set, is_gh
-from .dendrograms import are_isometric, canonical_form, dendrogram, graph_dendrogram
+from .dendrograms import LEAF_MARK, are_isometric, canonical_form, dendrogram, graph_dendrogram
 from .graphs import (
     CapExceededError,
     LabeledGraph,
@@ -232,16 +257,28 @@ def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]
         yield base + k, (prefix, *rest)
 
 
-def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
+def _caterpillar(dset: tuple[Fraction, ...]) -> str:
+    """The canonical form of the caterpillar with heights ``dset[1:]``.
+
+    ``(h_{n-1}(...(h_1··)·)...·)``: by the proposition in the module
+    docstring, the form of every GH space with distance set ``dset``.
+    """
+    form = LEAF_MARK
+    for height in dset[1:]:
+        form = f"({height}{form}{LEAF_MARK})"
+    return form
+
+
+def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
     """Scan the trees whose Pruefer sequence starts with ``prefix``.
 
-    Returns entry tuples ``(tree_index, labeling, edges, distance_set,
-    canonical_form)`` for every GH space found, in deterministic order.
-    Labelings are scanned as rank tuples (see the module docstring).
-    Exhaustive mode checks each label pattern once and counts it
-    ``C(k, m)`` times, then expands the GH patterns and lists their
-    labelings in product order; sampled mode checks each draw, in draw
-    order.  Only GH labelings are turned back into Fractions, one by one.
+    Returns ``(trees, labelings, counts)``, where ``counts`` maps each
+    distance set to the number of GH spaces found with it.  Labelings
+    are scanned as rank tuples (see the module docstring).  Exhaustive
+    mode checks each label pattern once and counts it ``C(k, m)`` times,
+    then streams the labelings of the GH patterns; sampled mode checks
+    each draw.  Each GH labeling is turned back into Fractions and its
+    canonical form checked against the caterpillar of its distance set.
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
@@ -250,7 +287,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
     zero_labels = dict.fromkeys(names, 0)
     trees = 0
     labelings = 0
-    entries: list = []
+    counts: Counter = Counter()
 
     for tree_index, seq in _pruefer_block(n, prefix):
         index_edges = tree_from_pruefer(seq, n)
@@ -266,7 +303,6 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
             classes: Iterable[tuple[tuple[int, ...], int]] = _patterns(n, k)
         else:
             classes = ((ranks, 1) for ranks in _labelings(cfg, n, tree_index))
-        gh: list[tuple[int, ...]] = []
         for ranks, count in classes:
             labelings += count
             verdicts = _tree_criteria(names, index_edges, ranks, degree_total, ordered)
@@ -274,23 +310,21 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, list]:
                 raise InternalCheckError(
                     f"tree criteria disagree on {edges} with label ranks {ranks}"
                 )
-            if verdicts[0]:
-                gh.append(ranks)
-        if cfg.mode == EXHAUSTIVE:
-            gh = sorted(ranks for pattern in gh for ranks in _images(pattern, k))
-        for ranks in gh:
-            labeling = tuple(cfg.universe[r - 1] for r in ranks)
-            g = skeleton.with_labels(dict(zip(names, labeling)))
-            entries.append(
-                (
-                    tree_index,
-                    labeling,
-                    edges,
-                    _generated_distance_set(g)[0],
-                    canonical_form(graph_dendrogram(g)),
-                )
-            )
-    return trees, labelings, entries
+            if not verdicts[0]:
+                continue
+            for image in _images(ranks, k) if cfg.mode == EXHAUSTIVE else (ranks,):
+                labeling = tuple(cfg.universe[r - 1] for r in image)
+                g = skeleton.with_labels(dict(zip(names, labeling)))
+                dset = _generated_distance_set(g)[0]
+                form, expected = canonical_form(graph_dendrogram(g)), _caterpillar(dset)
+                if form != expected:
+                    raise InternalCheckError(
+                        "GH space is not the caterpillar of its distance set: tree "
+                        f"{edges} labeled ({', '.join(map(str, labeling))}) has form "
+                        f"{form}, not {expected}"
+                    )
+                counts[dset] += 1
+    return trees, labelings, counts
 
 
 def reverify_counterexample(ce: Counterexample) -> bool:
@@ -320,8 +354,11 @@ def search_conjecture(
     """Run the search over every tree size from 2 to ``cfg.n_max``.
 
     Exhaustive mode is capped at 7 vertices (the labeling product grows
-    too fast beyond that); sampled mode at 8.  Every counterexample is
-    re-verified from scratch before it is allowed into the report.
+    too fast beyond that); sampled mode at 8.  Shards return counts per
+    distance set; ``pairs_tested`` adds up ``C(c, 2)`` over the merged
+    counts.  Every GH space found is checked against the proposition of
+    the module docstring, so ``counterexamples`` is always empty and a
+    failed check raises :class:`InternalCheckError`.
     """
     cap = 7 if cfg.mode == EXHAUSTIVE else 8
     if cfg.n_max > cap:
@@ -342,60 +379,23 @@ def search_conjecture(
 
         trees = sum(r[0] for r in results)
         labelings = sum(r[1] for r in results)
-        # Shards cover ascending Pruefer-prefix blocks, so concatenation
-        # reproduces the sequential scan order exactly.
-        entries = [entry for r in results for entry in r[2]]
-
-        buckets: dict[tuple[Fraction, ...], list] = {}
-        canon_to_set: dict[str, tuple[Fraction, ...]] = {}
-        for entry in entries:
-            dset, canon = entry[3], entry[4]
-            buckets.setdefault(dset, []).append(entry)
-            known = canon_to_set.setdefault(canon, dset)
-            if known != dset:
-                raise InternalCheckError(
-                    "isometric spaces with different distance sets: " + canon
-                )
-
-        pairs_tested = 0
-        counterexamples: list[Counterexample] = []
-        for dset, bucket in buckets.items():
-            pairs_tested += len(bucket) * (len(bucket) - 1) // 2
-            by_form: dict[str, tuple] = {}
-            for entry in bucket:
-                by_form.setdefault(entry[4], entry)
-            if len(by_form) > 1:
-                reps = list(by_form.values())
-                for i in range(len(reps)):
-                    for j in range(i + 1, len(reps)):
-                        counterexamples.append(
-                            Counterexample(
-                                n,
-                                dset,
-                                _witness(reps[i]),
-                                _witness(reps[j]),
-                            )
-                        )
-
-        for ce in counterexamples:
-            if not reverify_counterexample(ce):
-                raise InternalCheckError("counterexample failed re-verification")
-
+        counts = sum((r[2] for r in results), Counter())
+        gh_spaces = sum(counts.values())
+        pairs_tested = sum(comb(c, 2) for c in counts.values())
         runs.append(
             RunRecord(
                 n=n,
                 trees_examined=trees,
                 labelings_examined=labelings,
-                gh_spaces=len(entries),
+                gh_spaces=gh_spaces,
                 pairs_tested=pairs_tested,
-                counterexamples=tuple(counterexamples),
+                counterexamples=(),
             )
         )
         if progress is not None:
             progress(
                 f"n={n}: trees={trees} labelings={labelings} "
-                f"gh={len(entries)} pairs={pairs_tested} "
-                f"counterexamples={len(counterexamples)}"
+                f"gh={gh_spaces} pairs={pairs_tested}"
             )
 
     return ConjectureReport(
@@ -406,23 +406,3 @@ def search_conjecture(
         samples_per_tree=cfg.samples_per_tree,
         runs=tuple(runs),
     )
-
-
-def _witness(entry: tuple) -> SpaceWitness:
-    tree_index, labeling, edges, _dset, canon = entry
-    names = tuple(str(i + 1) for i in range(len(labeling)))
-    graph = LabeledGraph(names, edges, dict(zip(names, labeling)))
-    return SpaceWitness(graph=graph, canonical=canon)
-
-
-def write_counterexample_files(report: ConjectureReport, out_dir: str | Path) -> list[Path]:
-    """Dump each counterexample as a pair of graph files for re-checking."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for k, ce in enumerate(report.counterexamples):
-        for tag, witness in (("a", ce.first), ("b", ce.second)):
-            path = out / f"counterexample_n{ce.n}_{k:03d}_{tag}.graph"
-            path.write_text(witness.graph.to_text())
-            written.append(path)
-    return written

@@ -64,7 +64,8 @@ def _coerce_rational(value) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        # The graph-file grammar; the caller applies its own sign rule.
+        return _number(value, "number")
     raise TypeError(
         f"expected a Fraction, int, or string, not {type(value).__name__}"
         " (floats are rejected to keep values exact)"
@@ -176,8 +177,8 @@ class LabeledGraph:
 # -- parsing -----------------------------------------------------------
 
 
-def _rational(token: str, what: str) -> Fraction:
-    """A non-negative rational token: ``3/2``, ``1.5`` or ``15e-1``.
+def _number(token: str, what: str) -> Fraction:
+    """A rational token of either sign: ``3/2``, ``-1.5`` or ``15e-1``.
 
     The int-string limit bounds the value, so that every output can print
     it: its numerator and denominator must have at most ``limit`` digits.
@@ -196,10 +197,16 @@ def _rational(token: str, what: str) -> Fraction:
         raise ValueError(f"malformed {what} {token!r}") from None
     if huge:
         raise ValueError(f"exponent of {what} {token!r} exceeds {limit}")
+    if limit and max(abs(value.numerator), value.denominator) >= _digits_bound(limit):
+        raise ValueError(f"{what} {token!r} has more than {limit} digits")
+    return value
+
+
+def _rational(token: str, what: str) -> Fraction:
+    """A non-negative :func:`_number`: the grammar of labels and weights."""
+    value = _number(token, what)
     if value < 0:
         raise ValueError(f"negative {what} {token!r}")
-    if limit and max(value.numerator, value.denominator) >= _digits_bound(limit):
-        raise ValueError(f"{what} {token!r} has more than {limit} digits")
     return value
 
 

@@ -20,9 +20,11 @@ from ultragraph import (
     DistanceMatrix,
     Leaf,
     Merge,
+    analysis,
     canonical_form,
     cli,
     dendrogram,
+    dendrograms,
     distance_matrix,
     metrics,
     parse_graph,
@@ -320,11 +322,12 @@ def test_explore_jobs_do_not_change_the_report(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_explore_out_dir_left_alone_without_counterexamples(tmp_path, capsys):
-    out_dir = tmp_path / "witnesses"
-    assert main(["explore", "--max-n", "2", "--out-dir", str(out_dir)]) == 0
-    capsys.readouterr()
-    assert not out_dir.exists()
+def test_explore_has_no_out_dir(capsys):
+    # The caterpillar check leaves no counterexample to write out.
+    with pytest.raises(SystemExit) as exit_:
+        main(["explore", "--max-n", "2", "--out-dir", "witnesses"])
+    assert exit_.value.code == 2
+    assert "--out-dir" in capsys.readouterr().err
 
 
 def test_explore_rejects_bad_universe(monkeypatch, capsys):
@@ -659,6 +662,58 @@ def test_deep_input_exits_3_with_one_line(graph_file, capsys, monkeypatch):
     assert err == (
         "internal check failed: recursion limit exceeded; the input nests too deeply\n"
     )
+
+
+def _without_last_merge(g):
+    merges, ordered = metrics._merge_events(g)
+    return merges[:-1], ordered
+
+
+# Each self-check that only a bug can fail, made to fail: its message
+# names the invariant and the sizes or clusters that broke it.
+@pytest.mark.parametrize(
+    "command, doc, module, name, fake, message",
+    [
+        (
+            "check",
+            P3,
+            analysis,
+            "_generated_distance_set",
+            lambda _g: ((0, 1, 2, 3), True),
+            "edge bound |D| <= |E|+1 failed: |D| = 4, |E| = 2",
+        ),
+        (
+            "check",
+            TRIANGLE,
+            analysis,
+            "_generated_distance_set",
+            lambda _g: ((0, 1, 2, 3), True),
+            "inequality |D| <= |X| failed: |D| = 4, |X| = 3",
+        ),
+        (
+            "canon",
+            P3,
+            dendrograms,
+            "_merge_events",
+            _without_last_merge,
+            "dendrogram construction left 2 unmerged clusters, rooted at 'a', 'c'",
+        ),
+        (
+            "quotient",
+            P3,
+            cli,
+            "zero_quotient",
+            lambda dm: (("a",), DistanceMatrix(("a",), ((0,),))),
+            "quotient changed the distance set: |D| = 3 on 3 vertices, 1 on 1 representatives",
+        ),
+    ],
+)
+def test_internal_checks_name_the_invariant_and_the_input(
+    graph_file, capsys, monkeypatch, command, doc, module, name, fake, message
+):
+    monkeypatch.setattr(module, name, fake)
+    assert main([command, graph_file(doc)]) == 3
+    assert capsys.readouterr() == ("", f"internal check failed: {message}\n")
 
 
 def test_interrupt_exits_130_with_one_line(graph_file, capsys, monkeypatch):

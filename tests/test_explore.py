@@ -1,8 +1,10 @@
-"""The distance-set collision search over small labeled trees."""
+"""The count of GH spaces per distance set over small labeled trees."""
 
+import gc
 import hashlib
 import json
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial
@@ -21,7 +23,9 @@ from ultragraph import (
     Counterexample,
     InternalCheckError,
     LabeledGraph,
+    Leaf,
     MatrixInvariantError,
+    Merge,
     NotUltrametricError,
     SearchConfig,
     SpaceWitness,
@@ -35,10 +39,10 @@ from ultragraph import (
     search_conjecture,
     tree_from_pruefer,
     tree_gh_report,
-    write_counterexample_files,
 )
 from ultragraph import analysis, explore
 from ultragraph.analysis import _tree_criteria
+from ultragraph.cli import main
 from ultragraph.explore import _images, _labelings, _patterns, _pruefer_block, _scan_shard
 
 U123 = (Fraction(1), Fraction(2), Fraction(3))
@@ -301,6 +305,14 @@ def _universes(max_size):
     ).filter(lambda u: any(q.denominator > 1 for q in u))
 
 
+def _caterpillar_form(dset):
+    """Canonical form of the chain of merges at ``dset[1:]``, each adding a leaf."""
+    node = Leaf("0")
+    for i, height in enumerate(dset[1:], start=1):
+        node = Merge(height, (node, Leaf(str(i))))
+    return canonical_form(node)
+
+
 @given(st.data())
 def test_pattern_scan_matches_the_labeling_scan(data):
     n = data.draw(st.integers(2, 5))
@@ -315,7 +327,90 @@ def test_pattern_scan_matches_the_labeling_scan(data):
     )
     for prefix in [0] if n == 2 else range(n):
         task = (cfg, n, prefix)
-        assert _scan_shard(task) == oracles.reference_scan_shard(task)
+        trees, labelings, entries = oracles.reference_scan_shard(task)
+        counts = Counter(entry[3] for entry in entries)
+        assert _scan_shard(task) == (trees, labelings, counts)
+        for entry in entries:
+            assert entry[4] == _caterpillar_form(entry[3])
+
+
+def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
+    monkeypatch.setattr(explore, "canonical_form", lambda _node: "(9··)")
+    with pytest.raises(InternalCheckError) as err:
+        search_conjecture(SearchConfig(n_max=2, universe=U123))
+    assert str(err.value) == (
+        "GH space is not the caterpillar of its distance set: "
+        "tree (('1', '2'),) labeled (1, 1) has form (9··), not (1··)"
+    )
+    assert main(["explore", "--max-n", "2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal check failed: GH space is not the caterpillar")
+
+
+def _gh_counts(n, k):
+    """An exhaustive run's counts from n and k = |U| alone, by counting arguments.
+
+    A GH tree space has edge maxima pairwise distinct, which depends
+    only on the weak order of its labels, with n or n - 1 blocks.  With
+    n blocks every vertex but the least has exactly one earlier
+    neighbour: n! orders, (n - 1)! recursive trees each, B in all.  With
+    n - 1 blocks the least block is a tied adjacent pair: A = B / 2.  A
+    space's distance set is {0} plus its values, less the least one when
+    there are n blocks; so a set whose least positive value has rank
+    ``lo`` is shared by A + B * (lo - 1) spaces, and C(k - lo, n - 2)
+    sets have that least value.
+    """
+    b = factorial(n) * factorial(n - 1)
+    a = b // 2
+    gh = a * comb(k, n - 1) + b * comb(k, n)
+    pairs = sum(comb(k - lo, n - 2) * comb(a + b * (lo - 1), 2) for lo in range(1, k + 1))
+    return n ** (n - 2), n ** (n - 2) * k**n, gh, pairs
+
+
+def _assert_counting_arguments(n_max, universe):
+    report = search_conjecture(SearchConfig(n_max=n_max, universe=universe))
+    k = len(report.universe)
+    assert [
+        (r.trees_examined, r.labelings_examined, r.gh_spaces, r.pairs_tested)
+        for r in report.runs
+    ] == [_gh_counts(n, k) for n in range(2, n_max + 1)]
+    assert report.counterexamples == ()
+
+
+@pytest.mark.parametrize("n_max, k", [(5, 1), (5, 2), (5, 3), (5, 4), (4, 5), (4, 6)])
+def test_exhaustive_counts_follow_the_counting_arguments(n_max, k):
+    _assert_counting_arguments(n_max, tuple(range(1, k + 1)))
+
+
+@given(_universes(6), st.integers(2, 4))
+def test_counting_arguments_hold_on_any_universe(universe, n_max):
+    _assert_counting_arguments(n_max, tuple(universe))
+
+
+def test_sampled_memory_does_not_grow_with_the_samples():
+    def peak(samples):
+        # CPython keeps up to 2000 freed tuples of each small size for
+        # reuse, and tracemalloc counts them: fill those free lists with
+        # untraced tuples first, so that the peak is the scan's own.
+        sizes = [list(range(size)) for size in range(1, 20)]
+        spare = [tuple(items) for items in sizes for _ in range(2000)]
+        del spare
+        tracemalloc.start()
+        try:
+            search_conjecture(
+                SearchConfig(n_max=4, universe=U123, mode=SAMPLED, samples_per_tree=samples)
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    gc.disable()  # a full collection empties the free lists
+    try:
+        peak(200)  # first-use allocations
+        assert peak(200) - peak(20) < 32_000
+    finally:
+        gc.enable()
 
 
 def test_rank_route_keeps_validate_and_the_ultrametric_check(monkeypatch):
@@ -438,36 +533,3 @@ def test_reverification_rejects_fabricated_counterexamples():
     # A fabricated pair that would re-verify does not exist in these
     # universes; the search itself asserts re-verification on anything
     # it ever reports.
-
-
-def test_counterexample_files_round_trip(tmp_path):
-    report = search_conjecture(SearchConfig(n_max=3, universe=U123))
-    assert write_counterexample_files(report, tmp_path) == []
-    assert list(tmp_path.iterdir()) == []
-
-    # force the writer down its real path with a fabricated report entry
-    fake = Counterexample(
-        4,
-        distance_set(distance_matrix(path_graph(1, 2, 3, 4))),
-        _witness_for(path_graph(1, 2, 3, 4)),
-        _witness_for(star_graph(1, 2, 3, 4)),
-    )
-    from ultragraph.explore import ConjectureReport, RunRecord
-
-    doctored = ConjectureReport(
-        n_max=4,
-        universe=U123,
-        mode=EXHAUSTIVE,
-        seed=0,
-        samples_per_tree=100,
-        runs=(RunRecord(4, 16, 81, 30, 13, (fake,)),),
-    )
-    written = write_counterexample_files(doctored, tmp_path / "out")
-    assert [p.name for p in written] == [
-        "counterexample_n4_000_a.graph",
-        "counterexample_n4_000_b.graph",
-    ]
-    from ultragraph import parse_graph
-
-    assert parse_graph(written[0].read_text()) == fake.first.graph
-    assert parse_graph(written[1].read_text()) == fake.second.graph

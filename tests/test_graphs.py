@@ -23,9 +23,11 @@ from conftest import (
 from ultragraph import (
     CapExceededError,
     DisconnectedGraphError,
+    DistanceMatrix,
     GraphFormatError,
     LabeledGraph,
     NotATreeError,
+    SearchConfig,
     connectivity_witness,
     enumerate_cycles,
     enumerate_simple_paths,
@@ -95,6 +97,20 @@ def test_constructor_rejects_an_edge_in_either_orientation_twice(edges, message)
 def test_inexact_label_types_rejected(bad):
     with pytest.raises(TypeError):
         LabeledGraph(("a",), (), {"a": bad})
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LabeledGraph(("a",), (), {"a": "1_000"}),
+        lambda: DistanceMatrix.from_csv("a,b\n0,1_0\n1_0,0\n"),
+        lambda: SearchConfig(n_max=2, universe=("1_0",)),
+    ],
+)
+def test_api_strings_follow_the_file_grammar(build):
+    # Fraction takes "1_000" from Python 3.11 on; no string the API reads does.
+    with pytest.raises(ValueError, match="^malformed number '1_0"):
+        build()
 
 
 def test_with_labels_keeps_structure():
