@@ -10,12 +10,11 @@ than the interpreter's recursion limit, and 130 when interrupted.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import lru_cache
 from pathlib import Path
 
-from .analysis import distance_set, gh_labeling, gh_report, level_labeling
+from .analysis import gh_labeling, gh_report, level_labeling
 from .dendrograms import Node, canonical_form, graph_dendrogram, to_json_dict
 from .explore import SearchConfig, search_conjecture
 from .graphs import DEFAULT_CYCLE_CAP, _rational, _require_cap, enumerate_cycles, parse_graph
@@ -25,11 +24,13 @@ from .metrics import (
     InternalCheckError,
     NotUltrametricError,
     WeightedGraph,
-    distance_matrix,
+    _distance_rows,
+    _json_scalar,
+    _render_rows,
+    _zero_classes,
     is_weight_realizable,
     oracle_matrix,
     parse_weighted_graph,
-    zero_quotient,
 )
 
 
@@ -37,70 +38,46 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8")
 
 
-def _matrix_text(dm: DistanceMatrix) -> str:
-    names = list(dm.vertices)
-    rows = dm._entry_strings()
-    name_w = max(len(s) for s in names)
-    col_w = [max(len(name), *map(len, col)) for name, col in zip(names, zip(*rows))]
-    lines = [" " * name_w + "  " + "  ".join(map(str.rjust, names, col_w))]
-    for name, row in zip(names, rows):
-        lines.append(name.ljust(name_w) + "  " + "  ".join(map(str.rjust, row, col_w)))
-    return "\n".join(lines) + "\n"
-
-
 _CONTAINERS = (dict, list, tuple)
-_json_scalar = json.JSONEncoder().encode
 
 
-def _json_text(doc) -> str:
-    """``json.dumps(doc, indent=2)`` plus a newline, without recursion.
+def _json_text(doc, write) -> None:
+    """Write ``json.dumps(doc, indent=2)`` plus a newline, without recursion.
 
     The standard encoder recurses once per nesting level, which a deep
-    dendrogram exceeds; this one keeps an explicit stack of text and of
-    non-empty containers still to open.  Scalars and empty containers go
-    through the standard encoder.  Keys must be strings.
+    dendrogram exceeds; this one keeps an explicit stack of pieces still
+    to write and hands each to ``write`` as it comes off the stack.  A
+    piece is text, an int ``k`` for a line break indented to level
+    ``k``, or a ``(value, level)`` pair still to encode.  Indentation is
+    made only when written, so the stack stays linear in the depth.
+    Scalars and empty containers go through the standard encoder.  Keys
+    must be strings.
     """
-    out: list[str] = []
     stack: list = [(doc, 0)]
     while stack:
         top = stack.pop()
         if isinstance(top, str):
-            out.append(top)
-            continue
-        value, level = top
-        if not isinstance(value, _CONTAINERS) or not value:
-            out.append(_json_scalar(value))
-            continue
-        inner = "\n" + "  " * (level + 1)
-        if isinstance(value, dict):
-            opener, closer = "{", "}"
-            items = [(inner + _json_scalar(key) + ": ", v) for key, v in value.items()]
+            write(top)
+        elif isinstance(top, int):
+            write("\n" + "  " * top)
         else:
-            opener, closer = "[", "]"
-            items = [(inner, v) for v in value]
-        todo = []
-        pending = [opener]
-        for k, (prefix, v) in enumerate(items):
-            pending.append("," + prefix if k else prefix)
-            if isinstance(v, _CONTAINERS) and v:
-                todo.append("".join(pending))
-                todo.append((v, level + 1))
-                pending = []
-            else:
-                pending.append(_json_scalar(v))
-        pending.append("\n" + "  " * level + closer)
-        todo.append("".join(pending))
-        stack.extend(reversed(todo))
-    return "".join(out) + "\n"
-
-
-def _emit_matrix(dm: DistanceMatrix, fmt: str) -> None:
-    if fmt == "csv":
-        sys.stdout.write(dm.to_csv())
-    elif fmt == "json":
-        sys.stdout.write(_json_text(dm.to_json_dict()))
-    else:
-        sys.stdout.write(_matrix_text(dm))
+            value, level = top
+            if not isinstance(value, _CONTAINERS) or not value:
+                write(_json_scalar(value))
+                continue
+            is_dict = isinstance(value, dict)
+            todo: list = ["{" if is_dict else "["]
+            for k, item in enumerate(value.items() if is_dict else value):
+                if k:
+                    todo.append(",")
+                todo.append(level + 1)
+                if is_dict:
+                    key, item = item
+                    todo.append(_json_scalar(key) + ": ")
+                todo.append((item, level + 1))
+            todo += [level, "}" if is_dict else "]"]
+            stack.extend(reversed(todo))
+    write("\n")
 
 
 def _bool(x: bool) -> str:
@@ -112,8 +89,9 @@ def cmd_dist(args: argparse.Namespace) -> int:
     if args.oracle:
         # Refuse before the sweep, which alone costs O(n^2) memory.
         _require_cap("oracle evaluation", len(g.vertices), DEFAULT_ORACLE_CAP)
-    dm = distance_matrix(g)
+    rows, ordered = _distance_rows(g)
     if args.oracle:
+        dm = DistanceMatrix._from_ranks(g.vertices, rows, ordered)
         om = oracle_matrix(g)
         if om.entries != dm.entries:
             for x, y, d in dm.pairs():
@@ -124,14 +102,14 @@ def cmd_dist(args: argparse.Namespace) -> int:
                     )
                     break
             return 3
-    _emit_matrix(dm, args.format)
+    sys.stdout.writelines(_render_rows(g.vertices, rows, ordered, args.format))
     return 0
 
 
 def cmd_check(args: argparse.Namespace) -> int:
     report = gh_report(parse_graph(_read(args.path)))
     if args.format == "json":
-        sys.stdout.write(_json_text(report.to_json_dict()))
+        _json_text(report.to_json_dict(), sys.stdout.write)
     else:
         out = [
             f"vertices: {report.vertex_count}",
@@ -164,28 +142,25 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.path))
-    dm = distance_matrix(g)
-    reps, quotient = zero_quotient(dm)
-    before, after = distance_set(dm), distance_set(quotient)
+    rows, ordered = _distance_rows(g)
+    keep, sub = _zero_classes(rows)
+    # Rank sets: the ranks are in one-to-one correspondence with the distances.
+    before, after = set().union(*rows), set().union(*sub)
     if before != after:
         raise InternalCheckError(
             f"quotient changed the distance set: |D| = {len(before)} on "
-            f"{len(dm.vertices)} vertices, {len(after)} on {len(reps)} representatives"
+            f"{len(rows)} vertices, {len(after)} on {len(keep)} representatives"
         )
-    if args.format == "csv":
-        sys.stdout.write(quotient.to_csv())
-    elif args.format == "json":
-        doc = {
-            "representatives": list(reps),
-            "identity": len(reps) == len(dm.vertices),
-            **quotient.to_json_dict(),
-        }
-        sys.stdout.write(_json_text(doc))
-    else:
+    reps = [g.vertices[i] for i in keep]
+    identity = len(reps) == len(g.vertices)
+    head = None
+    if args.format == "json":
+        head = {"representatives": reps, "identity": identity}
+    elif args.format == "text":
         sys.stdout.write("representatives: " + " ".join(reps) + "\n")
-        if len(reps) == len(dm.vertices):
+        if identity:
             sys.stdout.write("note: every class is a singleton; the quotient is the input\n")
-        sys.stdout.write(_matrix_text(quotient))
+    sys.stdout.writelines(_render_rows(reps, sub, ordered, args.format, head))
     return 0
 
 
@@ -253,7 +228,7 @@ def cmd_canon(args: argparse.Namespace) -> int:
             }
             for path, node in results
         ]
-        sys.stdout.write(_json_text(doc))
+        _json_text(doc, sys.stdout.write)
     else:
         for _path, node in results:
             print(canonical_form(node))

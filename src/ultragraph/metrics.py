@@ -10,8 +10,12 @@ evaluation is kept alongside as :func:`distance_oracle`.
 The sweep's merge events (:func:`_merge_events`) are the whole space
 (single linkage, Gower and Ross 1969): ``d(x, y)`` is the height of the
 merge that first joins ``x`` and ``y``.  So the distance set, the
-classification and the dendrogram of a graph's space need no matrix;
-:func:`distance_matrix` fills the n² matrix for callers that print it.
+classification and the dendrogram of a graph's space need no matrix.
+Printing one needs no Fraction matrix either: :func:`_distance_rows`
+fills the sweep's integer rank rows, and :func:`_render_rows` prints
+them with one ``str`` per distinct distance, of which there are at most
+``n + 1`` (every distance is ``0`` or a label).  :func:`distance_matrix`
+wraps the same rows in a :class:`DistanceMatrix` for API callers.
 
 Everything is exact: ``Fraction`` at the API boundary, ranks inside.
 Labels, weights and distances are :class:`fractions.Fraction` values
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -208,16 +213,13 @@ class DistanceMatrix:
     # -- serialization ----------------------------------------------
 
     def _entry_strings(self) -> list[list[str]]:
-        """``str`` of every entry, row by row; each distinct object once."""
-        text = {key: str(q) for key, q in self._distinct_entries().items()}
-        return [list(map(text.__getitem__, map(id, row))) for row in self.entries]
+        """``str`` of every entry, row by row; each distinct value once."""
+        rows, ordered = self._rank_table()
+        text = [str(q) for q in ordered]
+        return [list(map(text.__getitem__, row)) for row in rows]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.vertices)
-        writer.writerows(self._entry_strings())
-        return buf.getvalue()
+        return "".join(_render_rows(self.vertices, *self._rank_table(), "csv"))
 
     @classmethod
     def from_csv(cls, text: str) -> "DistanceMatrix":
@@ -235,6 +237,61 @@ class DistanceMatrix:
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DistanceMatrix":
         return cls(tuple(doc["vertices"]), tuple(tuple(row) for row in doc["matrix"]))
+
+
+_json_scalar = json.JSONEncoder().encode
+
+
+def _render_rows(
+    vertices: Sequence[str],
+    rows: Sequence[Sequence[int]],
+    ordered: Sequence,
+    fmt: str,
+    head: Mapping | None = None,
+) -> Iterator[str]:
+    """The matrix with rank rows ``rows`` (see :func:`_ranks`), piece by piece.
+
+    ``fmt`` is ``"text"`` (right-aligned columns under the vertex names),
+    ``"csv"`` or ``"json"`` (the document of
+    :meth:`DistanceMatrix.to_json_dict` after the members of ``head``, as
+    ``json.dumps(doc, indent=2)`` plus a newline).  Each distinct value
+    of ``ordered`` becomes a string once.  Text columns are sized from
+    the rows, so for ``"text"`` the rows must be symmetric.
+    """
+    text = [str(q) for q in ordered]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow(vertices)
+        yield buf.getvalue()
+        # The str of a Fraction never needs CSV quoting.
+        for row in rows:
+            yield ",".join(map(text.__getitem__, row)) + "\n"
+    elif fmt == "json":
+        members = {**(head or {}), "vertices": list(vertices)}
+        yield "{\n" + "".join(
+            f"  {_json_scalar(key)}: " + json.dumps(value, indent=2).replace("\n", "\n  ") + ",\n"
+            for key, value in members.items()
+        ) + '  "matrix": ['
+        cell = list(map(_json_scalar, text))
+        for k, row in enumerate(rows):
+            yield ("," if k else "") + "\n    [\n      " + ",\n      ".join(
+                map(cell.__getitem__, row)
+            ) + "\n    ]"
+        yield "\n  ]\n}\n"
+    else:
+        wid = list(map(len, text))
+        name_w = max(map(len, vertices))
+        # Column j holds the entries of row j.
+        col_w = [
+            max(len(name), max(map(wid.__getitem__, row)))
+            for name, row in zip(vertices, rows)
+        ]
+        # One table of padded strings per distinct width; cols[j] is column j's.
+        padded = {w: [t.rjust(w) for t in text] for w in set(col_w)}
+        cols = list(map(padded.__getitem__, col_w))
+        yield " " * name_w + "  " + "  ".join(map(str.rjust, vertices, col_w)) + "\n"
+        for name, row in zip(vertices, rows):
+            yield name.ljust(name_w) + "  " + "  ".join(map(list.__getitem__, cols, row)) + "\n"
 
 
 def _check_shape(vertices: Sequence[str], rows: Sequence[Sequence]) -> None:
@@ -441,10 +498,15 @@ def _merge_events(g: LabeledGraph) -> tuple[list[tuple[int, int, int]], list[Fra
     return merges, ordered
 
 
+def _distance_rows(g: LabeledGraph) -> tuple[list[list[int]], list[Fraction]]:
+    """A connected graph's pairwise distances as rank rows, and the rank table."""
+    edges, ordered = _label_edges(g)
+    return _bottleneck_rows(g.vertices, edges), ordered
+
+
 def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
     """All pairwise labeled distances of a connected graph, exactly."""
-    edges, ordered = _label_edges(g)
-    return DistanceMatrix._from_ranks(g.vertices, _bottleneck_rows(g.vertices, edges), ordered)
+    return DistanceMatrix._from_ranks(g.vertices, *_distance_rows(g))
 
 
 def rho_w(wg: WeightedGraph) -> DistanceMatrix:
@@ -516,11 +578,24 @@ def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
     the set of distance values unchanged.
     """
     dm.validate()
-    # A vertex represents its class when no earlier vertex is at distance
-    # zero from it: its row's first zero (rank 0) is its diagonal.
-    rows = dm._rank_table()[0]
-    reps = tuple(v for i, (v, row) in enumerate(zip(dm.vertices, rows)) if row.index(0) == i)
-    return reps, dm.submatrix(reps)
+    rows, ordered = dm._rank_table()
+    keep, sub = _zero_classes(rows)
+    reps = tuple(map(dm.vertices.__getitem__, keep))
+    return reps, DistanceMatrix._from_ranks(reps, sub, ordered)
+
+
+def _zero_classes(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """The representatives of a pseudoultrametric's zero classes, by index, and
+    the rank rows restricted to them.
+
+    A vertex represents its class when no earlier vertex is at distance
+    zero from it: its row's first zero (rank 0) is its diagonal.  With
+    no zero off the diagonal the rows are returned as they are.
+    """
+    keep = [i for i, row in enumerate(rows) if row.index(0) == i]
+    if len(keep) == len(rows):
+        return keep, rows
+    return keep, [list(map(rows[i].__getitem__, keep)) for i in keep]
 
 
 class RealizabilityResult(NamedTuple):

@@ -7,6 +7,9 @@ These are the second routes that the fast code is judged against.
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -441,6 +444,39 @@ def fraction_zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], Distanc
             reps.append(v)
     rows = tuple(tuple(dm.get(x, y) for y in reps) for x in reps)
     return tuple(reps), DistanceMatrix(tuple(reps), rows)
+
+
+def reference_rendering(dm: DistanceMatrix, fmt: str) -> str:
+    """``dist``'s output for the matrix ``dm``: ``str`` of every entry, laid
+    out as text (columns as wide as their widest cell), CSV or JSON."""
+    names = list(dm.vertices)
+    rows = [[str(q) for q in row] for row in dm.entries]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([names, *rows])
+        return buf.getvalue()
+    if fmt == "json":
+        return json.dumps({"vertices": names, "matrix": rows}, indent=2) + "\n"
+    name_w = max(len(s) for s in names)
+    col_w = [max(len(name), *map(len, col)) for name, col in zip(names, zip(*rows))]
+    lines = [" " * name_w + "  " + "  ".join(map(str.rjust, names, col_w))]
+    for name, row in zip(names, rows):
+        lines.append(name.ljust(name_w) + "  " + "  ".join(map(str.rjust, row, col_w)))
+    return "\n".join(lines) + "\n"
+
+
+def reference_quotient_rendering(reps: tuple[str, ...], q: DistanceMatrix, n: int, fmt: str) -> str:
+    """``quotient``'s output for representatives ``reps`` of ``n`` vertices
+    and the quotient matrix ``q``."""
+    identity = len(reps) == n
+    if fmt == "json":
+        doc = {"representatives": list(reps), "identity": identity, "vertices": list(q.vertices),
+               "matrix": [[str(x) for x in row] for row in q.entries]}
+        return json.dumps(doc, indent=2) + "\n"
+    if fmt == "csv":
+        return reference_rendering(q, fmt)
+    note = "note: every class is a singleton; the quotient is the input\n" if identity else ""
+    return "representatives: " + " ".join(reps) + "\n" + note + reference_rendering(q, fmt)
 
 
 def fraction_dendrogram(dm: DistanceMatrix) -> Node:

@@ -15,9 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PARSE_CASES, recursion_headroom
+import oracles
+from conftest import PARSE_CASES, connected_graphs, recursion_headroom
 from ultragraph import (
     DistanceMatrix,
+    LabeledGraph,
     Leaf,
     Merge,
     analysis,
@@ -28,6 +30,7 @@ from ultragraph import (
     distance_matrix,
     metrics,
     parse_graph,
+    zero_quotient,
 )
 from ultragraph.cli import main
 from ultragraph.dendrograms import to_json_dict
@@ -536,7 +539,7 @@ def test_oracles_refuse_before_any_distance_work(graph_file, capsys, monkeypatch
     def unreachable(*_args):
         raise AssertionError("the cap is checked before any distance work")
 
-    monkeypatch.setattr(cli, "distance_matrix", unreachable)
+    monkeypatch.setattr(cli, "_distance_rows", unreachable)
     monkeypatch.setattr(cli, "is_weight_realizable", unreachable)
     # disconnected too: the cap is reported, not the missing edges
     isolated = "".join(f"v x{k} 1\n" for k in range(12))
@@ -567,7 +570,9 @@ def test_deep_dendrogram_json_needs_no_recursion(graph_file, capsys):
     expected = json.dumps(doc, indent=2) + "\n"
 
     with recursion_headroom(150):
-        assert cli._json_text(doc) == expected
+        buf = StringIO()
+        cli._json_text(doc, buf.write)
+        assert buf.getvalue() == expected
         code = main(["canon", "--format", "json", path])
     out, err = capsys.readouterr()
     assert (code, out, err) == (0, expected, "")
@@ -612,6 +617,79 @@ def test_long_path_reports_without_a_matrix(tmp_path, monkeypatch, capsys):
     assert out.hexdigest() == expected.hexdigest()
 
 
+def test_dist_and_quotient_print_without_a_matrix(tmp_path, monkeypatch, capsys):
+    # Both commands render the sweep's rank rows: no Fraction matrix and
+    # no validation.
+    def no_matrix(*_args):
+        raise AssertionError("a DistanceMatrix was built or validated")
+
+    monkeypatch.setattr(DistanceMatrix, "_from_ranks", no_matrix)
+    monkeypatch.setattr(metrics, "_validate_rows", no_matrix)
+    rng = random.Random(12)
+    n = 300
+    names = [f"v{i}" for i in range(n)]
+    for tokens in (
+        [rng.choice(("0", "0", "1/3", "2", "17/5")) for _ in range(n)],
+        [rng.choice(("1/3", "2", "17/5", "40")) for _ in range(n)],
+    ):
+        path = tmp_path / "g.graph"
+        path.write_text(_graph_doc(names, tokens, _random_edges(rng, n, 0.02)), encoding="utf-8")
+        for command in ("dist", "quotient"):
+            for fmt in ("text", "csv", "json"):
+                assert main([command, str(path), "--format", fmt]) == 0
+                out, err = capsys.readouterr()
+                assert err == "" and out.endswith("\n")
+
+
+# Vertex names of one to nine characters, so columns are set by either
+# the name or the widest value; labels with several digits, and zero.
+_WIDE_POOL = tuple(map(Fraction, ("0", "1/2", "7", "12", "1234/7", "100003/3", "5/1000")))
+
+
+@st.composite
+def _named_graphs(draw):
+    g = draw(connected_graphs(max_n=7, pool=_WIDE_POOL))
+    names = draw(
+        st.lists(
+            st.text("abxyz_019", min_size=1, max_size=9),
+            min_size=len(g.vertices),
+            max_size=len(g.vertices),
+            unique=True,
+        )
+    )
+    rename = dict(zip(g.vertices, names)).__getitem__
+    return LabeledGraph(
+        tuple(names),
+        tuple((rename(u), rename(v)) for u, v in g.edges),
+        {rename(v): q for v, q in g.labels.items()},
+    )
+
+
+def _output(tmp_path_factory, g, command, fmt):
+    path = tmp_path_factory.getbasetemp() / "named.graph"
+    path.write_text(g.to_text(), encoding="utf-8")
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main([command, str(path), "--format", fmt]) == 0
+    return out.getvalue()
+
+
+@given(_named_graphs())
+def test_dist_matches_the_reference_rendering(tmp_path_factory, g):
+    dm = distance_matrix(g)
+    for fmt in ("text", "csv", "json"):
+        got = _output(tmp_path_factory, g, "dist", fmt)
+        assert got == oracles.reference_rendering(dm, fmt)
+
+
+@given(_named_graphs())
+def test_quotient_matches_the_reference_rendering(tmp_path_factory, g):
+    reps, q = zero_quotient(distance_matrix(g))
+    for fmt in ("text", "csv", "json"):
+        got = _output(tmp_path_factory, g, "quotient", fmt)
+        assert got == oracles.reference_quotient_rendering(reps, q, len(g.vertices), fmt)
+
+
 class _Digest:
     """A text sink that keeps only the sha256 of what it is written."""
 
@@ -648,7 +726,9 @@ _json_values = st.recursive(
 
 @given(_json_values)
 def test_json_text_matches_json_dumps(doc):
-    assert cli._json_text(doc) == json.dumps(doc, indent=2) + "\n"
+    buf = StringIO()
+    cli._json_text(doc, buf.write)
+    assert buf.getvalue() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_deep_input_exits_3_with_one_line(graph_file, capsys, monkeypatch):
@@ -702,8 +782,8 @@ def _without_last_merge(g):
             "quotient",
             P3,
             cli,
-            "zero_quotient",
-            lambda dm: (("a",), DistanceMatrix(("a",), ((0,),))),
+            "_zero_classes",
+            lambda rows: ([0], [[0]]),
             "quotient changed the distance set: |D| = 3 on 3 vertices, 1 on 1 representatives",
         ),
     ],
@@ -720,7 +800,7 @@ def test_interrupt_exits_130_with_one_line(graph_file, capsys, monkeypatch):
     def interrupted(g):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "distance_matrix", interrupted)
+    monkeypatch.setattr(cli, "_distance_rows", interrupted)
     assert main(["dist", graph_file(P3)]) == 130
     out, err = capsys.readouterr()
     assert out == ""
@@ -731,7 +811,7 @@ def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):
     def exhausted(g):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "distance_matrix", exhausted)
+    monkeypatch.setattr(cli, "_distance_rows", exhausted)
     assert main(["dist", graph_file(P3)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
