@@ -1,4 +1,4 @@
-"""Count GH tree spaces per distance set, checking that each is a caterpillar.
+"""Count GH tree spaces, checking that each is a caterpillar.
 
 The question driving this module: if two labeled trees generate GH
 spaces with the same distance set, must the spaces be isometric?  They
@@ -24,13 +24,13 @@ rising toward the root, so the heights fix the tree.  Equal canonical
 forms mean isometric spaces.
 
 The search enumerates trees by Pruefer sequence and labelings over a
-finite universe, keeps the GH spaces and counts them per distance set.
-Each GH space's canonical form is checked against the caterpillar of
-its distance set, which is stronger than comparing the forms inside
-each distance set; a failure raises :class:`InternalCheckError`.
-``pairs_tested`` counts the pairs of GH spaces sharing a distance set,
-the pairs the proposition covers.  A report claims nothing beyond the
-universe it states.
+finite universe and keeps the GH spaces.  Each GH space's canonical
+form is checked against the caterpillar of its distance set, ``0`` and
+its edge maxima (on a tree every edge merges), which is stronger than
+comparing the forms inside each distance set; a failure raises
+:class:`InternalCheckError`.  ``pairs_tested`` counts the pairs of GH
+spaces sharing a distance set, the pairs the proposition covers.  A
+report claims nothing beyond the universe it states.
 
 Labelings are scanned as tuples of integer ranks ``1 .. k`` into the
 sorted universe, and every per-labeling check runs on those ints: the
@@ -38,18 +38,41 @@ four tree criteria (cross-checked against each other), the Kruskal
 sweep to a distance matrix, its validation and the ultrametric check.
 This is exact.  The rank map is strictly increasing and every distance
 is a label, so ``max``, ``<``, ``==`` and the sizes of distance sets
-come out the same on ranks as on the Fractions.  Only the GH labelings
-are mapped back to Fractions, to read their distance sets and canonical
-forms off the merge events of their own edge sweeps.
+come out the same on ranks as on the Fractions.  Only GH labelings are
+mapped back to Fractions, for their canonical forms, which are read off
+the merge events of their own edge sweeps.
 
-Exhaustive mode goes one step further and checks each label *pattern*
-once per tree: the dense rank tuple over ``1 .. m`` with the same weak
-order as the labeling.  A pattern with ``m`` values stands for the
-``C(k, m)`` labelings it maps to under the strictly increasing maps
-``{1 .. m} -> {1 .. k}``, and by the argument above every check comes
-out the same on each of them as on the pattern.  So each pattern is
-checked once and counted ``C(k, m)`` times, and only the labelings of
-GH patterns are streamed, each going down the Fraction route by itself.
+Sampled mode checks each draw and counts GH spaces per distance set, so
+its memory grows with the number of distinct distance sets.
+
+Exhaustive mode checks each label *pattern* once per tree: the dense
+rank tuple over ``1 .. m`` with the same weak order as the labeling.  A
+pattern with ``m`` values stands for the ``C(k, m)`` labelings it maps
+to under the strictly increasing maps ``{1 .. m} -> {1 .. k}``, and by
+the argument above every check comes out the same on each of them as on
+the pattern, read as the ``m`` smallest labels; so does the caterpillar
+check, since such a map keeps the shape of the dendrogram.  Shards only
+tally the GH patterns by ``m``, and the run's counts follow from the
+tallies by counting:
+
+Counting.  On a tree, GH means the ``n - 1`` edge maxima are pairwise
+distinct, and the least label is no edge's maximum unless it is tied.
+So a GH pattern has ``m = n - 1`` values, all of them distances, or
+``m = n``, all but the least (a GH pattern with fewer values raises
+:class:`InternalCheckError`, since the counts would drop it).  Let
+``A`` and ``B`` count the (tree, GH pattern) pairs with ``n - 1`` and
+``n`` values.  Then ``gh_spaces = A·C(k, n-1) + B·C(k, n)``.  A distance
+set whose least positive value has rank ``lo`` is shared by ``A`` spaces
+on exactly its values and ``B·(lo - 1)`` with one more value below
+them, and ``C(k - lo, n - 2)`` sets have that least value, so
+``pairs_tested = Σ_{lo=1..k} C(k - lo, n - 2)·C(A + B·(lo - 1), 2)``.
+Over labeled trees ``B = n!·(n - 1)!``: with ``n`` values every vertex
+but the least has exactly one neighbour of lower label, so each of the
+``n!`` orders has ``(n - 1)!`` recursive trees.  And ``A = B / 2``: the
+least block is a tied adjacent pair and the rest attach as before,
+``C(n, 2)·(n - 2)!`` orders with ``(n - 1)!`` trees each.  The scan
+counts ``A`` and ``B`` rather than assuming them, and its work is the
+same for every ``k >= n``.
 
 Work is partitioned by the first Pruefer symbol, and each shard
 enumerates only its own block of sequences, so shards can run in
@@ -67,11 +90,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 from math import comb
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
-from .analysis import _generated_distance_set, _tree_criteria, distance_set, is_gh
+from .analysis import _tree_criteria, distance_set, is_gh
 from .dendrograms import LEAF_MARK, are_isometric, canonical_form, dendrogram, graph_dendrogram
 from .graphs import (
     CapExceededError,
@@ -197,11 +220,15 @@ class ConjectureReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterator[tuple[int, ...]]:
+def _labelings(
+    cfg: SearchConfig, n: int, tree_index: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
     """Sampled labelings of one tree, as tuples of ranks ``1 .. k`` into ``cfg.universe``.
 
-    Lazy: each labeling is drawn when it is consumed, so
-    ``samples_per_tree`` costs no memory up front.
+    Each is paired with the count ``1``, as :func:`_patterns` pairs each
+    pattern with the labelings it stands for.  Lazy: each labeling is
+    drawn when it is consumed, so ``samples_per_tree`` costs no memory
+    up front.
     """
     ranks = range(1, len(cfg.universe) + 1)
     # One generator per tree, seeded by position, so sampled runs do not
@@ -209,7 +236,7 @@ def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterator[tuple[int
     # ranks draws the same indices as choosing from the universe.
     rng = random.Random(f"{cfg.seed}:{n}:{tree_index}")
     return (
-        tuple(rng.choice(ranks) for _ in range(n))
+        (tuple(rng.choice(ranks) for _ in range(n)), 1)
         for _ in range(cfg.samples_per_tree)
     )
 
@@ -221,8 +248,9 @@ def _patterns(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
     A pattern is a rank tuple over ``1 .. m`` that uses every value, with
     ``m <= min(n, k)``; it is paired with ``C(k, m)``, the number of rank
-    tuples over ``1 .. k`` with the same weak order (see :func:`_images`).
-    The multiplicities add up to ``k**n``.
+    tuples over ``1 .. k`` with the same weak order, one per strictly
+    increasing map ``{1 .. m} -> {1 .. k}``.  The multiplicities add up
+    to ``k**n``.
     """
     top = min(n, k)
     return tuple(
@@ -230,16 +258,6 @@ def _patterns(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         for ranks in product(range(1, top + 1), repeat=n)
         if len(set(ranks)) == max(ranks)
     )
-
-
-def _images(pattern: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-    """The rank tuples over ``1 .. k`` with this pattern.
-
-    One per strictly increasing map ``{1 .. m} -> {1 .. k}``, given by
-    its values ``f``.
-    """
-    for f in combinations(range(1, k + 1), max(pattern)):
-        yield tuple(f[r - 1] for r in pattern)
 
 
 def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -272,13 +290,15 @@ def _caterpillar(dset: tuple[Fraction, ...]) -> str:
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
     """Scan the trees whose Pruefer sequence starts with ``prefix``.
 
-    Returns ``(trees, labelings, counts)``, where ``counts`` maps each
-    distance set to the number of GH spaces found with it.  Labelings
-    are scanned as rank tuples (see the module docstring).  Exhaustive
-    mode checks each label pattern once and counts it ``C(k, m)`` times,
-    then streams the labelings of the GH patterns; sampled mode checks
-    each draw.  Each GH labeling is turned back into Fractions and its
-    canonical form checked against the caterpillar of its distance set.
+    Returns ``(trees, labelings, counts)``.  Labelings are scanned as
+    rank tuples (see the module docstring).  Exhaustive mode checks each
+    label pattern once, counts it ``C(k, m)`` labelings and tallies the
+    GH patterns in ``counts`` by their number ``m`` of values; sampled
+    mode checks each draw and counts the GH spaces per distance set.
+    Each GH labeling (in exhaustive mode, each GH pattern read as the
+    ``m`` smallest labels) is turned back into Fractions and its
+    canonical form checked against the caterpillar of its distance set,
+    ``0`` and its edge maxima.
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
@@ -299,10 +319,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         degree_total = sum(skeleton.degree(v) for v in names)
         trees += 1
-        if cfg.mode == EXHAUSTIVE:
-            classes: Iterable[tuple[tuple[int, ...], int]] = _patterns(n, k)
-        else:
-            classes = ((ranks, 1) for ranks in _labelings(cfg, n, tree_index))
+        classes = _patterns(n, k) if cfg.mode == EXHAUSTIVE else _labelings(cfg, n, tree_index)
         for ranks, count in classes:
             labelings += count
             verdicts = _tree_criteria(names, index_edges, ranks, degree_total, ordered)
@@ -312,18 +329,21 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
                 )
             if not verdicts[0]:
                 continue
-            for image in _images(ranks, k) if cfg.mode == EXHAUSTIVE else (ranks,):
-                labeling = tuple(cfg.universe[r - 1] for r in image)
-                g = skeleton.with_labels(dict(zip(names, labeling)))
-                dset = _generated_distance_set(g)[0]
-                form, expected = canonical_form(graph_dendrogram(g)), _caterpillar(dset)
-                if form != expected:
-                    raise InternalCheckError(
-                        "GH space is not the caterpillar of its distance set: tree "
-                        f"{edges} labeled ({', '.join(map(str, labeling))}) has form "
-                        f"{form}, not {expected}"
-                    )
-                counts[dset] += 1
+            if (m := len(set(ranks))) < n - 1:
+                raise InternalCheckError(
+                    f"GH labeling with {m} < n - 1 values: tree {edges}, label ranks {ranks}"
+                )
+            labeling = tuple(cfg.universe[r - 1] for r in ranks)
+            dset = (Fraction(0), *sorted(max(labeling[i], labeling[j]) for i, j in index_edges))
+            g = skeleton.with_labels(dict(zip(names, labeling)))
+            form, expected = canonical_form(graph_dendrogram(g)), _caterpillar(dset)
+            if form != expected:
+                raise InternalCheckError(
+                    "GH space is not the caterpillar of its distance set: tree "
+                    f"{edges} labeled ({', '.join(map(str, labeling))}) has form "
+                    f"{form}, not {expected}"
+                )
+            counts[m if cfg.mode == EXHAUSTIVE else dset] += 1
     return trees, labelings, counts
 
 
@@ -353,21 +373,25 @@ def search_conjecture(
 ) -> ConjectureReport:
     """Run the search over every tree size from 2 to ``cfg.n_max``.
 
-    Exhaustive mode is capped at 7 vertices (the labeling product grows
-    too fast beyond that); sampled mode at 8.  Shards return counts per
-    distance set; ``pairs_tested`` adds up ``C(c, 2)`` over the merged
-    counts.  Every GH space found is checked against the proposition of
-    the module docstring, so ``counterexamples`` is always empty and a
-    failed check raises :class:`InternalCheckError`.
+    Exhaustive mode is capped at 7 vertices (the ``n**(n-2)`` trees times
+    the weak orders of ``n`` labels grow too fast beyond that); sampled
+    mode at 8.  Exhaustive shards tally GH patterns by their number of
+    values, and the merged tallies ``A`` and ``B`` give ``gh_spaces`` and
+    ``pairs_tested`` by the counting of the module docstring.  Sampled
+    shards return counts per distance set; ``pairs_tested`` adds up
+    ``C(c, 2)`` over the merged counts.  Every GH space found is checked
+    against the proposition of the module docstring, so
+    ``counterexamples`` is always empty and a failed check raises
+    :class:`InternalCheckError`.
     """
     cap = 7 if cfg.mode == EXHAUSTIVE else 8
     if cfg.n_max > cap:
         raise CapExceededError(f"{cfg.mode} search capped at n_max={cap}, got {cfg.n_max}")
 
+    k = len(cfg.universe)
     runs = []
     for n in range(2, cfg.n_max + 1):
-        prefixes = [0] if n == 2 else list(range(n))
-        tasks = [(cfg, n, p) for p in prefixes]
+        tasks = [(cfg, n, p) for p in ([0] if n == 2 else range(n))]
         # Under fork, the pool starts every worker at once: never more
         # than there are shards or CPUs.
         workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
@@ -380,18 +404,16 @@ def search_conjecture(
         trees = sum(r[0] for r in results)
         labelings = sum(r[1] for r in results)
         counts = sum((r[2] for r in results), Counter())
-        gh_spaces = sum(counts.values())
-        pairs_tested = sum(comb(c, 2) for c in counts.values())
-        runs.append(
-            RunRecord(
-                n=n,
-                trees_examined=trees,
-                labelings_examined=labelings,
-                gh_spaces=gh_spaces,
-                pairs_tested=pairs_tested,
-                counterexamples=(),
+        if cfg.mode == EXHAUSTIVE:
+            a, b = counts[n - 1], counts[n]
+            gh_spaces = a * comb(k, n - 1) + b * comb(k, n)
+            pairs_tested = sum(
+                comb(k - lo, n - 2) * comb(a + b * (lo - 1), 2) for lo in range(1, k + 1)
             )
-        )
+        else:
+            gh_spaces = sum(counts.values())
+            pairs_tested = sum(comb(c, 2) for c in counts.values())
+        runs.append(RunRecord(n, trees, labelings, gh_spaces, pairs_tested, counterexamples=()))
         if progress is not None:
             progress(
                 f"n={n}: trees={trees} labelings={labelings} "

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -43,7 +44,7 @@ from ultragraph import (
 from ultragraph import analysis, explore
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
-from ultragraph.explore import _images, _labelings, _patterns, _pruefer_block, _scan_shard
+from ultragraph.explore import _labelings, _patterns, _pruefer_block, _scan_shard
 
 U123 = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -268,14 +269,6 @@ def test_patterns_are_the_weak_orders_with_their_multiplicities(n):
             assert count == comb(k, max(pattern))
 
 
-@pytest.mark.parametrize("n, k", [(1, 3), (3, 2), (3, 5), (4, 4), (5, 3)])
-def test_pattern_images_partition_the_rank_tuples(n, k):
-    images = [list(_images(pattern, k)) for pattern, _count in _patterns(n, k)]
-    assert [len(block) for block in images] == [c for _, c in _patterns(n, k)]
-    flat = [ranks for block in images for ranks in block]
-    assert sorted(flat) == list(product(range(1, k + 1), repeat=n))
-
-
 def _pattern_of(ranks):
     dense = {r: i + 1 for i, r in enumerate(sorted(set(ranks)))}
     return tuple(dense[r] for r in ranks)
@@ -325,13 +318,35 @@ def test_pattern_scan_matches_the_labeling_scan(data):
         seed=data.draw(st.integers(0, 99)),
         samples_per_tree=data.draw(st.integers(1, 30)),
     )
+    k = len(cfg.universe)
+    reference = Counter()
     for prefix in [0] if n == 2 else range(n):
         task = (cfg, n, prefix)
         trees, labelings, entries = oracles.reference_scan_shard(task)
         counts = Counter(entry[3] for entry in entries)
-        assert _scan_shard(task) == (trees, labelings, counts)
+        shard_trees, shard_labelings, tally = _scan_shard(task)
+        assert (shard_trees, shard_labelings) == (trees, labelings)
+        if mode == SAMPLED:
+            assert tally == counts
+        else:
+            # a GH pattern with m values stands for its C(k, m) labelings
+            assert Counter({m: c * comb(k, m) for m, c in tally.items()}) == Counter(
+                len(set(entry[1])) for entry in entries
+            )
+        reference += counts
         for entry in entries:
             assert entry[4] == _caterpillar_form(entry[3])
+    run = search_conjecture(cfg).runs[-1]
+    assert run.gh_spaces == sum(reference.values())
+    assert run.pairs_tested == sum(comb(c, 2) for c in reference.values())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tallies_count_the_recursive_trees(n):
+    cfg = SearchConfig(n_max=n, universe=tuple(range(1, n + 1)))
+    shards = [_scan_shard((cfg, n, prefix)) for prefix in ([0] if n == 2 else range(n))]
+    b = factorial(n) * factorial(n - 1)
+    assert sum((tally for _t, _l, tally in shards), Counter()) == Counter({n - 1: b // 2, n: b})
 
 
 def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
@@ -349,17 +364,10 @@ def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
 
 
 def _gh_counts(n, k):
-    """An exhaustive run's counts from n and k = |U| alone, by counting arguments.
+    """An exhaustive run's counts from n and k = |U| alone.
 
-    A GH tree space has edge maxima pairwise distinct, which depends
-    only on the weak order of its labels, with n or n - 1 blocks.  With
-    n blocks every vertex but the least has exactly one earlier
-    neighbour: n! orders, (n - 1)! recursive trees each, B in all.  With
-    n - 1 blocks the least block is a tied adjacent pair: A = B / 2.  A
-    space's distance set is {0} plus its values, less the least one when
-    there are n blocks; so a set whose least positive value has rank
-    ``lo`` is shared by A + B * (lo - 1) spaces, and C(k - lo, n - 2)
-    sets have that least value.
+    The counting of the :mod:`ultragraph.explore` docstring, with
+    B = n!(n - 1)! and A = B / 2 put in for the scan's tallies.
     """
     b = factorial(n) * factorial(n - 1)
     a = b // 2
@@ -388,27 +396,53 @@ def test_counting_arguments_hold_on_any_universe(universe, n_max):
     _assert_counting_arguments(n_max, tuple(universe))
 
 
+def _traced_peak(run):
+    """The ``tracemalloc`` peak of ``run()``; call with gc disabled."""
+    # CPython keeps up to 2000 freed tuples of each small size for
+    # reuse, and tracemalloc counts them: fill those free lists with
+    # untraced tuples first, so that the peak is the scan's own.
+    sizes = [list(range(size)) for size in range(1, 20)]
+    spare = [tuple(items) for items in sizes for _ in range(2000)]
+    del spare
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_sampled_memory_does_not_grow_with_the_samples():
     def peak(samples):
-        # CPython keeps up to 2000 freed tuples of each small size for
-        # reuse, and tracemalloc counts them: fill those free lists with
-        # untraced tuples first, so that the peak is the scan's own.
-        sizes = [list(range(size)) for size in range(1, 20)]
-        spare = [tuple(items) for items in sizes for _ in range(2000)]
-        del spare
-        tracemalloc.start()
-        try:
-            search_conjecture(
-                SearchConfig(n_max=4, universe=U123, mode=SAMPLED, samples_per_tree=samples)
-            )
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        cfg = SearchConfig(n_max=4, universe=U123, mode=SAMPLED, samples_per_tree=samples)
+        return _traced_peak(lambda: search_conjecture(cfg))
 
     gc.disable()  # a full collection empties the free lists
     try:
         peak(200)  # first-use allocations
         assert peak(200) - peak(20) < 32_000
+    finally:
+        gc.enable()
+
+
+def test_exhaustive_cost_does_not_grow_with_the_labels():
+    # Each GH pattern is checked once, whatever the number of labelings
+    # it stands for: C(400, 5) of them for each 5-value pattern.
+    long, short = (SearchConfig(n_max=5, universe=range(1, k + 1)) for k in (400, 5))
+    start = time.perf_counter()
+    report = search_conjecture(long)
+    assert time.perf_counter() - start < 10
+    assert [
+        (r.trees_examined, r.labelings_examined, r.gh_spaces, r.pairs_tested)
+        for r in report.runs
+    ] == [_gh_counts(n, 400) for n in range(2, 6)]
+    # Every allocation of a scan happens in its shards; trace one n = 5
+    # shard of each (the whole search runs seven times slower traced).
+    _patterns(5, 5)  # cached outside the trace, as _patterns(5, 400) is
+    gc.disable()  # a full collection empties the free lists
+    try:
+        peaks = [_traced_peak(lambda: _scan_shard((cfg, 5, 0))) for cfg in (long, short)]
+        assert peaks[0] - peaks[1] < 32_000
     finally:
         gc.enable()
 
@@ -428,6 +462,23 @@ def test_rank_route_keeps_validate_and_the_ultrametric_check(monkeypatch):
     monkeypatch.setattr(analysis, "_bottleneck_rows", lambda vs, _w: [[0] * len(vs) for _ in vs])
     with pytest.raises(NotUltrametricError):
         search_conjecture(SearchConfig(n_max=3, universe=U123))
+
+
+def test_scan_checks_that_gh_patterns_have_n_minus_1_values(monkeypatch, capsys):
+    # With fewer values a GH pattern would drop out of the tallies.
+    monkeypatch.setattr(explore, "_tree_criteria", lambda *_args: (True,) * 4)
+    with pytest.raises(InternalCheckError) as err:
+        search_conjecture(SearchConfig(n_max=3, universe=U123))
+    message = (
+        "GH labeling with 1 < n - 1 values: "
+        "tree (('1', '2'), ('1', '3')), label ranks (1, 1, 1)"
+    )
+    assert str(err.value) == message
+    assert main(["explore", "--max-n", "3"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    # after the n = 2 progress line
+    assert err.endswith(f"\ninternal check failed: {message}\n")
 
 
 def test_scan_cross_checks_the_four_criteria(monkeypatch):
