@@ -35,11 +35,8 @@ from .explore import (
     EXHAUSTIVE,
     SAMPLED,
     ConjectureReport,
-    Counterexample,
     RunRecord,
     SearchConfig,
-    SpaceWitness,
-    reverify_counterexample,
     search_conjecture,
 )
 from .graphs import (

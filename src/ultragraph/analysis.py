@@ -282,9 +282,13 @@ def gh_report(g: LabeledGraph) -> GHReport:
     # joins two zero labels.
     if n >= 2 and m == n - 1 and ultrametric:
         distinct = len({max(g.labels[u], g.labels[v]) for u, v in g.edges})
-        tree_eq = _count_criteria(size, n, m, distinct, sum(map(g.degree, g.vertices)))
+        degrees = sum(map(g.degree, g.vertices))
+        tree_eq = _count_criteria(size, n, m, distinct, degrees)
         if len(set(tree_eq)) > 1:
-            raise InternalCheckError(f"tree criteria disagree: {tree_eq}")
+            raise InternalCheckError(
+                f"tree criteria disagree: {tree_eq} on |D| = {size}, |V| = {n}, |E| = {m}, "
+                f"{distinct} distinct edge maxima, degree total {degrees}"
+            )
 
     return GHReport(
         vertex_count=n,

@@ -30,7 +30,8 @@ its edge maxima (on a tree every edge merges), which is stronger than
 comparing the forms inside each distance set; a failure raises
 :class:`InternalCheckError`.  ``pairs_tested`` counts the pairs of GH
 spaces sharing a distance set, the pairs the proposition covers.  A
-report claims nothing beyond the universe it states.
+report claims nothing beyond the universe it states, and its runs'
+``"counterexamples"`` lists are always ``[]``.
 
 Labelings are scanned as tuples of integer ranks ``1 .. k`` into the
 sorted universe, and every per-labeling check runs on those ints: the
@@ -87,15 +88,15 @@ import os
 import random
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Callable, Iterator
 
-from .analysis import _tree_criteria, distance_set, is_gh
-from .dendrograms import LEAF_MARK, are_isometric, canonical_form, dendrogram, graph_dendrogram
+from .analysis import _tree_criteria
+from .dendrograms import LEAF_MARK, canonical_form, graph_dendrogram
 from .graphs import (
     CapExceededError,
     LabeledGraph,
@@ -103,11 +104,7 @@ from .graphs import (
     is_tree,
     tree_from_pruefer,
 )
-from .metrics import (
-    DistanceMatrix,
-    InternalCheckError,
-    oracle_matrix,
-)
+from .metrics import InternalCheckError
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -147,48 +144,17 @@ class SearchConfig:
 
 
 @dataclass(frozen=True)
-class SpaceWitness:
-    graph: LabeledGraph
-    canonical: str
-
-    def to_json_dict(self) -> dict:
-        return {"canonical_form": self.canonical, "graph": self.graph.to_text()}
-
-
-@dataclass(frozen=True)
-class Counterexample:
-    n: int
-    distance_set: tuple[Fraction, ...]
-    first: SpaceWitness
-    second: SpaceWitness
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "distance_set": [str(q) for q in self.distance_set],
-            "first": self.first.to_json_dict(),
-            "second": self.second.to_json_dict(),
-        }
-
-
-@dataclass(frozen=True)
 class RunRecord:
     n: int
     trees_examined: int
     labelings_examined: int
     gh_spaces: int
     pairs_tested: int
-    counterexamples: tuple[Counterexample, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "trees_examined": self.trees_examined,
-            "labelings_examined": self.labelings_examined,
-            "gh_spaces": self.gh_spaces,
-            "pairs_tested": self.pairs_tested,
-            "counterexamples": [c.to_json_dict() for c in self.counterexamples],
-        }
+        # The fields in their order; "counterexamples" is kept so reports
+        # match earlier ones and perfbench/golden.json byte for byte.
+        return {**asdict(self), "counterexamples": []}
 
 
 @dataclass(frozen=True)
@@ -200,9 +166,8 @@ class ConjectureReport:
     samples_per_tree: int
     runs: tuple[RunRecord, ...]
 
-    @property
-    def counterexamples(self) -> tuple[Counterexample, ...]:
-        return tuple(c for run in self.runs for c in run.counterexamples)
+    # Read by perfbench/workload.py; goes with the next benchmark change.
+    counterexamples = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -347,27 +312,6 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     return trees, labelings, counts
 
 
-def reverify_counterexample(ce: Counterexample) -> bool:
-    """Re-check a counterexample from scratch, down the slow routes.
-
-    Distances are recomputed by literal path enumeration, distance sets
-    and canonical forms rebuilt, and the isometry verdict re-decided.
-    """
-    matrices: list[DistanceMatrix] = []
-    for witness in (ce.first, ce.second):
-        om = oracle_matrix(witness.graph)
-        if distance_set(om) != ce.distance_set:
-            return False
-        if canonical_form(dendrogram(om)) != witness.canonical:
-            return False
-        if not is_gh(om):
-            return False
-        matrices.append(om)
-    if ce.first.canonical == ce.second.canonical:
-        return False
-    return not are_isometric(matrices[0], matrices[1])
-
-
 def search_conjecture(
     cfg: SearchConfig, progress: Callable[[str], None] | None = None
 ) -> ConjectureReport:
@@ -380,9 +324,8 @@ def search_conjecture(
     ``pairs_tested`` by the counting of the module docstring.  Sampled
     shards return counts per distance set; ``pairs_tested`` adds up
     ``C(c, 2)`` over the merged counts.  Every GH space found is checked
-    against the proposition of the module docstring, so
-    ``counterexamples`` is always empty and a failed check raises
-    :class:`InternalCheckError`.
+    against the proposition of the module docstring; a failed check
+    raises :class:`InternalCheckError`.
     """
     cap = 7 if cfg.mode == EXHAUSTIVE else 8
     if cfg.n_max > cap:
@@ -413,7 +356,7 @@ def search_conjecture(
         else:
             gh_spaces = sum(counts.values())
             pairs_tested = sum(comb(c, 2) for c in counts.values())
-        runs.append(RunRecord(n, trees, labelings, gh_spaces, pairs_tested, counterexamples=()))
+        runs.append(RunRecord(n, trees, labelings, gh_spaces, pairs_tested))
         if progress is not None:
             progress(
                 f"n={n}: trees={trees} labelings={labelings} "

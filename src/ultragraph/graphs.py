@@ -427,6 +427,8 @@ def tree_from_pruefer(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
         raise ValueError(f"sequence for {n} vertices must have length {n - 2}")
     degree = [1] * n
     for s in seq:
+        if not 0 <= s < n:
+            raise ValueError(f"Pruefer symbol {s!r} is not in range({n})")
         degree[s] += 1
     edges: list[tuple[int, int]] = []
     for s in seq:

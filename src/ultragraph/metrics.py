@@ -236,7 +236,12 @@ class DistanceMatrix:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "DistanceMatrix":
-        return cls(tuple(doc["vertices"]), tuple(tuple(row) for row in doc["matrix"]))
+        if not isinstance(doc, dict) or not {"vertices", "matrix"} <= doc.keys():
+            raise ValueError("a matrix document needs the keys 'vertices' and 'matrix'")
+        vertices, rows = doc["vertices"], doc["matrix"]
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in (vertices, *rows)):
+            raise ValueError("'vertices', 'matrix' and each of its rows must be arrays")
+        return cls(tuple(vertices), tuple(map(tuple, rows)))
 
 
 _json_scalar = json.JSONEncoder().encode

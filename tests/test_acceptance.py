@@ -42,7 +42,6 @@ from ultragraph import (
     is_tree,
     is_weight_realizable,
     level_labeling,
-    reverify_counterexample,
     search_conjecture,
     spanning_tree,
     tree_gh_report,
@@ -338,7 +337,6 @@ def test_criterion_09_explorer_determinism():
     # from scratch in test_explore
     counts = [(r.labelings_examined, r.gh_spaces) for r in first.runs]
     assert counts == [(16, 16), (192, 84), (4096, 432)]
-    reverified = all(reverify_counterexample(ce) for ce in first.counterexamples)
 
     p4 = distance_matrix(path_graph(1, 2, 3, 4))
     s4 = distance_matrix(star_graph(1, 2, 3, 4))
@@ -348,7 +346,7 @@ def test_criterion_09_explorer_determinism():
         and len(buckets[(0, 2, 3, 4)]) == 2
         and are_isometric(p4, s4)
     )
-    ok = deterministic and reverified and not first.counterexamples and collision_ok
+    ok = deterministic and not first.counterexamples and collision_ok
     _verdict(
         9,
         "explorer-determinism",

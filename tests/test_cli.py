@@ -771,6 +771,15 @@ def _without_last_merge(g):
             "inequality |D| <= |X| failed: |D| = 4, |X| = 3",
         ),
         (
+            "check",
+            P3,
+            analysis,
+            "_count_criteria",
+            lambda *_counts: (True, False, True, True),
+            "tree criteria disagree: (True, False, True, True) on |D| = 3, |V| = 3, |E| = 2, "
+            "2 distinct edge maxima, degree total 4",
+        ),
+        (
             "canon",
             P3,
             dendrograms,

@@ -21,7 +21,6 @@ from ultragraph import (
     EXHAUSTIVE,
     SAMPLED,
     CapExceededError,
-    Counterexample,
     InternalCheckError,
     LabeledGraph,
     Leaf,
@@ -29,14 +28,11 @@ from ultragraph import (
     Merge,
     NotUltrametricError,
     SearchConfig,
-    SpaceWitness,
     canonical_form,
     dendrogram,
     distance_matrix,
-    distance_set,
     enumerate_trees,
     is_gh,
-    reverify_counterexample,
     search_conjecture,
     tree_from_pruefer,
     tree_gh_report,
@@ -97,7 +93,6 @@ def test_two_point_run_counts_by_hand():
     # 1, 3, 5, so 0 + 3 + 10 pairs get compared
     assert run.gh_spaces == 9
     assert run.pairs_tested == 13
-    assert run.counterexamples == ()
 
 
 def test_three_point_run_finds_no_collisions():
@@ -544,43 +539,3 @@ def test_bucket_refuses_non_gh_spaces():
     with pytest.raises(ValueError):
         bucket_by_distance_set([distance_matrix(path_graph(3, 2, 3))])
 
-
-def _witness_for(g: LabeledGraph) -> SpaceWitness:
-    return SpaceWitness(graph=g, canonical=canonical_form(dendrogram(distance_matrix(g))))
-
-
-def test_reverification_rejects_fabricated_counterexamples():
-    path = path_graph(1, 2, 3, 4)
-    star = star_graph(1, 2, 3, 4)
-    dset = distance_set(distance_matrix(path))
-
-    # isometric pair: equal canonical forms
-    assert not reverify_counterexample(
-        Counterexample(4, dset, _witness_for(path), _witness_for(star))
-    )
-    # stated distance set does not match the graphs
-    assert not reverify_counterexample(
-        Counterexample(4, (Fraction(0), Fraction(9)), _witness_for(path), _witness_for(star))
-    )
-    # stated canonical form does not match the graph
-    assert not reverify_counterexample(
-        Counterexample(
-            4,
-            dset,
-            SpaceWitness(graph=path, canonical="(9··)"),
-            _witness_for(star),
-        )
-    )
-    # ultrametric but not GH
-    flat = path_graph(3, 2, 3)
-    assert not reverify_counterexample(
-        Counterexample(
-            3,
-            distance_set(distance_matrix(flat)),
-            _witness_for(flat),
-            _witness_for(flat),
-        )
-    )
-    # A fabricated pair that would re-verify does not exist in these
-    # universes; the search itself asserts re-verification on anything
-    # it ever reports.

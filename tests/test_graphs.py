@@ -389,6 +389,11 @@ def test_pruefer_decoding_basics():
         tree_from_pruefer((0,), 4)
     with pytest.raises(ValueError):
         tree_from_pruefer((), 1)
+    # out-of-range symbols: -1 used to wrap onto the last vertex, 5 to
+    # raise IndexError
+    for bad in (-1, 5):
+        with pytest.raises(ValueError, match=rf"Pruefer symbol {bad} is not in range\(3\)"):
+            tree_from_pruefer((bad,), 3)
 
 
 def test_tree_counts_match_cayley_formula():

@@ -483,6 +483,22 @@ def test_json_round_trip_renders_rationals_as_strings():
     assert DistanceMatrix.from_json_dict(json.loads(json.dumps(doc))) == dm
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": "ab", "matrix": [["0", "1"], ["1", "0"]]},
+        {"vertices": ["a", "b"], "matrix": ["01", "10"]},
+        {"vertices": ["a", "b"]},
+        {"matrix": [["0", "1"], ["1", "0"]]},
+    ],
+)
+def test_json_reader_refuses_other_shapes(doc):
+    # A string used to pass as a list of one-character names or entries,
+    # and a missing key raised KeyError.
+    with pytest.raises(ValueError):
+        DistanceMatrix.from_json_dict(doc)
+
+
 @given(connected_graphs())
 def test_serialization_round_trips(g):
     dm = distance_matrix(g)
