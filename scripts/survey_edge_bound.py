@@ -27,6 +27,7 @@ from ultragraph import (
     is_tree,
     tree_from_pruefer,
 )
+from ultragraph.graphs import _rational
 
 
 def random_graph(n: int, pool: tuple[Fraction, ...], rng: random.Random) -> LabeledGraph:
@@ -63,7 +64,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.labels is None:
         args.labels = ",".join(str(k) for k in range(1, args.n + 1))
-    pool = tuple(Fraction(tok) for tok in args.labels.split(",") if tok.strip())
+    try:
+        # The graph-file grammar of labels, as in `ultragraph explore`.
+        pool = tuple(_rational(tok, "label") for tok in args.labels.split(",") if tok.strip())
+        if not pool:
+            raise ValueError("--labels names no label")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rng = random.Random(args.seed)
 
     by_edges: dict[int, list[int]] = {}

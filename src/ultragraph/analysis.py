@@ -36,8 +36,8 @@ from .metrics import (
     _bottleneck_rows,
     _merge_events,
     _ranks,
+    _ultrametric,
     _validate_rows,
-    _zero_free,
     classify_metric,
     is_nondegenerate,
 )
@@ -53,10 +53,9 @@ def distance_set(dm: DistanceMatrix) -> tuple[Fraction, ...]:
     Counted on the matrix's rank rows: the ranks present, with rank ``0``
     for zero, map back to their values in ascending order.
     """
-    rows, ordered = dm._rank_table()
-    present = set(chain.from_iterable(rows))
+    present = set(chain.from_iterable(dm._rows))
     present.add(0)
-    return tuple(ordered[r] for r in sorted(present))
+    return tuple(dm._ordered[r] for r in sorted(present))
 
 
 _ULTRAMETRIC_ONLY = (
@@ -141,16 +140,15 @@ def _tree_criteria(
     the label of rank ``r`` and rank ``0`` is the value ``0`` (see
     :func:`ultragraph.metrics._ranks`); ``index_edges`` are the tree's
     edges as index pairs in declaration order.  The distance matrix is
-    swept from the ranks, validated and checked zero-free before its
-    values are counted.  Only order and equality of labels are used, so
-    the verdicts are those of the labels themselves.  Guards on the tree
+    swept from the ranks, validated and its merges checked for a zero
+    before its values are counted.  Only order and equality of labels
+    are used, so the verdicts are those of the labels themselves.  Guards on the tree
     itself are the caller's job.
     """
     weighted = [(max(ranks[i], ranks[j]), i, j) for i, j in index_edges]
     weighted.sort(key=itemgetter(0))
     rows = _bottleneck_rows(vertices, weighted)
-    _validate_rows(vertices, rows, ordered)
-    if not _zero_free(rows):
+    if not _ultrametric(_validate_rows(vertices, rows, ordered)):
         raise NotUltrametricError(_ULTRAMETRIC_ONLY)
     # the diagonal contributes the zero distance
     sizes = len(set(chain.from_iterable(rows)))
@@ -258,7 +256,7 @@ def _generated_distance_set(g: LabeledGraph) -> tuple[tuple[Fraction, ...], bool
     """
     merges, ordered = _merge_events(g)
     ranks = sorted({0}.union(w for w, _a, _b in merges))
-    return tuple(ordered[r] for r in ranks), not merges or merges[0][0] > 0
+    return tuple(ordered[r] for r in ranks), _ultrametric(merges)
 
 
 def gh_report(g: LabeledGraph) -> GHReport:

@@ -6,26 +6,25 @@ the merge heights.  Two spaces are isometric exactly when these trees
 match as height-labeled trees, so a canonical string of the tree turns
 isometry into string equality.
 
-The tree is the replay of Kruskal merge events: those of a validated
-matrix (:func:`dendrogram`), or, for the space a labeled graph
+The tree is the replay of Kruskal merge events: those of a matrix's
+validation sweep (:func:`dendrogram`), or, for the space a labeled graph
 generates, those of the graph's own edge sweep (:func:`graph_dendrogram`),
-which needs no matrix.
+which needs no matrix.  The replay refuses a merge at height ``0``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .graphs import LabeledGraph, _coerce_rational
 from .metrics import (
-    ULTRAMETRIC,
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
     _merge_events,
-    classify_metric,
+    _ultrametric,
 )
 
 LEAF_MARK = "·"
@@ -68,9 +67,7 @@ def dendrogram(dm: DistanceMatrix) -> Node:
     Validation sweeps the matrix's rank rows; its merge events are
     replayed by :func:`_replay`.
     """
-    if classify_metric(dm) != ULTRAMETRIC:
-        raise NotUltrametricError(_NEEDS_ULTRAMETRIC)
-    return _replay(dm.vertices, dm._merges, dm._rank_table()[1])
+    return _replay(dm.vertices, dm._merges(), dm._ordered)
 
 
 def graph_dendrogram(g: LabeledGraph) -> Node:
@@ -85,10 +82,7 @@ def graph_dendrogram(g: LabeledGraph) -> Node:
     endpoint labeled ``h`` of an edge merging at ``h`` is at distance
     exactly ``h`` from every other point of the new cluster.
     """
-    merges, ordered = _merge_events(g)
-    if merges and merges[0][0] == 0:
-        raise NotUltrametricError(_NEEDS_ULTRAMETRIC)
-    root = _replay(g.vertices, merges, ordered)
+    root = _replay(g.vertices, *_merge_events(g))
     stack = [root] if isinstance(root, Merge) else []
     while stack:
         node = stack.pop()
@@ -100,14 +94,15 @@ def graph_dendrogram(g: LabeledGraph) -> Node:
 
 
 def _replay(
-    vertices: Sequence[str], merges: Iterable[tuple[int, int, int]], ordered: Sequence
+    vertices: Sequence[str], merges: Sequence[tuple[int, int, int]], ordered: Sequence
 ) -> Node:
     """Replay Kruskal merge events ``(w, a, b)`` into a merge tree.
 
     Events come in ascending order of their rank ``w``, with ``a`` and
     ``b`` the indices of the two clusters' roots; ``a`` roots the union,
-    and ``ordered[w]`` is the height.  A merged cluster stays open at
-    its height until it merges again higher up, so clusters chaining
+    and ``ordered[w]`` is the height; a merge at rank ``0`` raises
+    :class:`NotUltrametricError`.  A merged cluster stays open at its
+    height until it merges again higher up, so clusters chaining
     together at one height share a single multiway node.  Heights are
     ranks until a :class:`Merge` is built.  Children are ordered by their
     first vertex in declaration order, so the tree does not depend on the
@@ -120,6 +115,8 @@ def _replay(
         kids.sort(key=lambda kid: kid[0])
         return kids[0][0], Merge(ordered[height], tuple(node for _, node in kids))
 
+    if not _ultrametric(merges):
+        raise NotUltrametricError(_NEEDS_ULTRAMETRIC)
     # cluster root -> (height rank, [(first leaf index, child)]); leaves sit at 0
     open_at = {i: (0, [(i, Leaf(v))]) for i, v in enumerate(vertices)}
     for w, a, b in merges:

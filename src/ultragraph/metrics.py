@@ -21,12 +21,12 @@ Everything is exact: ``Fraction`` at the API boundary, ranks inside.
 Labels, weights and distances are :class:`fractions.Fraction` values
 wherever they enter or leave.  Every distance is ``0`` or one of the
 labels (weights), so the sweep only needs their order: it runs on
-integer ranks.  A :class:`DistanceMatrix` keeps those rank rows next to
-its Fraction entries, together with the table that maps ranks back to
-values, and its checks (:func:`_validate_rows`, :func:`_zero_free`),
-the distance set, the zero quotient and the dendrogram all run on the
-ints.  A matrix built from outside (its constructor, ``from_csv``,
-``from_json_dict``) is ranked once, when first needed; rank ``0`` is
+integer ranks.  A :class:`DistanceMatrix` is those rank rows and the
+table that maps ranks back to values, and its check
+(:func:`_validate_rows`, whose merges :func:`_ultrametric` reads), the
+distance set, the zero quotient and the dendrogram all run on the ints.
+A matrix built from outside (its constructor, ``from_csv``,
+``from_json_dict``) is ranked once, at construction; rank ``0`` is
 always the value ``0``, so negative entries keep negative ranks.
 
 Weighted graph documents go through the line reader of both formats,
@@ -121,12 +121,12 @@ class WeightedGraph:
 class DistanceMatrix:
     """Symmetric matrix of exact pairwise distances, in vertex order.
 
-    Besides its Fraction ``entries`` a matrix carries rank rows: each
-    entry as its sign-preserving rank among the distinct entries (see
-    :func:`_ranks`), with the table mapping ranks back to values.  The
-    checks, the distance set and the dendrogram only need the order of
-    the entries, so they run on those ints.  Matrices from the sweep are
-    built with their ranks; others are ranked once, on first use.
+    A matrix is its rank rows: each entry as its sign-preserving rank
+    among the distinct entries (see :func:`_ranks`), with the table
+    mapping ranks back to the Fraction ``entries``.  The checks, the
+    distance set and the dendrogram only need the order of the entries,
+    so they run on those ints.  Matrices from the sweep are built with
+    their ranks; others are ranked once, at construction.
     """
 
     vertices: tuple[str, ...]
@@ -134,8 +134,9 @@ class DistanceMatrix:
 
     def __post_init__(self):
         _check_shape(self.vertices, self.entries)
-        rows = tuple(tuple(map(_coerce_rational, row)) for row in self.entries)
-        self._freeze(self.vertices, rows)
+        rank, ordered = _ranks([_coerce_rational(q) for row in self.entries for q in row])
+        n = len(self.vertices)
+        self._freeze(self.vertices, [rank[k : k + n] for k in range(0, n * n, n)], ordered)
 
     @classmethod
     def _from_ranks(
@@ -143,47 +144,20 @@ class DistanceMatrix:
     ) -> "DistanceMatrix":
         """The matrix with entries ``ordered[r]`` for the ranks ``r`` of ``rank_rows``.
 
-        ``ordered`` is a rank table as :func:`_ranks` returns it.  Its
-        values are coerced once; every entry is one of those objects.
+        ``ordered`` is a rank table as :func:`_ranks` returns it.
         """
         _check_shape(vertices, rank_rows)
-        values = list(map(_coerce_rational, ordered))
-        value = values.__getitem__
         dm = cls.__new__(cls)
-        rows = tuple(tuple(map(value, row)) for row in rank_rows)
-        dm._freeze(vertices, rows, (rank_rows, values))
+        dm._freeze(vertices, rank_rows, ordered)
         return dm
 
-    def _freeze(self, vertices: Sequence[str], rows: tuple, ranked=None) -> None:
+    def _freeze(self, vertices: Sequence[str], rank_rows: Sequence, ordered: Sequence) -> None:
+        value = ordered.__getitem__
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "entries", tuple(tuple(map(value, row)) for row in rank_rows))
+        object.__setattr__(self, "_rows", rank_rows)
+        object.__setattr__(self, "_ordered", ordered)
         object.__setattr__(self, "_index", {v: i for i, v in enumerate(self.vertices)})
-        if ranked is not None:
-            object.__setattr__(self, "_ranked", ranked)
-
-    def _rank_table(self) -> tuple[Sequence[Sequence[int]], list[Fraction]]:
-        """``(rank_rows, ordered)``: ``ordered[rank_rows[i][j]] == entries[i][j]``."""
-        ranked = self.__dict__.get("_ranked")
-        if ranked is None:
-            objects = self._distinct_entries()
-            rank, ordered = _ranks(list(objects.values()))
-            rank_of = dict(zip(objects, rank)).__getitem__
-            rows = tuple(tuple(map(rank_of, map(id, row))) for row in self.entries)
-            ranked = (rows, ordered)
-            object.__setattr__(self, "_ranked", ranked)
-        return ranked
-
-    def _distinct_entries(self) -> dict[int, Fraction]:
-        """Each distinct entry object, keyed by ``id``.
-
-        Matrices from the sweep share one object per distinct value, and
-        the matrix keeps every entry alive, so object identity is a sound
-        key; hashing a Fraction costs more than an ``id``.
-        """
-        objects: dict[int, Fraction] = {}
-        for row in self.entries:
-            objects.update(zip(map(id, row), row))
-        return objects
 
     def get(self, x: str, y: str) -> Fraction:
         return self.entries[self._index[x]][self._index[y]]
@@ -197,29 +171,29 @@ class DistanceMatrix:
 
     def submatrix(self, keep: tuple[str, ...]) -> "DistanceMatrix":
         idx = [self._index[v] for v in keep]
-        rows, ordered = self._rank_table()
-        sub = [[rows[i][j] for j in idx] for i in idx]
-        return DistanceMatrix._from_ranks(tuple(keep), sub, ordered)
+        sub = [[self._rows[i][j] for j in idx] for i in idx]
+        return DistanceMatrix._from_ranks(tuple(keep), sub, self._ordered)
 
     def validate(self) -> None:
         """Raise :class:`MatrixInvariantError` unless this is a pseudoultrametric.
 
-        See :func:`_validate_rows` for the checks and their cost.  The
-        merge events of its sweep are kept for :func:`dendrogram`.
+        See :func:`_validate_rows` for the checks and their cost.
         """
-        rows, ordered = self._rank_table()
-        object.__setattr__(self, "_merges", _validate_rows(self.vertices, rows, ordered))
+        self._merges()
+
+    def _merges(self) -> list[tuple[int, int, int]]:
+        """:meth:`validate`, returning the merge events of its sweep."""
+        return _validate_rows(self.vertices, self._rows, self._ordered)
 
     # -- serialization ----------------------------------------------
 
     def _entry_strings(self) -> list[list[str]]:
         """``str`` of every entry, row by row; each distinct value once."""
-        rows, ordered = self._rank_table()
-        text = [str(q) for q in ordered]
-        return [list(map(text.__getitem__, row)) for row in rows]
+        text = [str(q) for q in self._ordered]
+        return [list(map(text.__getitem__, row)) for row in self._rows]
 
     def to_csv(self) -> str:
-        return "".join(_render_rows(self.vertices, *self._rank_table(), "csv"))
+        return "".join(_render_rows(self.vertices, self._rows, self._ordered, "csv"))
 
     @classmethod
     def from_csv(cls, text: str) -> "DistanceMatrix":
@@ -241,6 +215,10 @@ class DistanceMatrix:
         vertices, rows = doc["vertices"], doc["matrix"]
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in (vertices, *rows)):
             raise ValueError("'vertices', 'matrix' and each of its rows must be arrays")
+        # The constructor would take a float or bool for a TypeError.
+        bad = [q for row in rows for q in row if type(q) not in (str, int)]
+        if bad:
+            raise ValueError(f"matrix entry {json.dumps(bad[0])} is not a string or an integer")
         return cls(tuple(vertices), tuple(map(tuple, rows)))
 
 
@@ -357,9 +335,9 @@ def _validate_rows(
     return merges
 
 
-def _zero_free(m: Sequence[Sequence[int]]) -> bool:
-    """True when no off-diagonal entry of ``m`` is zero; its diagonal must be zero."""
-    return all(row.count(0) == 1 for row in m)
+def _ultrametric(merges: Sequence[tuple[int, int, int]]) -> bool:
+    """True when no merge event, ascending in rank, happens at rank ``0``."""
+    return not merges or merges[0][0] > 0
 
 
 # -- weighted-format parsing --------------------------------------------
@@ -570,8 +548,7 @@ def classify_metric(dm: DistanceMatrix) -> str:
     was not produced by this package's constructors and is reported as
     an internal error rather than a verdict.
     """
-    dm.validate()
-    return ULTRAMETRIC if _zero_free(dm._rank_table()[0]) else PSEUDOULTRAMETRIC
+    return ULTRAMETRIC if _ultrametric(dm._merges()) else PSEUDOULTRAMETRIC
 
 
 def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
@@ -583,10 +560,9 @@ def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
     the set of distance values unchanged.
     """
     dm.validate()
-    rows, ordered = dm._rank_table()
-    keep, sub = _zero_classes(rows)
+    keep, sub = _zero_classes(dm._rows)
     reps = tuple(map(dm.vertices.__getitem__, keep))
-    return reps, DistanceMatrix._from_ranks(reps, sub, ordered)
+    return reps, DistanceMatrix._from_ranks(reps, sub, dm._ordered)
 
 
 def _zero_classes(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:

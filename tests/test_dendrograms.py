@@ -266,10 +266,7 @@ def test_matrix_route_accepts_a_root_without_leaf_children():
 
 def test_graph_route_checks_for_leaf_children(monkeypatch):
     dm = _two_pairs()
-    dm.validate()
-    monkeypatch.setattr(
-        dendrograms, "_merge_events", lambda _g: (dm._merges, dm._rank_table()[1])
-    )
+    monkeypatch.setattr(dendrograms, "_merge_events", lambda _g: (dm._merges(), dm._ordered))
     with pytest.raises(InternalCheckError, match="^merge at height 2 has no leaf child$"):
         graph_dendrogram(path_graph(1, 2, 3, 4))
 

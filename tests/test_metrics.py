@@ -1,5 +1,6 @@
 """Distance computation, classification, quotients, and realizability."""
 
+import copy
 import json
 from fractions import Fraction
 from itertools import combinations, islice
@@ -490,11 +491,13 @@ def test_json_round_trip_renders_rationals_as_strings():
         {"vertices": ["a", "b"], "matrix": ["01", "10"]},
         {"vertices": ["a", "b"]},
         {"matrix": [["0", "1"], ["1", "0"]]},
+        {"vertices": ["a", "b"], "matrix": [[0, 1.5], [1.5, 0]]},
+        {"vertices": ["a", "b"], "matrix": [[0, True], [True, 0]]},
     ],
 )
 def test_json_reader_refuses_other_shapes(doc):
     # A string used to pass as a list of one-character names or entries,
-    # and a missing key raised KeyError.
+    # a missing key raised KeyError, and a float or bool entry TypeError.
     with pytest.raises(ValueError):
         DistanceMatrix.from_json_dict(doc)
 
@@ -585,6 +588,14 @@ def test_rank_route_matches_the_fraction_route(dm):
     assert fast == slow
     if fast[0] == "ok":
         assert canonical_form(fast[1]) == canonical_form(slow[1])
+
+
+@given(outside_matrices())
+def test_checks_leave_the_matrix_unchanged(dm):
+    before = copy.deepcopy(vars(dm))
+    for check in (DistanceMatrix.validate, classify_metric, zero_quotient, distance_set, dendrogram):
+        _outcome(check, dm)
+        assert vars(dm) == before, check.__name__
 
 
 @given(connected_graphs())

@@ -4,6 +4,8 @@ import importlib.util
 import time
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,3 +34,20 @@ def test_survey_edge_bound_rejects_tiny_graphs(capsys):
     survey = _load("survey_edge_bound")
     assert survey.main(["--n", "1"]) == 2
     assert capsys.readouterr().err == "error: --n must be between 2 and 26\n"
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ("1,x", "malformed label 'x'"),
+        ("1,-1", "negative label '-1'"),
+        ("1_0,2", "malformed label '1_0'"),
+        (",", "--labels names no label"),
+    ],
+)
+def test_survey_edge_bound_refuses_bad_labels(capsys, labels, message):
+    # The label rules of graph files; each refusal is one line, not a traceback.
+    survey = _load("survey_edge_bound")
+    assert survey.main(["--n", "4", "--graphs", "5", "--labels", labels]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
