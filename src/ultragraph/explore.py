@@ -34,14 +34,16 @@ report claims nothing beyond the universe it states, and its runs'
 ``"counterexamples"`` lists are always ``[]``.
 
 Labelings are scanned as tuples of integer ranks ``1 .. k`` into the
-sorted universe, and every per-labeling check runs on those ints: the
-four tree criteria (cross-checked against each other), the Kruskal
-sweep to a distance matrix, its validation and the ultrametric check.
-This is exact.  The rank map is strictly increasing and every distance
-is a label, so ``max``, ``<``, ``==`` and the sizes of distance sets
-come out the same on ranks as on the Fractions.  Only GH labelings are
-mapped back to Fractions, for their canonical forms, which are read off
-the merge events of their own edge sweeps.
+sorted universe, and GH is decided on those ints in one pass over the
+edges: a labeled tree is GH exactly when its ``n - 1`` edge maxima
+``max(l(u), l(v))`` are pairwise distinct.  With positive labels every
+edge of a tree merges at its own maximum, so the distance set is ``0``
+and the edge maxima, and it has ``n`` values exactly when they are
+distinct; the four criteria of :func:`ultragraph.analysis.tree_gh_report`
+all reduce to this.  The test is exact on ranks: the rank map is
+strictly increasing, so it keeps maxima and equalities.  Only GH
+labelings are mapped back to Fractions, for their canonical forms,
+which are read off the merge events of their own edge sweeps.
 
 Sampled mode checks each draw and counts GH spaces per distance set, so
 its memory grows with the number of distinct distance sets.
@@ -56,16 +58,16 @@ check, since such a map keeps the shape of the dendrogram.  Shards only
 tally the GH patterns by ``m``, and the run's counts follow from the
 tallies by counting:
 
-Counting.  On a tree, GH means the ``n - 1`` edge maxima are pairwise
-distinct, and the least label is no edge's maximum unless it is tied.
-So a GH pattern has ``m = n - 1`` values, all of them distances, or
-``m = n``, all but the least (a GH pattern with fewer values raises
-:class:`InternalCheckError`, since the counts would drop it).  Let
-``A`` and ``B`` count the (tree, GH pattern) pairs with ``n - 1`` and
-``n`` values.  Then ``gh_spaces = A·C(k, n-1) + B·C(k, n)``.  A distance
-set whose least positive value has rank ``lo`` is shared by ``A`` spaces
-on exactly its values and ``B·(lo - 1)`` with one more value below
-them, and ``C(k - lo, n - 2)`` sets have that least value, so
+Counting.  A GH pattern's ``n - 1`` edge maxima are distinct, and the
+least label is no edge's maximum unless it is tied.  So a GH pattern
+has ``m = n - 1`` values, all of them distances, or ``m = n``, all but
+the least; ``n - 1`` distinct maxima are already ``n - 1`` distinct
+labels, so none has fewer.  Let ``A`` and ``B`` count the (tree, GH
+pattern) pairs with ``n - 1`` and ``n`` values.  Then
+``gh_spaces = A·C(k, n-1) + B·C(k, n)``.  A distance set whose least
+positive value has rank ``lo`` is shared by ``A`` spaces on exactly its
+values and ``B·(lo - 1)`` with one more value below them, and
+``C(k - lo, n - 2)`` sets have that least value, so
 ``pairs_tested = Σ_{lo=1..k} C(k - lo, n - 2)·C(A + B·(lo - 1), 2)``.
 Over labeled trees ``B = n!·(n - 1)!``: with ``n`` values every vertex
 but the least has exactly one neighbour of lower label, so each of the
@@ -95,7 +97,6 @@ from itertools import product
 from math import comb
 from typing import Callable, Iterator
 
-from .analysis import _tree_criteria
 from .dendrograms import LEAF_MARK, canonical_form, graph_dendrogram
 from .graphs import (
     CapExceededError,
@@ -255,11 +256,12 @@ def _caterpillar(dset: tuple[Fraction, ...]) -> str:
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
     """Scan the trees whose Pruefer sequence starts with ``prefix``.
 
-    Returns ``(trees, labelings, counts)``.  Labelings are scanned as
-    rank tuples (see the module docstring).  Exhaustive mode checks each
-    label pattern once, counts it ``C(k, m)`` labelings and tallies the
-    GH patterns in ``counts`` by their number ``m`` of values; sampled
-    mode checks each draw and counts the GH spaces per distance set.
+    Returns ``(trees, labelings, counts)``.  GH is decided on rank tuples
+    from the edge maxima (see the module docstring).  Exhaustive mode
+    checks each label pattern once, counts it ``C(k, m)`` labelings and
+    tallies the GH patterns in ``counts`` by their number ``m`` of
+    values; sampled mode checks each draw and counts the GH spaces per
+    distance set.
     Each GH labeling (in exhaustive mode, each GH pattern read as the
     ``m`` smallest labels) is turned back into Fractions and its
     canonical form checked against the caterpillar of its distance set,
@@ -267,7 +269,6 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
-    ordered = (Fraction(0), *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
     zero_labels = dict.fromkeys(names, 0)
     trees = 0
@@ -278,28 +279,20 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
         index_edges = tree_from_pruefer(seq, n)
         edges = tuple((names[i], names[j]) for i, j in index_edges)
         skeleton = LabeledGraph(names, edges, zero_labels)
-        # Label-independent guards of tree_gh_report, once per tree.
+        # Label-independent guard of tree_gh_report, once per tree.
         # Nondegeneracy needs no check: every rank is at least 1.
         if not is_tree(skeleton):
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
-        degree_total = sum(skeleton.degree(v) for v in names)
         trees += 1
         classes = _patterns(n, k) if cfg.mode == EXHAUSTIVE else _labelings(cfg, n, tree_index)
         for ranks, count in classes:
             labelings += count
-            verdicts = _tree_criteria(names, index_edges, ranks, degree_total, ordered)
-            if len(set(verdicts)) > 1:
-                raise InternalCheckError(
-                    f"tree criteria disagree on {edges} with label ranks {ranks}"
-                )
-            if not verdicts[0]:
+            # GH on a tree: the n - 1 edge maxima are pairwise distinct.
+            maxima = {max(ranks[i], ranks[j]) for i, j in index_edges}
+            if len(maxima) < n - 1:
                 continue
-            if (m := len(set(ranks))) < n - 1:
-                raise InternalCheckError(
-                    f"GH labeling with {m} < n - 1 values: tree {edges}, label ranks {ranks}"
-                )
             labeling = tuple(cfg.universe[r - 1] for r in ranks)
-            dset = (Fraction(0), *sorted(max(labeling[i], labeling[j]) for i, j in index_edges))
+            dset = (Fraction(0), *(cfg.universe[r - 1] for r in sorted(maxima)))
             g = skeleton.with_labels(dict(zip(names, labeling)))
             form, expected = canonical_form(graph_dendrogram(g)), _caterpillar(dset)
             if form != expected:
@@ -308,7 +301,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
                     f"{edges} labeled ({', '.join(map(str, labeling))}) has form "
                     f"{form}, not {expected}"
                 )
-            counts[m if cfg.mode == EXHAUSTIVE else dset] += 1
+            counts[len(set(ranks)) if cfg.mode == EXHAUSTIVE else dset] += 1
     return trees, labelings, counts
 
 

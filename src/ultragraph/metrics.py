@@ -279,6 +279,8 @@ def _render_rows(
 
 def _check_shape(vertices: Sequence[str], rows: Sequence[Sequence]) -> None:
     n = len(vertices)
+    if not all(isinstance(v, str) for v in vertices):
+        raise ValueError("vertex names must be strings")
     if len(set(vertices)) != n or n == 0:
         raise ValueError("vertex names must be unique and non-empty")
     if len(rows) != n or any(len(row) != n for row in rows):

@@ -24,9 +24,7 @@ from ultragraph import (
     InternalCheckError,
     LabeledGraph,
     Leaf,
-    MatrixInvariantError,
     Merge,
-    NotUltrametricError,
     SearchConfig,
     canonical_form,
     dendrogram,
@@ -37,7 +35,7 @@ from ultragraph import (
     tree_from_pruefer,
     tree_gh_report,
 )
-from ultragraph import analysis, explore
+from ultragraph import analysis, explore, metrics
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
 from ultragraph.explore import _labelings, _patterns, _pruefer_block, _scan_shard
@@ -442,44 +440,17 @@ def test_exhaustive_cost_does_not_grow_with_the_labels():
         gc.enable()
 
 
-def test_rank_route_keeps_validate_and_the_ultrametric_check(monkeypatch):
-    real = analysis._bottleneck_rows
+def test_scan_builds_no_matrix(monkeypatch):
+    # GH is decided from the edge maxima: no sweep to a matrix, no validation.
+    def no_matrix(*_args):
+        raise AssertionError("the scan built a distance matrix")
 
-    def bent(vertices, weighted):
-        rows = real(vertices, weighted)
-        rows[0][-1] += 1
-        return rows
-
-    monkeypatch.setattr(analysis, "_bottleneck_rows", bent)
-    with pytest.raises(MatrixInvariantError):
-        search_conjecture(SearchConfig(n_max=3, universe=U123))
-    # all zero: a valid pseudoultrametric, but not an ultrametric
-    monkeypatch.setattr(analysis, "_bottleneck_rows", lambda vs, _w: [[0] * len(vs) for _ in vs])
-    with pytest.raises(NotUltrametricError):
-        search_conjecture(SearchConfig(n_max=3, universe=U123))
-
-
-def test_scan_checks_that_gh_patterns_have_n_minus_1_values(monkeypatch, capsys):
-    # With fewer values a GH pattern would drop out of the tallies.
-    monkeypatch.setattr(explore, "_tree_criteria", lambda *_args: (True,) * 4)
-    with pytest.raises(InternalCheckError) as err:
-        search_conjecture(SearchConfig(n_max=3, universe=U123))
-    message = (
-        "GH labeling with 1 < n - 1 values: "
-        "tree (('1', '2'), ('1', '3')), label ranks (1, 1, 1)"
-    )
-    assert str(err.value) == message
-    assert main(["explore", "--max-n", "3"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    # after the n = 2 progress line
-    assert err.endswith(f"\ninternal check failed: {message}\n")
-
-
-def test_scan_cross_checks_the_four_criteria(monkeypatch):
-    monkeypatch.setattr(explore, "_tree_criteria", lambda *_args: (True, False, True, True))
-    with pytest.raises(InternalCheckError, match="criteria disagree"):
-        search_conjecture(SearchConfig(n_max=2, universe=U123))
+    for module in (analysis, metrics):
+        monkeypatch.setattr(module, "_bottleneck_rows", no_matrix)
+        monkeypatch.setattr(module, "_validate_rows", no_matrix)
+    kwargs, digest = PINNED_REPORTS[0]
+    report = search_conjecture(SearchConfig(**kwargs)).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -493,13 +493,21 @@ def test_json_round_trip_renders_rationals_as_strings():
         {"matrix": [["0", "1"], ["1", "0"]]},
         {"vertices": ["a", "b"], "matrix": [[0, 1.5], [1.5, 0]]},
         {"vertices": ["a", "b"], "matrix": [[0, True], [True, 0]]},
+        {"vertices": [1, 2], "matrix": [["0", "1"], ["1", "0"]]},
     ],
 )
 def test_json_reader_refuses_other_shapes(doc):
     # A string used to pass as a list of one-character names or entries,
-    # a missing key raised KeyError, and a float or bool entry TypeError.
+    # a missing key raised KeyError, a float or bool entry TypeError, and
+    # integer vertex names were taken as they were.
     with pytest.raises(ValueError):
         DistanceMatrix.from_json_dict(doc)
+
+
+def test_constructor_refuses_vertex_names_that_are_not_strings():
+    # ("a", None) used to be accepted, and to_csv wrote its header as "a,".
+    with pytest.raises(ValueError, match="vertex names must be strings"):
+        DistanceMatrix(("a", None), ((0, 1), (1, 0)))
 
 
 @given(connected_graphs())
