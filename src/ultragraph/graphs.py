@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 DEFAULT_CYCLE_CAP = 10
 DEFAULT_TREE_CAP = 8
@@ -78,7 +78,9 @@ class LabeledGraph:
 
     ``vertices`` keeps declaration order.  Each edge is stored with its
     endpoints ordered by declaration index, but the edge tuple itself
-    keeps the order in which edges were declared.
+    keeps the order in which edges were declared.  ``_pairs`` holds the
+    same edges as index pairs ``(i, j)``, ``i < j``.  Adjacency is built
+    on first use.
     """
 
     vertices: tuple[str, ...]
@@ -90,6 +92,8 @@ class LabeledGraph:
             raise ValueError("graph must have at least one vertex")
         index: dict[str, int] = {}
         for v in self.vertices:
+            if not isinstance(v, str):
+                raise ValueError("vertex names must be strings")
             if v in index:
                 raise ValueError(f"duplicate vertex id {v!r}")
             index[v] = len(index)
@@ -104,31 +108,45 @@ class LabeledGraph:
             if x < 0:
                 raise ValueError(f"vertex {v!r} has negative label {x}")
 
-        seen: set[tuple[str, str]] = set()
-        norm: list[tuple[str, str]] = []
+        pairs: dict[tuple[int, int], None] = {}
         for u, v in self.edges:
             if u not in index or v not in index:
                 raise ValueError(f"edge ({u!r}, {v!r}) has an undeclared endpoint")
             if u == v:
                 raise ValueError(f"self-loop at {u!r}")
-            edge = (u, v) if index[u] < index[v] else (v, u)
-            if edge in seen:
+            i, j = index[u], index[v]
+            pair = (i, j) if i < j else (j, i)
+            if pair in pairs:
                 raise ValueError(f"duplicate edge ({u!r}, {v!r})")
-            seen.add(edge)
-            norm.append(edge)
+            pairs[pair] = None
+        self._store(index, pairs, labels)
 
-        adj: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for u, v in norm:
-            adj[u].append(v)
-            adj[v].append(u)
-        for v in self.vertices:
-            adj[v].sort(key=index.__getitem__)
+    @classmethod
+    def _checked(
+        cls, index: dict[str, int], pairs: Iterable[tuple[int, int]], labels: dict[str, Fraction]
+    ) -> "LabeledGraph":
+        """The graph of a declaration already checked as the constructor checks it.
 
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "edges", tuple(norm))
+        ``index`` maps each vertex to its declaration index, in that
+        order; ``pairs`` are the edges as distinct index pairs
+        ``(i, j)`` with ``i < j``; ``labels`` are non-negative
+        Fractions, one per vertex.  :func:`parse_graph` reads documents
+        into this form.
+        """
+        g = cls.__new__(cls)
+        g._store(index, pairs, labels)
+        return g
+
+    def _store(
+        self, index: dict[str, int], pairs: Iterable[tuple[int, int]], labels: dict[str, Fraction]
+    ) -> None:
+        names = tuple(index)
+        pairs = tuple(pairs)
+        object.__setattr__(self, "vertices", names)
+        object.__setattr__(self, "edges", tuple([(names[i], names[j]) for i, j in pairs]))
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_adj", {v: tuple(ns) for v, ns in adj.items()})
+        object.__setattr__(self, "_pairs", pairs)
 
     # -- basic accessors ------------------------------------------------
 
@@ -137,23 +155,35 @@ class LabeledGraph:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         """Neighbors of ``v`` in vertex declaration order."""
-        return self._adj[v]
+        return self._adjacency()[v]
 
     def label(self, v: str) -> Fraction:
         return self.labels[v]
 
     def degree(self, v: str) -> int:
-        return len(self._adj[v])
+        return len(self._adjacency()[v])
 
     def has_edge(self, u: str, v: str) -> bool:
         i, j = self._index[u], self._index[v]
-        pair = (u, v) if i < j else (v, u)
-        return pair in self._edge_set()
+        return ((i, j) if i < j else (j, i)) in self._edge_set()
 
-    def _edge_set(self) -> frozenset[tuple[str, str]]:
+    def _adjacency(self) -> dict[str, tuple[str, ...]]:
+        """Each vertex -> its neighbors in declaration order; built on first use."""
+        cached = self.__dict__.get("_adj")
+        if cached is None:
+            names = self.vertices
+            adj: list[list[int]] = [[] for _ in names]
+            for i, j in self._pairs:
+                adj[i].append(j)
+                adj[j].append(i)
+            cached = {v: tuple([names[k] for k in sorted(ns)]) for v, ns in zip(names, adj)}
+            object.__setattr__(self, "_adj", cached)
+        return cached
+
+    def _edge_set(self) -> frozenset[tuple[int, int]]:
         cached = self.__dict__.get("_edges_frozen")
         if cached is None:
-            cached = frozenset(self.edges)
+            cached = frozenset(self._pairs)
             object.__setattr__(self, "_edges_frozen", cached)
         return cached
 
@@ -235,49 +265,57 @@ def _read_records(text: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]):
 
     Skips blanks and ``#`` comments, checks each record's token count
     against ``shapes``, then duplicate vertices, undeclared endpoints,
-    self-loops and duplicate edges.  Returns ``(labels, edges)`` in
-    declaration order: vertex -> label (a third ``v`` token), ``(u, v)``
-    as written -> weight (a fourth ``e`` token), ``None`` if absent.
+    self-loops and duplicate edges; messages name the endpoints as
+    written.  Returns ``(index, labels, edges)`` in declaration order:
+    vertex -> declaration index, vertex -> label (a third ``v`` token),
+    and each edge's index pair ``(i, j)``, ``i < j`` -> weight (a fourth
+    ``e`` token); an absent token reads ``None``.
     """
+    index: dict[str, int] = {}
     labels: dict[str, Fraction | None] = {}
-    edges: dict[tuple[str, str], Fraction | None] = {}
+    edges: dict[tuple[int, int], Fraction | None] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
             continue
-        tokens = line.split()
         head = tokens[0]
         if head not in shapes:
             raise GraphFormatError(
-                line_no, "malformed-line", f"unknown directive {head!r} in {line!r}"
+                line_no, "malformed-line", f"unknown directive {head!r} in {raw.strip()!r}"
             )
         counts, usage = shapes[head]
         if len(tokens) not in counts:
-            raise GraphFormatError(line_no, "malformed-line", f"expected '{usage}', got {line!r}")
+            raise GraphFormatError(
+                line_no, "malformed-line", f"expected '{usage}', got {raw.strip()!r}"
+            )
         if head == "v":
             vid = tokens[1]
-            if vid in labels:
+            if vid in index:
                 raise GraphFormatError(line_no, "duplicate-vertex", f"duplicate vertex id {vid!r}")
+            index[vid] = len(index)
             labels[vid] = None
             if len(tokens) == 3:
                 labels[vid] = _parse_rational(tokens[2], line_no, "bad-label", "label")
         else:
             u, v = tokens[1], tokens[2]
-            if u not in labels or v not in labels:
-                end = u if u not in labels else v
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                end = u if u not in index else v
                 raise GraphFormatError(
                     line_no, "undeclared-endpoint", f"undeclared endpoint {end!r}"
-                )
-            if u == v:
+                ) from None
+            if i == j:
                 raise GraphFormatError(line_no, "self-loop", f"self-loop at {u!r}")
-            if (u, v) in edges or (v, u) in edges:
+            pair = (i, j) if i < j else (j, i)
+            if pair in edges:
                 raise GraphFormatError(line_no, "duplicate-edge", f"duplicate edge {u!r} {v!r}")
-            edges[u, v] = None
+            edges[pair] = None
             if len(tokens) == 4:
-                edges[u, v] = _parse_rational(tokens[3], line_no, "bad-weight", "weight")
-    if not labels:
+                edges[pair] = _parse_rational(tokens[3], line_no, "bad-weight", "weight")
+    if not index:
         raise GraphFormatError(0, "empty-graph", "no vertices declared")
-    return labels, edges
+    return index, labels, edges
 
 
 def parse_graph(text: str) -> LabeledGraph:
@@ -288,8 +326,8 @@ def parse_graph(text: str) -> LabeledGraph:
     (``1.5``, ``15e-1``) or rationals (``3/2``).  The order of ``v`` lines
     defines the vertex order.  The weighted format shares the reader.
     """
-    labels, edges = _read_records(text, _LABELED_RECORDS)
-    return LabeledGraph(tuple(labels), tuple(edges), labels)
+    index, labels, edges = _read_records(text, _LABELED_RECORDS)
+    return LabeledGraph._checked(index, edges, labels)
 
 
 # -- predicates and traversals -----------------------------------------

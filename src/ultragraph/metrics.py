@@ -354,8 +354,10 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
     ``e <id> <id> <weight>``.  Everything else, errors included, is as
     in :func:`ultragraph.graphs.parse_graph`, whose line reader this shares.
     """
-    labels, weights = _read_records(text, _WEIGHTED_RECORDS)
-    return WeightedGraph(tuple(labels), tuple(weights), weights)
+    index, _labels, weights = _read_records(text, _WEIGHTED_RECORDS)
+    names = tuple(index)
+    edges = tuple([(names[i], names[j]) for i, j in weights])
+    return WeightedGraph(names, edges, dict(zip(edges, weights.values())))
 
 
 # -- the two distance routes --------------------------------------------
@@ -459,10 +461,9 @@ def _sorted_edges(
 
 def _label_edges(g: LabeledGraph) -> tuple[Iterator[tuple[int, int, int]], list[Fraction]]:
     """The edges weighted ``max(l(u), l(v))`` as sorted rank triples, with the rank table."""
-    index = g._index
     rank, ordered = _ranks([g.labels[v] for v in g.vertices])
-    rank_of = dict(zip(g.vertices, rank))
-    rank_edges = ((max(rank_of[u], rank_of[v]), index[u], index[v]) for u, v in g.edges)
+    # The larger rank by a conditional: a call to max per edge costs more.
+    rank_edges = ((rank[i] if rank[i] > rank[j] else rank[j], i, j) for i, j in g._pairs)
     return _sorted_edges(rank_edges, ordered), ordered
 
 
@@ -496,9 +497,8 @@ def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
 
 def rho_w(wg: WeightedGraph) -> DistanceMatrix:
     """Minimax path distances for explicit edge weights."""
-    index = wg.skeleton._index
     rank, ordered = _ranks([wg.weights[e] for e in wg.edges])
-    rank_edges = ((r, index[u], index[v]) for r, (u, v) in zip(rank, wg.edges))
+    rank_edges = ((r, i, j) for r, (i, j) in zip(rank, wg.skeleton._pairs))
     rows = _bottleneck_rows(wg.vertices, _sorted_edges(rank_edges, ordered))
     return DistanceMatrix._from_ranks(wg.vertices, rows, ordered)
 

@@ -93,6 +93,20 @@ def test_constructor_rejects_an_edge_in_either_orientation_twice(edges, message)
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ((1, 2), ((1, 2),)),
+        (("a", None), ()),
+        (("a", ("b",)), (("a", ("b",)),)),
+    ],
+)
+def test_constructor_refuses_vertex_names_that_are_not_strings(vertices, edges):
+    with pytest.raises(ValueError) as err:
+        LabeledGraph(vertices, edges, dict.fromkeys(vertices, 1))
+    assert str(err.value) == "vertex names must be strings"
+
+
 @pytest.mark.parametrize("bad", [0.5, True])
 def test_inexact_label_types_rejected(bad):
     with pytest.raises(TypeError):
@@ -212,6 +226,73 @@ def test_exponent_bound_of_rational_tokens():
         with pytest.raises(GraphFormatError) as err:
             parse_graph(labeled.format(token))
         assert str(err.value) == f"line 1: malformed label {token!r}"
+
+
+# Declarations of a malformed edge line after "v a", "v b", "v c" and a
+# comment, with the error it gets in either format.
+EDGE_ERRORS = [
+    (["a c", "b c", "c a"], ("duplicate-edge", 7, "duplicate edge 'c' 'a'")),
+    (["c a", "a c"], ("duplicate-edge", 6, "duplicate edge 'a' 'c'")),
+    (["a b", "c b", "a c", "b c"], ("duplicate-edge", 8, "duplicate edge 'b' 'c'")),
+    (["z a"], ("undeclared-endpoint", 5, "undeclared endpoint 'z'")),
+    (["a c", "c z"], ("undeclared-endpoint", 6, "undeclared endpoint 'z'")),
+    (["y z"], ("undeclared-endpoint", 5, "undeclared endpoint 'y'")),
+    (["z z"], ("undeclared-endpoint", 5, "undeclared endpoint 'z'")),
+    (["a b", "c c"], ("self-loop", 6, "self-loop at 'c'")),
+]
+
+
+@pytest.mark.parametrize("edges, expected", EDGE_ERRORS)
+@pytest.mark.parametrize(
+    "parse, vertex, edge",
+    [(parse_graph, "v {} 1", "e {}"), (parse_weighted_graph, "v {}", "e {} 2")],
+)
+def test_edge_errors_name_the_endpoints_as_written(parse, vertex, edge, edges, expected):
+    lines = [*(vertex.format(v) for v in "abc"), "# edges", *(edge.format(e) for e in edges)]
+    text = "\n".join(lines) + "\n"
+    category, line_no, message = expected
+    with pytest.raises(GraphFormatError) as err:
+        parse(text)
+    assert (err.value.category, err.value.line_no) == (category, line_no)
+    assert str(err.value) == f"line {line_no}: {message}"
+
+
+@st.composite
+def graph_documents(draw):
+    """A labeled graph document with comments, blank lines, edges in both
+    orientations and zero labels, and the declarations it makes."""
+    n = draw(st.integers(1, 7))
+    name = st.from_regex(r"[a-z][a-z0-9_#]{0,3}", fullmatch=True)
+    names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
+    label = st.sampled_from(("0", "0/3", "1", "1/2", "0.5", "2", "15e-1"))
+    labels = [draw(label) for _ in names]
+    pairs = draw(st.permutations([p for p in combinations(range(n), 2) if draw(st.booleans())]))
+    edges = [
+        (names[j], names[i]) if draw(st.booleans()) else (names[i], names[j]) for i, j in pairs
+    ]
+    records = [f"v {v} {x}" for v, x in zip(names, labels)] + [f"e {u} {v}" for u, v in edges]
+    lines = []
+    for record in records:
+        lines += draw(st.lists(st.sampled_from(("", "  ", "# note", " #e a a", "#v z 1"))))
+        indent = draw(st.sampled_from(("", " ", "\t")))
+        lines.append(indent + record.replace(" ", draw(st.sampled_from((" ", "\t", "  ")))))
+    return "\n".join(lines) + "\n", tuple(names), tuple(edges), dict(zip(names, labels))
+
+
+@given(graph_documents())
+def test_parsed_documents_equal_the_constructed_graph(doc):
+    text, vertices, edges, labels = doc
+    g, h = parse_graph(text), LabeledGraph(vertices, edges, labels)
+    assert (g.vertices, g.edges, g.labels, g._pairs) == (h.vertices, h.edges, h.labels, h._pairs)
+    assert g.to_text() == h.to_text()
+    for u in vertices:
+        assert (g.index_of(u), g.neighbors(u), g.degree(u)) == (
+            h.index_of(u),
+            h.neighbors(u),
+            h.degree(u),
+        )
+        for v in vertices:
+            assert g.has_edge(u, v) == h.has_edge(u, v) == ((u, v) in edges or (v, u) in edges)
 
 
 @given(connected_graphs())
