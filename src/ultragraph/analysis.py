@@ -3,10 +3,11 @@
 For a space ``X`` with distance set ``D`` (all values, zero included),
 ``|D| <= |X|`` always holds; spaces attaining equality are the
 Gomory-Hu (GH) spaces.  On trees, membership admits three equivalent
-counting restatements; :func:`gh_report` counts (i), (iii) and (iv) on
-the distance set it reads off the graph's edge-sweep merges, with no
-matrix, and reads (ii) off the labels, so tests can pin the equivalence
-against :func:`tree_gh_report`, which sweeps and validates a matrix.
+counting restatements.  :func:`gh_report` reads all four criteria off
+the size of the distance set it takes from the graph's edge-sweep
+merges, with no matrix: on a positively labeled tree each one says
+``|D| = |V|``.  Tests pin this against :func:`tree_gh_report`, which
+counts each criterion on a swept and validated matrix of its own.
 Constructively, every connected graph carries a GH labeling, built from
 a spanning tree and a level-monotone relabeling.
 """
@@ -152,18 +153,11 @@ def _tree_criteria(
         raise NotUltrametricError(_ULTRAMETRIC_ONLY)
     # the diagonal contributes the zero distance
     sizes = len(set(chain.from_iterable(rows)))
-    distinct = len({w for w, _i, _j in weighted})
-    return _count_criteria(sizes, len(vertices), len(weighted), distinct, degree_total)
-
-
-def _count_criteria(
-    sizes: int, n: int, edges: int, distinct_weights: int, degree_total: int
-) -> tuple[bool, bool, bool, bool]:
-    """The four criteria of :func:`tree_gh_report`, from the counts they compare."""
+    n, m = len(vertices), len(weighted)
     return (
         sizes == n,
-        distinct_weights == edges,
-        sizes == edges + 1,
+        len({w for w, _i, _j in weighted}) == m,
+        sizes == m + 1,
         2 * sizes == 2 + degree_total,
     )
 
@@ -171,28 +165,25 @@ def _count_criteria(
 def is_gh_complete(labels: Sequence) -> bool:
     """Is the complete graph on these vertex labels a GH space?
 
-    The verdict is computed outright (build the complete graph, take
-    distances, count).  No closed-form shortcut on the label multiset is
-    used: the tempting ones overcount, e.g. labels ``1, 2, 2`` give only
-    two distinct distances on three vertices.
+    Decided on the labels, with no graph.  The edge ``{x, y}`` is a path
+    and every path from ``x`` to ``y`` passes both, so ``d(x, y) =
+    max(l(x), l(y))``; with the labels sorted, ``D = {0, l_2, ..., l_n}``.
+    With at most one zero, ``l_2, ..., l_n`` are positive, so ``|D| = n``
+    exactly when they are pairwise distinct: ``1, 1, 2`` is GH, ``1, 2, 2``
+    is not.  Refusals are the graph constructor's, vertex ``k`` named ``'k'``.
     """
     values = [_coerce_rational(x) for x in labels]
     if not values:
         raise ValueError("need at least one label")
-    if len(values) >= 2 and sum(1 for x in values if x == 0) >= 2:
+    if values.count(0) >= 2:
         raise DegenerateLabelingError(
             "a complete graph with two zero labels is degenerate"
         )
-    names = tuple(str(i + 1) for i in range(len(values)))
-    edges = tuple(
-        (names[i], names[j])
-        for i in range(len(names))
-        for j in range(i + 1, len(names))
-    )
-    g = LabeledGraph(names, edges, dict(zip(names, values)))
-    # With at most one zero label every edge has a positive endpoint, so
-    # the space is ultrametric.
-    return len(_generated_distance_set(g)[0]) == len(values)
+    for k, x in enumerate(values, start=1):
+        if x < 0:
+            raise ValueError(f"vertex {str(k)!r} has negative label {x}")
+    above_least = sorted(values)[1:]
+    return len(set(above_least)) == len(above_least)
 
 
 def level_labeling(t: LabeledGraph, root: str) -> dict[str, Fraction]:
@@ -263,9 +254,8 @@ def gh_report(g: LabeledGraph) -> GHReport:
     """Compute the full report for a connected labeled graph.
 
     Off the merge events of one edge sweep: the size of the distance set
-    decides both inequalities, the GH verdict and tree criteria (i),
-    (iii) and (iv); (ii) reads the labels.  A failing self-check is an
-    internal error.
+    decides both inequalities, the GH verdict and all four tree
+    criteria.  A failing self-check is an internal error.
     """
     d_set, ultrametric = _generated_distance_set(g)
     size, n, m = len(d_set), len(g.vertices), len(g.edges)
@@ -278,10 +268,10 @@ def gh_report(g: LabeledGraph) -> GHReport:
     # The sweep proved g connected, so it is a tree exactly when |E| = |V| - 1;
     # the first edge swept always merges, so no zero merge means no edge
     # joins two zero labels.  On such a tree every edge merges at its own
-    # maximum, so |D| = 1 + distinct and the four criteria agree.
+    # maximum, so |D| = 1 + (distinct edge maxima); with the degree total
+    # 2|E| = 2n - 2, each of the four criteria says |D| = n.
     if n >= 2 and m == n - 1 and ultrametric:
-        distinct = len({max(g.labels[u], g.labels[v]) for u, v in g.edges})
-        tree_eq = _count_criteria(size, n, m, distinct, sum(map(g.degree, g.vertices)))
+        tree_eq = (size == n,) * 4
 
     return GHReport(
         vertex_count=n,

@@ -305,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.set_defaults(func=cmd_quotient)
 
-    p = sub.add_parser("realizable", help="can edge weights come from vertex labels?")
+    p = sub.add_parser("realizable", help="is every edge weight its own minimax distance?")
     p.add_argument("path", help="graph file with weighted edges: e <id> <id> <weight>")
     p.add_argument(
         "--oracle",

@@ -102,10 +102,19 @@ class WeightedGraph:
         for edge in skeleton.edges:
             if edge not in weights:
                 raise ValueError(f"edge {edge!r} has no weight")
+        self._store(skeleton, map(weights.__getitem__, skeleton.edges))
 
+    @classmethod
+    def _checked(cls, skeleton: LabeledGraph, weights: Iterable[Fraction]) -> "WeightedGraph":
+        """A checked declaration: non-negative ``weights`` in ``skeleton.edges`` order."""
+        wg = cls.__new__(cls)
+        wg._store(skeleton, weights)
+        return wg
+
+    def _store(self, skeleton: LabeledGraph, weights: Iterable[Fraction]) -> None:
         object.__setattr__(self, "vertices", skeleton.vertices)
         object.__setattr__(self, "edges", skeleton.edges)
-        object.__setattr__(self, "weights", {e: weights[e] for e in skeleton.edges})
+        object.__setattr__(self, "weights", dict(zip(skeleton.edges, weights)))
         object.__setattr__(self, "_skeleton", skeleton)
 
     @property
@@ -355,9 +364,8 @@ def parse_weighted_graph(text: str) -> WeightedGraph:
     in :func:`ultragraph.graphs.parse_graph`, whose line reader this shares.
     """
     index, _labels, weights = _read_records(text, _WEIGHTED_RECORDS)
-    names = tuple(index)
-    edges = tuple([(names[i], names[j]) for i, j in weights])
-    return WeightedGraph(names, edges, dict(zip(edges, weights.values())))
+    skeleton = LabeledGraph._checked(index, weights, dict.fromkeys(index, _ZERO))
+    return WeightedGraph._checked(skeleton, weights.values())
 
 
 # -- the two distance routes --------------------------------------------
@@ -421,7 +429,8 @@ def _bottleneck_rows(
 
     ``weighted_edges`` yields ``(w, i, j)`` triples already sorted by
     weight, ties in declaration order.  Weights may be of any totally
-    ordered type; the diagonal is ``0``.
+    ordered type; the diagonal is ``0``.  Row ``0`` fills exactly when the
+    graph is connected; its first gap is the :func:`connectivity_witness` pair.
     """
     n = len(vertices)
     dist: list[list] = [[None] * n for _ in range(n)]
@@ -435,10 +444,8 @@ def _bottleneck_rows(
                 row[y] = w
                 dist[y][x] = w
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if dist[i][j] is None:
-                raise DisconnectedGraphError(vertices[i], vertices[j])
+    if None in dist[0]:
+        raise DisconnectedGraphError(vertices[0], vertices[dist[0].index(None)])
     return dist
 
 
@@ -588,11 +595,13 @@ class RealizabilityResult(NamedTuple):
 
 
 def is_weight_realizable(wg: WeightedGraph) -> RealizabilityResult:
-    """Can some vertex labeling induce exactly these edge weights?
+    """Is every edge's weight its own minimax distance?
 
-    Weights are realizable precisely when the minimax distance of every
-    edge equals its weight; the first edge (in declaration order) where
-    the minimax distance drops below the weight is returned as witness.
+    Equivalently, every cycle attains its maximum weight at least twice.
+    Weights ``max(l(u), l(v))`` from labels always pass, but this is not
+    label-realizability: no labeling induces the path ``a-b-c-d``
+    weighted ``1, 3, 1``, which passes.  The first edge (in declaration
+    order) whose minimax distance is below its weight is the witness.
     """
     rho = rho_w(wg)
     for u, v in wg.edges:

@@ -37,8 +37,10 @@ from ultragraph import (
     edge_weights,
     enumerate_trees,
     gh_labeling,
+    gh_report,
     is_gh,
     is_gh_complete,
+    is_nondegenerate,
     is_tree,
     is_weight_realizable,
     level_labeling,
@@ -384,3 +386,25 @@ def test_criterion_10_complete_graph_criterion():
         pinned and contrast,
         "labels 1,2,2 pinned non-GH with |D|=2; injective and 1,1,2 cases GH",
     )
+
+
+# -- beyond the ten criteria ------------------------------------------------------
+
+
+def test_report_reads_every_corpus_tree_without_adjacency(corpus, monkeypatch):
+    # check reads all four tree criteria off |D|: on every tree of the
+    # corpus it still answers, and agrees with the matrix route, when no
+    # adjacency can be built.
+    trees = [g for g in corpus if len(g.edges) == len(g.vertices) - 1]
+    assert len(trees) == sum(TREE_COUNTS.values())
+    expected = [
+        tree_gh_report(t) if len(t.vertices) >= 2 and is_nondegenerate(t) else None
+        for t in trees
+    ]
+
+    def no_adjacency(self):
+        raise AssertionError("an adjacency was built")
+
+    monkeypatch.setattr(LabeledGraph, "_adjacency", no_adjacency)
+    assert [gh_report(t).tree_equivalences for t in trees] == expected
+    assert sum(e is not None for e in expected) > 0

@@ -150,6 +150,71 @@ def test_complete_graph_verdict_matches_hand_computation():
             assert is_gh_complete(labels) == expected
 
 
+# Each refusal with its exact type and message.  Coercion comes first,
+# element by element, then the empty list, two zeros, and negative
+# labels, named as the graph constructor names vertex k of K_n.
+_FLOAT = "expected a Fraction, int, or string, not {} (floats are rejected to keep values exact)"
+COMPLETE_GRAPH_REFUSALS = [
+    ([], ValueError, "need at least one label"),
+    ([1.5], TypeError, _FLOAT.format("float")),
+    ([1, True], TypeError, _FLOAT.format("bool")),
+    (["x"], ValueError, "malformed number 'x'"),
+    ([2, "3/0"], ValueError, "malformed number '3/0'"),
+    ([0, 0], DegenerateLabelingError, "a complete graph with two zero labels is degenerate"),
+    ([1, -1], ValueError, "vertex '2' has negative label -1"),
+    (["-1/2", 3, -2], ValueError, "vertex '1' has negative label -1/2"),
+    ([0, 0, -1], DegenerateLabelingError, "a complete graph with two zero labels is degenerate"),
+    ([-1, 1.5], TypeError, _FLOAT.format("float")),
+    (["x", 1.5], ValueError, "malformed number 'x'"),
+    (["x", 0, 0], ValueError, "malformed number 'x'"),
+    ([-1, 0, 0], DegenerateLabelingError, "a complete graph with two zero labels is degenerate"),
+]
+
+
+@pytest.mark.parametrize("labels, error, message", COMPLETE_GRAPH_REFUSALS)
+def test_complete_graph_refusals(labels, error, message):
+    with pytest.raises(error) as err:
+        is_gh_complete(labels)
+    assert type(err.value) is error
+    assert str(err.value) == message
+
+
+def _complete_graph_gh(labels) -> bool:
+    """The verdict of the graph route: build K_n and count its distance set."""
+    names = tuple(str(k + 1) for k in range(len(labels)))
+    edges = tuple((u, v) for k, u in enumerate(names) for v in names[k + 1 :])
+    g = LabeledGraph(names, edges, dict(zip(names, labels)))
+    return len(distance_set(distance_matrix(g))) == len(names)
+
+
+@st.composite
+def complete_graph_labels(draw):
+    """1 to 8 rational labels with frequent ties and at most one zero."""
+    positive = st.sampled_from(tuple(map(Fraction, ("1/3", "1/2", "1", "5/2", "7"))))
+    labels = draw(st.lists(positive, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        labels[draw(st.integers(0, len(labels) - 1))] = Fraction(0)
+    return labels
+
+
+@given(complete_graph_labels())
+def test_complete_graph_verdict_matches_the_graph_route(labels):
+    assert is_gh_complete(labels) == _complete_graph_gh(labels)
+
+
+def test_complete_graph_verdict_needs_no_graph(monkeypatch):
+    def no_graph(*_args, **_kwargs):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr(analysis, "LabeledGraph", no_graph)
+    monkeypatch.setattr(analysis, "_generated_distance_set", no_graph)
+    assert is_gh_complete(list(range(1, 1001)))
+    cases = ([1, 2, 2], [1, 1, 2], [3, 0, 1, 2], [2, 0, 1, 1])
+    assert [is_gh_complete(labels) for labels in cases] == [False, True, True, False]
+    with pytest.raises(ValueError, match="^vertex '2' has negative label -1$"):
+        is_gh_complete([1, -1])
+
+
 # -- labeling constructors --------------------------------------------------------
 
 

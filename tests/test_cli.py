@@ -16,20 +16,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import PARSE_CASES, connected_graphs, recursion_headroom
+from conftest import LABEL_POOL, PARSE_CASES, connected_graphs, graph_on, recursion_headroom
 from ultragraph import (
+    DisconnectedGraphError,
     DistanceMatrix,
     LabeledGraph,
     Leaf,
     Merge,
+    WeightedGraph,
     analysis,
     canonical_form,
     cli,
+    connectivity_witness,
     dendrogram,
     dendrograms,
     distance_matrix,
     metrics,
     parse_graph,
+    rho_w,
     zero_quotient,
 )
 from ultragraph.cli import main
@@ -688,6 +692,41 @@ def test_quotient_matches_the_reference_rendering(tmp_path_factory, g):
     for fmt in ("text", "csv", "json"):
         got = _output(tmp_path_factory, g, "quotient", fmt)
         assert got == oracles.reference_quotient_rendering(reps, q, len(g.vertices), fmt)
+
+
+@st.composite
+def _disconnected_graphs(draw):
+    """Graphs of 2 to 8 vertices in at least two components, declared in any order."""
+    n = draw(st.integers(2, 8))
+    parts = st.lists(st.integers(0, 2), min_size=n, max_size=n)
+    part = draw(parts.filter(lambda p: len(set(p)) > 1))
+    edges = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if part[i] == part[j] and draw(st.booleans())
+    ]
+    labels = [draw(st.sampled_from(LABEL_POOL)) for _ in range(n)]
+    return graph_on(n, draw(st.permutations(edges)), labels)
+
+
+@given(_disconnected_graphs(), st.data())
+def test_disconnected_witness_is_the_connectivity_witness(tmp_path_factory, g, data):
+    witness = connectivity_witness(g)
+    assert witness is not None
+    weights = {e: data.draw(st.sampled_from(LABEL_POOL)) for e in g.edges}
+    for route, arg in ((distance_matrix, g), (rho_w, WeightedGraph(g.vertices, g.edges, weights))):
+        with pytest.raises(DisconnectedGraphError) as err:
+            route(arg)
+        assert err.value.witnesses == witness
+    path = tmp_path_factory.getbasetemp() / "split.graph"
+    path.write_text(g.to_text(), encoding="utf-8")
+    line = "error: graph is disconnected: no path joins {!r} and {!r}\n".format(*witness)
+    for command in ("dist", "quotient"):
+        out, err = StringIO(), StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main([command, str(path)]) == 2
+        assert (out.getvalue(), err.getvalue()) == ("", line)
 
 
 class _Digest:

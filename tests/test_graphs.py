@@ -28,6 +28,7 @@ from ultragraph import (
     LabeledGraph,
     NotATreeError,
     SearchConfig,
+    WeightedGraph,
     connectivity_witness,
     enumerate_cycles,
     enumerate_simple_paths,
@@ -258,25 +259,34 @@ def test_edge_errors_name_the_endpoints_as_written(parse, vertex, edge, edges, e
 
 
 @st.composite
-def graph_documents(draw):
-    """A labeled graph document with comments, blank lines, edges in both
-    orientations and zero labels, and the declarations it makes."""
+def graph_documents(draw, weighted=False):
+    """A graph document with comments, blank lines, edges in both
+    orientations and zero values, and the declarations it makes: the
+    vertices, the edges as written, and the labels or, when ``weighted``,
+    the weights by edge (vertex labels are then optional and ignored)."""
     n = draw(st.integers(1, 7))
     name = st.from_regex(r"[a-z][a-z0-9_#]{0,3}", fullmatch=True)
     names = draw(st.lists(name, min_size=n, max_size=n, unique=True))
-    label = st.sampled_from(("0", "0/3", "1", "1/2", "0.5", "2", "15e-1"))
-    labels = [draw(label) for _ in names]
+    number = st.sampled_from(("0", "0/3", "1", "1/2", "0.5", "2", "15e-1"))
+    labels = [draw(number) for _ in names]
     pairs = draw(st.permutations([p for p in combinations(range(n), 2) if draw(st.booleans())]))
     edges = [
         (names[j], names[i]) if draw(st.booleans()) else (names[i], names[j]) for i, j in pairs
     ]
-    records = [f"v {v} {x}" for v, x in zip(names, labels)] + [f"e {u} {v}" for u, v in edges]
+    if weighted:
+        weights = {e: draw(number) for e in edges}
+        records = [f"v {v} {x}" if draw(st.booleans()) else f"v {v}" for v, x in zip(names, labels)]
+        records += [f"e {u} {v} {weights[u, v]}" for u, v in edges]
+    else:
+        records = [f"v {v} {x}" for v, x in zip(names, labels)]
+        records += [f"e {u} {v}" for u, v in edges]
     lines = []
     for record in records:
         lines += draw(st.lists(st.sampled_from(("", "  ", "# note", " #e a a", "#v z 1"))))
         indent = draw(st.sampled_from(("", " ", "\t")))
         lines.append(indent + record.replace(" ", draw(st.sampled_from((" ", "\t", "  ")))))
-    return "\n".join(lines) + "\n", tuple(names), tuple(edges), dict(zip(names, labels))
+    values = weights if weighted else dict(zip(names, labels))
+    return "\n".join(lines) + "\n", tuple(names), tuple(edges), values
 
 
 @given(graph_documents())
@@ -293,6 +303,21 @@ def test_parsed_documents_equal_the_constructed_graph(doc):
         )
         for v in vertices:
             assert g.has_edge(u, v) == h.has_edge(u, v) == ((u, v) in edges or (v, u) in edges)
+
+
+@given(graph_documents(weighted=True))
+def test_parsed_weighted_documents_equal_the_constructed_graph(doc):
+    text, vertices, edges, weights = doc
+    g, h = parse_weighted_graph(text), WeightedGraph(vertices, edges, weights)
+    assert (g.vertices, g.edges, g.weights, g.skeleton._pairs) == (
+        h.vertices,
+        h.edges,
+        h.weights,
+        h.skeleton._pairs,
+    )
+    assert g.skeleton == h.skeleton
+    for (u, v), w in weights.items():
+        assert g.weight(u, v) == g.weight(v, u) == h.weight(u, v) == Fraction(w)
 
 
 @given(connected_graphs())

@@ -3,7 +3,7 @@
 import copy
 import json
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -409,6 +409,21 @@ def test_realizability_accepts_doubled_maximum():
     verdict = is_weight_realizable(_weighted_triangle(1, 3, 3))
     assert verdict.realizable
     assert verdict.witness is None
+
+
+def test_realizable_is_not_label_realizability():
+    # Every edge of the path a-b-c-d weighted 1, 3, 1 is its own minimax
+    # distance, yet no labeling induces these weights.  Labels in {0} and
+    # the weights suffice to search: a label that is no incident edge's
+    # weight is below the other endpoint of each such edge, so lowering
+    # it to 0 keeps every edge maximum.
+    wg = parse_weighted_graph("v a\nv b\nv c\nv d\ne a b 1\ne b c 3\ne c d 1\n")
+    assert is_weight_realizable(wg) == (True, None, None)
+    labelings = list(product((0, 1, 3), repeat=4))
+    assert len(labelings) == 81
+    for labels in labelings:
+        induced = edge_weights(wg.skeleton.with_labels(dict(zip(wg.vertices, labels))))
+        assert induced.weights != wg.weights
 
 
 @given(connected_graphs())
