@@ -89,7 +89,6 @@ import json
 import os
 import random
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -293,7 +292,8 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
                 continue
             labeling = tuple(cfg.universe[r - 1] for r in ranks)
             dset = (Fraction(0), *(cfg.universe[r - 1] for r in sorted(maxima)))
-            g = skeleton.with_labels(dict(zip(names, labeling)))
+            # Names and edges are checked once per tree, labels once per config.
+            g = LabeledGraph._checked(skeleton._index, index_edges, dict(zip(names, labeling)))
             form, expected = canonical_form(graph_dendrogram(g)), _caterpillar(dset)
             if form != expected:
                 raise InternalCheckError(
@@ -332,6 +332,10 @@ def search_conjecture(
         # than there are shards or CPUs.
         workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
         if workers > 1:
+            # Imported here: most runs use one process, and the pool's
+            # modules would add to every command's start-up.
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_scan_shard, tasks))
         else:

@@ -376,10 +376,12 @@ def edge_weights(g: LabeledGraph) -> WeightedGraph:
 
     Minimax path distances for these weights coincide with the labeled
     distance, which is what lets the sweep below replace path
-    enumeration.
+    enumeration.  ``g`` is checked already and maxima of its labels are
+    non-negative, so nothing is checked again.
     """
-    weights = {(u, v): max(g.labels[u], g.labels[v]) for u, v in g.edges}
-    return WeightedGraph(g.vertices, g.edges, weights)
+    labels = g.labels
+    skeleton = LabeledGraph._checked(g._index, g._pairs, dict.fromkeys(g.vertices, _ZERO))
+    return WeightedGraph._checked(skeleton, [max(labels[u], labels[v]) for u, v in g.edges])
 
 
 def _sweep(n: int, pairs: Iterable[tuple]) -> Iterator[tuple]:
@@ -415,11 +417,31 @@ def _ranks(values: Sequence[Fraction]) -> tuple[list[int], list[Fraction]]:
     ``0`` and the positive values ascending, then the negative values
     ascending, which Python's negative indices reach: the value of rank
     ``-1`` is the largest negative value.
+
+    No Fraction is hashed, and none compared unless two round to the
+    same float.  A Fraction is in lowest terms, so equal values have
+    equal pairs ``(numerator, denominator)``: values are told apart by
+    those int pairs.  The distinct values are sorted by ``n / d``, which
+    is ``float(q)``, correctly rounded and so monotone: ``float(p) <
+    float(q)`` implies ``p < q``.  Values with equal floats (``1`` and
+    ``1 + 10**-17``, or ``0`` and ``±10**-400``) fall through to the
+    next item of the sort key, the Fraction itself, and are compared
+    exactly.  A value beyond the float range raises ``OverflowError``,
+    and that call sorts by the Fractions alone.
     """
-    ordered = sorted(set(values).union((_ZERO,)))
-    zero = ordered.index(_ZERO)
-    rank_of = {q: r - zero for r, q in enumerate(ordered)}
-    return [rank_of[q] for q in values], ordered[zero:] + ordered[:zero]
+    pairs = [q.as_integer_ratio() for q in values]
+    value_of = dict(zip(pairs, values))
+    value_of.setdefault((0, 1), _ZERO)
+    try:
+        keyed = [(n / d, q, (n, d)) for (n, d), q in value_of.items()]
+    except OverflowError:
+        keyed = [(q, q, pair) for pair, q in value_of.items()]
+    keyed.sort()
+    order = [pair for _, _, pair in keyed]
+    zero = order.index((0, 1))
+    rank_of = dict(zip(order, range(-zero, len(order) - zero)))
+    ordered = [q for _, q, _ in keyed]
+    return list(map(rank_of.__getitem__, pairs)), ordered[zero:] + ordered[:zero]
 
 
 def _bottleneck_rows(

@@ -370,6 +370,17 @@ def bucket_by_distance_set(
 # are kept, so the rank route must match them exactly.
 
 
+_ZERO = Fraction(0)
+
+
+def reference_ranks(values) -> tuple[list[int], list[Fraction]]:
+    """``metrics._ranks`` by sorting and hashing the Fractions themselves."""
+    ordered = sorted(set(values).union((_ZERO,)))
+    zero = ordered.index(_ZERO)
+    rank_of = {q: r - zero for r, q in enumerate(ordered)}
+    return [rank_of[q] for q in values], ordered[zero:] + ordered[:zero]
+
+
 def _fraction_sweep(n: int, pairs):
     """Union-find sweep yielding ``(w, a, b)`` as clusters first meet."""
     root = list(range(n))

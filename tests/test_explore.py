@@ -1,14 +1,19 @@
 """The count of GH spaces per distance set over small labeled trees."""
 
+import concurrent.futures
 import gc
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -478,7 +483,7 @@ def test_pool_never_exceeds_shards_or_cpus(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(explore, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     expected = search_conjecture(SearchConfig(n_max=4, universe=U123)).to_json()
     for cpus, pools in ((64, [3, 4]), (2, [2, 2]), (1, []), (None, [])):
         sizes.clear()
@@ -487,6 +492,21 @@ def test_pool_never_exceeds_shards_or_cpus(monkeypatch):
         assert search_conjecture(cfg).to_json() == expected
         # n=2 is a single shard and never gets a pool
         assert sizes == pools
+
+
+def test_cli_import_loads_no_process_pool():
+    # The pool is imported where a search first needs one, not at start-up.
+    probe = (
+        "import sys, ultragraph.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    src = str(Path(explore.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_progress_reports_once_per_size():

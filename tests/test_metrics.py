@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import combinations, islice, product
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -80,6 +80,41 @@ def test_edge_weights_triangle():
     assert wg.weight("a", "b") == 2
     assert wg.weight("b", "c") == 3
     assert wg.weight("c", "a") == 3
+
+
+@given(connected_graphs())
+def test_edge_weights_match_the_public_constructor(g):
+    wg = edge_weights(g)
+    weights = {(u, v): max(g.labels[u], g.labels[v]) for u, v in g.edges}
+    public = WeightedGraph(g.vertices, g.edges, weights)
+    assert (wg.vertices, wg.edges, wg.weights) == (public.vertices, public.edges, public.weights)
+    ours, theirs = wg.skeleton, public.skeleton
+    assert ours == theirs
+    assert (ours._index, ours._pairs) == (theirs._index, theirs._pairs)
+
+
+# -- label ranks -------------------------------------------------------------
+
+_TINY = Fraction(1, 10**400)
+# 10**400 overflows a float; ±10**-400 round to ±0.0, and 1 ± 10**-17 to 1.0.
+RANK_EDGES = (
+    Fraction(0), Fraction(1), Fraction(-1), Fraction(10**400), -Fraction(10**400),
+    _TINY, -_TINY, Fraction(10**17 + 1, 10**17), Fraction(10**17 - 1, 10**17),
+)
+
+
+@given(
+    st.lists(
+        st.sampled_from(RANK_EDGES) | st.fractions(min_value=-8, max_value=8, max_denominator=6),
+        max_size=24,
+    )
+)
+@example([])
+@example([Fraction(10**400), Fraction(2), Fraction(2)])
+@example([_TINY, -_TINY, Fraction(0), _TINY])
+@example([Fraction(10**17 + 1, 10**17), Fraction(1), Fraction(-1, 2)])
+def test_ranks_match_the_fraction_sort(values):
+    assert metrics._ranks(values) == oracles.reference_ranks(values)
 
 
 # -- distance matrices -------------------------------------------------------
