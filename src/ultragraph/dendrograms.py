@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 from .graphs import LabeledGraph, _coerce_rational
@@ -57,6 +58,18 @@ class Merge:
         object.__setattr__(self, "height", height)
         object.__setattr__(self, "children", tuple(self.children))
 
+    @classmethod
+    def _checked(cls, height: Fraction, children: tuple["Node", ...]) -> "Merge":
+        """The node of a height and children already checked as ``__post_init__`` checks them.
+
+        ``height`` is a Fraction and ``children`` a tuple; :func:`_replay`
+        makes the checks on ranks.
+        """
+        node = cls.__new__(cls)
+        object.__setattr__(node, "height", height)
+        object.__setattr__(node, "children", children)
+        return node
+
 
 Node = Union[Leaf, Merge]
 
@@ -77,8 +90,8 @@ def graph_dendrogram(g: LabeledGraph) -> Node:
     distance matrix: the space is ultrametric exactly when no merge
     happens at height ``0``.  The result equals
     ``dendrogram(distance_matrix(g))``.  In place of that route's
-    validation, besides the sweep's count of merges and the height check
-    of :class:`Merge`, every internal node must have a leaf child: the
+    validation, besides the sweep's count of merges and the node checks
+    of :func:`_replay`, every internal node must have a leaf child: the
     endpoint labeled ``h`` of an edge merging at ``h`` is at distance
     exactly ``h`` from every other point of the new cluster.
     """
@@ -104,23 +117,36 @@ def _replay(
     :class:`NotUltrametricError`.  A merged cluster stays open at its
     height until it merges again higher up, so clusters chaining
     together at one height share a single multiway node.  Heights are
-    ranks until a :class:`Merge` is built.  Children are ordered by their
-    first vertex in declaration order, so the tree does not depend on the
-    order of events at one height.
+    ranks until a :class:`Merge` is built, and each node gets the checks
+    of ``Merge.__post_init__`` on its ranks, which the rank map keeps
+    (it is strictly increasing, and rank ``0`` is the value ``0``): a
+    positive height, at least two children, and each child below its
+    parent.  A failure raises the same :class:`ValueError`.  Children
+    are ordered by their first vertex in declaration order, so the tree
+    does not depend on the order of events at one height.
     """
 
-    def close(height: int, kids: list[tuple[int, Node]]) -> tuple[int, Node]:
+    def close(height: int, kids: list[tuple[int, int, Node]]) -> tuple[int, int, Node]:
         if len(kids) == 1:
             return kids[0]
-        kids.sort(key=lambda kid: kid[0])
-        return kids[0][0], Merge(ordered[height], tuple(node for _, node in kids))
+        if height <= 0:
+            raise ValueError("merge heights must be positive")
+        if len(kids) < 2:
+            raise ValueError("merge nodes need at least two children")
+        for _, rank, _ in kids:
+            if rank >= height:
+                raise ValueError("child merge heights must strictly decrease")
+        kids.sort(key=itemgetter(0))
+        children = tuple([child for _, _, child in kids])
+        return kids[0][0], height, Merge._checked(ordered[height], children)
 
     if not _ultrametric(merges):
         raise NotUltrametricError(_NEEDS_ULTRAMETRIC)
-    # cluster root -> (height rank, [(first leaf index, child)]); leaves sit at 0
-    open_at = {i: (0, [(i, Leaf(v))]) for i, v in enumerate(vertices)}
+    # cluster root -> (height rank, [(first leaf index, height rank, child)]);
+    # leaves sit at 0
+    open_at = {i: (0, [(i, 0, Leaf(v))]) for i, v in enumerate(vertices)}
     for w, a, b in merges:
-        kids: list[tuple[int, Node]] = []
+        kids: list[tuple[int, int, Node]] = []
         for root in (a, b):
             height, sub = open_at.pop(root)
             if height == w:
@@ -135,7 +161,7 @@ def _replay(
             f"dendrogram construction left {len(open_at)} unmerged clusters, rooted at {roots}"
         )
     ((height, kids),) = open_at.values()
-    return close(height, kids)[1]
+    return close(height, kids)[2]
 
 
 def canonical_form(node: Node) -> str:

@@ -34,16 +34,22 @@ report claims nothing beyond the universe it states, and its runs'
 ``"counterexamples"`` lists are always ``[]``.
 
 Labelings are scanned as tuples of integer ranks ``1 .. k`` into the
-sorted universe, and GH is decided on those ints in one pass over the
-edges: a labeled tree is GH exactly when its ``n - 1`` edge maxima
+sorted universe, and GH is decided on those ints from the edge maxima:
+a labeled tree is GH exactly when its ``n - 1`` edge maxima
 ``max(l(u), l(v))`` are pairwise distinct.  With positive labels every
 edge of a tree merges at its own maximum, so the distance set is ``0``
 and the edge maxima, and it has ``n`` values exactly when they are
 distinct; the four criteria of :func:`ultragraph.analysis.tree_gh_report`
 all reduce to this.  The test is exact on ranks: the rank map is
-strictly increasing, so it keeps maxima and equalities.  Only GH
-labelings are mapped back to Fractions, for their canonical forms,
-which are read off the merge events of their own edge sweeps.
+strictly increasing, so it keeps maxima and equalities.  Exhaustive
+mode reads the maxima from a table: each pattern (below) carries the
+maximum of every pair of its ranks, one byte per pair, and a tree picks
+its edges' bytes out of it with one ``operator.itemgetter`` built per
+tree.  Sampled mode takes the ``n - 1`` maxima of each draw directly;
+its ranks can exceed a byte.  Only GH labelings are mapped back to
+Fractions, for their canonical forms, which are read off the merge
+events of their own edge sweeps; each shard renders the caterpillar of
+a distance set once, keyed by its sorted rank maxima.
 
 Sampled mode checks each draw and counts GH spaces per distance set, so
 its memory grows with the number of distinct distance sets.
@@ -92,9 +98,10 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dendrograms import LEAF_MARK, canonical_form, graph_dendrogram
 from .graphs import (
@@ -185,13 +192,10 @@ class ConjectureReport:
         return json.dumps(self.to_json_dict(), indent=2) + "\n"
 
 
-def _labelings(
-    cfg: SearchConfig, n: int, tree_index: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Sampled labelings of one tree, as tuples of ranks ``1 .. k`` into ``cfg.universe``.
+def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterator[tuple[int, ...]]:
+    """``cfg.samples_per_tree`` sampled labelings of one tree, as rank tuples.
 
-    Each is paired with the count ``1``, as :func:`_patterns` pairs each
-    pattern with the labelings it stands for.  Lazy: each labeling is
+    Ranks are ``1 .. k`` into ``cfg.universe``.  Lazy: each labeling is
     drawn when it is consumed, so ``samples_per_tree`` costs no memory
     up front.
     """
@@ -200,29 +204,42 @@ def _labelings(
     # depend on how trees were split across shards.  Choosing from the
     # ranks draws the same indices as choosing from the universe.
     rng = random.Random(f"{cfg.seed}:{n}:{tree_index}")
-    return (
-        (tuple(rng.choice(ranks) for _ in range(n)), 1)
-        for _ in range(cfg.samples_per_tree)
-    )
+    return (tuple(rng.choice(ranks) for _ in range(n)) for _ in range(cfg.samples_per_tree))
 
 
 # A search asks for one (n, k) at a time, once per shard.
 @lru_cache(maxsize=8)
-def _patterns(n: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every label pattern of ``n`` vertices over ``k`` ranks, with its multiplicity.
+def _patterns(n: int, k: int) -> tuple[tuple[tuple[int, ...], bytes], ...]:
+    """Every label pattern of ``n`` vertices over ``k`` ranks, with its pair-maxima table.
 
     A pattern is a rank tuple over ``1 .. m`` that uses every value, with
-    ``m <= min(n, k)``; it is paired with ``C(k, m)``, the number of rank
-    tuples over ``1 .. k`` with the same weak order, one per strictly
-    increasing map ``{1 .. m} -> {1 .. k}``.  The multiplicities add up
-    to ``k**n``.
+    ``m <= min(n, k)``; it stands for ``C(k, m)`` rank tuples over
+    ``1 .. k`` with the same weak order, one per strictly increasing map
+    ``{1 .. m} -> {1 .. k}``, and these multiplicities add up to
+    ``k**n``.  Its table holds ``max(r_i, r_j)`` for each pair
+    ``i < j``, in the order of :func:`_pair_slot`; exhaustive search
+    stops at ``n = 7``, so every rank fits in a byte.
     """
     top = min(n, k)
+    pairs = list(combinations(range(n), 2))
     return tuple(
-        (ranks, comb(k, max(ranks)))
+        (ranks, bytes([max(ranks[i], ranks[j]) for i, j in pairs]))
         for ranks in product(range(1, top + 1), repeat=n)
         if len(set(ranks)) == max(ranks)
     )
+
+
+def _pair_slot(n: int, i: int, j: int) -> int:
+    """Position of the pair ``i < j`` among the pairs of ``0 .. n-1`` in lexicographic order."""
+    return i * n - i * (i + 1) // 2 + (j - i - 1)
+
+
+def _picker(indices: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """``operator.itemgetter`` over ``indices``, giving a tuple even for one index."""
+    if len(indices) == 1:
+        (index,) = indices
+        return lambda seq: (seq[index],)
+    return itemgetter(*indices)
 
 
 def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]:
@@ -240,14 +257,15 @@ def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]
         yield base + k, (prefix, *rest)
 
 
-def _caterpillar(dset: tuple[Fraction, ...]) -> str:
-    """The canonical form of the caterpillar with heights ``dset[1:]``.
+def _caterpillar(heights: Iterable[Fraction]) -> str:
+    """The canonical form of the caterpillar with ascending ``heights``.
 
     ``(h_{n-1}(...(h_1··)·)...·)``: by the proposition in the module
-    docstring, the form of every GH space with distance set ``dset``.
+    docstring, the form of every GH space with distance set
+    ``{0, h_1 < ... < h_{n-1}}``.
     """
     form = LEAF_MARK
-    for height in dset[1:]:
+    for height in heights:
         form = f"({height}{form}{LEAF_MARK})"
     return form
 
@@ -257,10 +275,11 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
 
     Returns ``(trees, labelings, counts)``.  GH is decided on rank tuples
     from the edge maxima (see the module docstring).  Exhaustive mode
-    checks each label pattern once, counts it ``C(k, m)`` labelings and
-    tallies the GH patterns in ``counts`` by their number ``m`` of
-    values; sampled mode checks each draw and counts the GH spaces per
-    distance set.
+    checks each label pattern once, counts a tree's patterns as its
+    ``k**n`` labelings and tallies the GH patterns in ``counts`` by
+    their number ``m`` of values; sampled mode checks each draw and
+    counts the GH spaces per distance set, keyed by its sorted rank
+    maxima.
     Each GH labeling (in exhaustive mode, each GH pattern read as the
     ``m`` smallest labels) is turned back into Fractions and its
     canonical form checked against the caterpillar of its distance set,
@@ -268,8 +287,10 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
+    label_of = (0, *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
     zero_labels = dict.fromkeys(names, 0)
+    caterpillars: dict[tuple[int, ...], str] = {}
     trees = 0
     labelings = 0
     counts: Counter = Counter()
@@ -283,25 +304,42 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
         if not is_tree(skeleton):
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         trees += 1
-        classes = _patterns(n, k) if cfg.mode == EXHAUSTIVE else _labelings(cfg, n, tree_index)
-        for ranks, count in classes:
-            labelings += count
-            # GH on a tree: the n - 1 edge maxima are pairwise distinct.
-            maxima = {max(ranks[i], ranks[j]) for i, j in index_edges}
-            if len(maxima) < n - 1:
-                continue
-            labeling = tuple(cfg.universe[r - 1] for r in ranks)
-            dset = (Fraction(0), *(cfg.universe[r - 1] for r in sorted(maxima)))
+
+        def check(ranks: tuple[int, ...], maxima: set[int]) -> tuple[int, ...]:
+            """Check a GH labeling's form; return its sorted rank maxima."""
+            key = tuple(sorted(maxima))
+            expected = caterpillars.get(key)
+            if expected is None:
+                expected = caterpillars[key] = _caterpillar(map(label_of.__getitem__, key))
+            labels = dict(zip(names, map(label_of.__getitem__, ranks)))
             # Names and edges are checked once per tree, labels once per config.
-            g = LabeledGraph._checked(skeleton._index, index_edges, dict(zip(names, labeling)))
-            form, expected = canonical_form(graph_dendrogram(g)), _caterpillar(dset)
+            g = LabeledGraph._checked(skeleton._index, index_edges, labels)
+            form = canonical_form(graph_dendrogram(g))
             if form != expected:
                 raise InternalCheckError(
                     "GH space is not the caterpillar of its distance set: tree "
-                    f"{edges} labeled ({', '.join(map(str, labeling))}) has form "
+                    f"{edges} labeled ({', '.join(map(str, labels.values()))}) has form "
                     f"{form}, not {expected}"
                 )
-            counts[len(set(ranks)) if cfg.mode == EXHAUSTIVE else dset] += 1
+            return key
+
+        # GH on a tree: the n - 1 edge maxima are pairwise distinct.
+        if cfg.mode == EXHAUSTIVE:
+            labelings += k**n
+            pick = _picker([_pair_slot(n, i, j) for i, j in index_edges])
+            for ranks, table in _patterns(n, k):
+                maxima = set(pick(table))
+                if len(maxima) == n - 1:
+                    check(ranks, maxima)
+                    counts[max(ranks)] += 1  # a pattern's values are 1 .. max
+        else:
+            labelings += cfg.samples_per_tree
+            left = _picker([i for i, _ in index_edges])
+            right = _picker([j for _, j in index_edges])
+            for ranks in _labelings(cfg, n, tree_index):
+                maxima = set(map(max, left(ranks), right(ranks)))
+                if len(maxima) == n - 1:
+                    counts[check(ranks, maxima)] += 1
     return trees, labelings, counts
 
 
@@ -315,8 +353,9 @@ def search_conjecture(
     mode at 8.  Exhaustive shards tally GH patterns by their number of
     values, and the merged tallies ``A`` and ``B`` give ``gh_spaces`` and
     ``pairs_tested`` by the counting of the module docstring.  Sampled
-    shards return counts per distance set; ``pairs_tested`` adds up
-    ``C(c, 2)`` over the merged counts.  Every GH space found is checked
+    shards return counts per distance set, keyed by its sorted rank
+    maxima; ``pairs_tested`` adds up ``C(c, 2)`` over the merged
+    counts.  Every GH space found is checked
     against the proposition of the module docstring; a failed check
     raises :class:`InternalCheckError`.
     """

@@ -94,6 +94,63 @@ def test_merge_node_validation():
         Merge(Fraction(2), (inner, Leaf("c")))
 
 
+@pytest.mark.parametrize(
+    "merges, message",
+    [
+        # the first merge closes at rank 2 under a parent at rank 1
+        ([(2, 0, 1), (1, 0, 2)], "child merge heights must strictly decrease"),
+        ([(1, 0, 1), (1, 0, 2), (1, 0, 3)], None),
+        ([(2, 0, 1), (2, 2, 3), (1, 0, 2)], "child merge heights must strictly decrease"),
+        ([(1, 0, 1), (0, 0, 2)], "merge heights must be positive"),
+        ([(1, 0, 1), (-1, 0, 2)], "merge heights must be positive"),
+    ],
+)
+def test_replay_checks_each_node_on_its_ranks(merges, message):
+    # Merge events fed by hand, out of rank order: the replay raises what
+    # the public constructor raises on the same tree.
+    vertices = tuple("abcd"[: len(merges) + 1])
+    ordered = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]
+    if message is None:
+        assert dendrograms._replay(vertices, merges, ordered) == Merge(
+            Fraction(1), tuple(Leaf(v) for v in vertices)
+        )
+        return
+    with pytest.raises(ValueError) as err:
+        dendrograms._replay(vertices, merges, ordered)
+    assert str(err.value) == message
+    (w, a, b), (top, _, _) = merges[0], merges[-1]
+    with pytest.raises(ValueError) as public:
+        Merge(ordered[top], (Merge(ordered[w], (Leaf("a"), Leaf("b"))), Leaf("c")))
+    assert str(public.value) == message
+
+
+def _rebuilt(node):
+    """``node`` built again bottom-up by the public ``Merge`` constructor."""
+    if isinstance(node, Leaf):
+        return Leaf(node.vertex)
+    assert type(node.height) is Fraction and type(node.children) is tuple
+    return Merge(node.height, tuple(_rebuilt(child) for child in node.children))
+
+
+def _assert_public(node):
+    public = _rebuilt(node)
+    assert public == node
+    assert hash(public) == hash(node)
+    assert canonical_form(public) == canonical_form(node)
+
+
+@given(connected_graphs(pool=POSITIVE_POOL, max_n=9))
+def test_replayed_nodes_equal_the_public_constructor(g):
+    _assert_public(graph_dendrogram(g))
+    _assert_public(dendrogram(_space(g)))
+
+
+def test_replayed_matrix_nodes_equal_the_public_constructor():
+    # Zero-quotient matrices of graphs with zero and repeated labels.
+    for node in _digest_corpus(count=200):
+        _assert_public(node)
+
+
 def test_leaves_come_out_in_merge_order():
     node = dendrogram(_space(path_graph(1, 2, 3)))
     assert list(leaves(node)) == ["a", "b", "c"]

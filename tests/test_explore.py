@@ -43,7 +43,14 @@ from ultragraph import (
 from ultragraph import analysis, explore, metrics
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
-from ultragraph.explore import _labelings, _patterns, _pruefer_block, _scan_shard
+from ultragraph.explore import (
+    _labelings,
+    _pair_slot,
+    _patterns,
+    _picker,
+    _pruefer_block,
+    _scan_shard,
+)
 
 U123 = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -261,10 +268,36 @@ def test_patterns_are_the_weak_orders_with_their_multiplicities(n):
         assert len(patterns) == sum(
             factorial(m) * _stirling2(n, m) for m in range(1, min(n, k) + 1)
         )
-        assert sum(count for _, count in patterns) == k**n
-        for pattern, count in patterns:
+        # a pattern with m values stands for C(k, m) labelings: k**n in all
+        assert sum(comb(k, max(pattern)) for pattern, _ in patterns) == k**n
+        for pattern, table in patterns:
             assert set(pattern) == set(range(1, max(pattern) + 1))
-            assert count == comb(k, max(pattern))
+            assert len(table) == n * (n - 1) // 2
+            for i in range(n):
+                for j in range(i + 1, n):
+                    assert table[i * n - i * (i + 1) // 2 + (j - i - 1)] == max(
+                        pattern[i], pattern[j]
+                    )
+
+
+@given(st.data())
+def test_edge_maxima_lookups_match_the_set_comprehension(data):
+    n = data.draw(st.integers(2, 6))
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    index_edges = tree_from_pruefer(seq, n)
+    k = data.draw(st.integers(1, 8))
+    ranks, table = data.draw(st.sampled_from(_patterns(n, k)))
+    expected = {max(ranks[i], ranks[j]) for i, j in index_edges}
+    # exhaustive mode: one itemgetter over the tree's slots of the table
+    pick = _picker([_pair_slot(n, i, j) for i, j in index_edges])
+    assert set(pick(table)) == expected
+    # sampled mode: the maxima of each draw, whose ranks can exceed a byte
+    drawn = tuple(data.draw(st.integers(1, 400)) for _ in range(n))
+    left = _picker([i for i, _ in index_edges])
+    right = _picker([j for _, j in index_edges])
+    assert set(map(max, left(drawn), right(drawn))) == {
+        max(drawn[i], drawn[j]) for i, j in index_edges
+    }
 
 
 def _pattern_of(ranks):
@@ -325,7 +358,10 @@ def test_pattern_scan_matches_the_labeling_scan(data):
         shard_trees, shard_labelings, tally = _scan_shard(task)
         assert (shard_trees, shard_labelings) == (trees, labelings)
         if mode == SAMPLED:
-            assert tally == counts
+            # keyed by the sorted rank maxima: 0 and those labels are the distance set
+            assert Counter(
+                {(0, *(cfg.universe[r - 1] for r in key)): c for key, c in tally.items()}
+            ) == counts
         else:
             # a GH pattern with m values stands for its C(k, m) labelings
             assert Counter({m: c * comb(k, m) for m, c in tally.items()}) == Counter(
