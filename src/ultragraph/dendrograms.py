@@ -120,8 +120,10 @@ def _replay(
     ranks until a :class:`Merge` is built, and each node gets the checks
     of ``Merge.__post_init__`` on its ranks, which the rank map keeps
     (it is strictly increasing, and rank ``0`` is the value ``0``): a
-    positive height, at least two children, and each child below its
-    parent.  A failure raises the same :class:`ValueError`.  Children
+    positive height and each child below its parent.  A failure raises
+    the same :class:`ValueError`.  Every open cluster holds at least one
+    child and a merge joins two, so a node with a single child is
+    passed up unclosed and every node built has at least two.  Children
     are ordered by their first vertex in declaration order, so the tree
     does not depend on the order of events at one height.
     """
@@ -131,8 +133,6 @@ def _replay(
             return kids[0]
         if height <= 0:
             raise ValueError("merge heights must be positive")
-        if len(kids) < 2:
-            raise ValueError("merge nodes need at least two children")
         for _, rank, _ in kids:
             if rank >= height:
                 raise ValueError("child merge heights must strictly decrease")

@@ -48,8 +48,8 @@ its edges' bytes out of it with one ``operator.itemgetter`` built per
 tree.  Sampled mode takes the ``n - 1`` maxima of each draw directly;
 its ranks can exceed a byte.  Only GH labelings are mapped back to
 Fractions, for their canonical forms, which are read off the merge
-events of their own edge sweeps; each shard renders the caterpillar of
-a distance set once, keyed by its sorted rank maxima.
+events of their own edge sweeps; an exhaustive shard renders the
+caterpillar of a distance set once, keyed by its sorted rank maxima.
 
 Sampled mode checks each draw and counts GH spaces per distance set, so
 its memory grows with the number of distinct distance sets.
@@ -278,12 +278,13 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     checks each label pattern once, counts a tree's patterns as its
     ``k**n`` labelings and tallies the GH patterns in ``counts`` by
     their number ``m`` of values; sampled mode checks each draw and
-    counts the GH spaces per distance set, keyed by its sorted rank
-    maxima.
+    counts the GH spaces per distance set.
     Each GH labeling (in exhaustive mode, each GH pattern read as the
     ``m`` smallest labels) is turned back into Fractions and its
     canonical form checked against the caterpillar of its distance set,
-    ``0`` and its edge maxima.
+    ``0`` and its edge maxima; exhaustive mode renders that caterpillar
+    once per distance set in the shard, keyed by its sorted rank maxima
+    (each is a subset of ``1 .. 7``), and sampled mode once per GH draw.
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
@@ -305,12 +306,8 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         trees += 1
 
-        def check(ranks: tuple[int, ...], maxima: set[int]) -> tuple[int, ...]:
-            """Check a GH labeling's form; return its sorted rank maxima."""
-            key = tuple(sorted(maxima))
-            expected = caterpillars.get(key)
-            if expected is None:
-                expected = caterpillars[key] = _caterpillar(map(label_of.__getitem__, key))
+        def check(ranks: tuple[int, ...], expected: str) -> None:
+            """Raise unless the tree labeled by ``ranks`` has the form ``expected``."""
             labels = dict(zip(names, map(label_of.__getitem__, ranks)))
             # Names and edges are checked once per tree, labels once per config.
             g = LabeledGraph._checked(skeleton._index, index_edges, labels)
@@ -321,7 +318,6 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
                     f"{edges} labeled ({', '.join(map(str, labels.values()))}) has form "
                     f"{form}, not {expected}"
                 )
-            return key
 
         # GH on a tree: the n - 1 edge maxima are pairwise distinct.
         if cfg.mode == EXHAUSTIVE:
@@ -330,16 +326,19 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
             for ranks, table in _patterns(n, k):
                 maxima = set(pick(table))
                 if len(maxima) == n - 1:
-                    check(ranks, maxima)
+                    key = tuple(sorted(maxima))
+                    if key not in caterpillars:
+                        caterpillars[key] = _caterpillar(map(label_of.__getitem__, key))
+                    check(ranks, caterpillars[key])
                     counts[max(ranks)] += 1  # a pattern's values are 1 .. max
         else:
             labelings += cfg.samples_per_tree
-            left = _picker([i for i, _ in index_edges])
-            right = _picker([j for _, j in index_edges])
             for ranks in _labelings(cfg, n, tree_index):
-                maxima = set(map(max, left(ranks), right(ranks)))
+                maxima = {max(ranks[i], ranks[j]) for i, j in index_edges}
                 if len(maxima) == n - 1:
-                    counts[check(ranks, maxima)] += 1
+                    dset = (Fraction(0), *map(label_of.__getitem__, sorted(maxima)))
+                    check(ranks, _caterpillar(dset[1:]))
+                    counts[dset] += 1
     return trees, labelings, counts
 
 
@@ -353,9 +352,8 @@ def search_conjecture(
     mode at 8.  Exhaustive shards tally GH patterns by their number of
     values, and the merged tallies ``A`` and ``B`` give ``gh_spaces`` and
     ``pairs_tested`` by the counting of the module docstring.  Sampled
-    shards return counts per distance set, keyed by its sorted rank
-    maxima; ``pairs_tested`` adds up ``C(c, 2)`` over the merged
-    counts.  Every GH space found is checked
+    shards return counts per distance set; ``pairs_tested`` adds up
+    ``C(c, 2)`` over the merged counts.  Every GH space found is checked
     against the proposition of the module docstring; a failed check
     raises :class:`InternalCheckError`.
     """
