@@ -24,10 +24,11 @@ from .metrics import (
     InternalCheckError,
     NotUltrametricError,
     WeightedGraph,
-    _distance_rows,
     _json_scalar,
-    _render_rows,
-    _zero_classes,
+    _leaf_order,
+    _order_rows,
+    _render_order,
+    _zero_runs,
     is_weight_realizable,
     oracle_matrix,
     parse_weighted_graph,
@@ -87,11 +88,11 @@ def _bool(x: bool) -> str:
 def cmd_dist(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.path))
     if args.oracle:
-        # Refuse before the sweep, which alone costs O(n^2) memory.
+        # Refuse before any distance work.
         _require_cap("oracle evaluation", len(g.vertices), DEFAULT_ORACLE_CAP)
-    rows, ordered = _distance_rows(g)
+    order, gaps, ordered = _leaf_order(g)
     if args.oracle:
-        dm = DistanceMatrix._from_ranks(g.vertices, rows, ordered)
+        dm = DistanceMatrix._from_ranks(g.vertices, _order_rows(order, gaps), ordered)
         om = oracle_matrix(g)
         if om.entries != dm.entries:
             for x, y, d in dm.pairs():
@@ -102,7 +103,7 @@ def cmd_dist(args: argparse.Namespace) -> int:
                     )
                     break
             return 3
-    sys.stdout.writelines(_render_rows(g.vertices, rows, ordered, args.format))
+    sys.stdout.writelines(_render_order(g.vertices, order, gaps, ordered, args.format))
     return 0
 
 
@@ -142,14 +143,14 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_quotient(args: argparse.Namespace) -> int:
     g = parse_graph(_read(args.path))
-    rows, ordered = _distance_rows(g)
-    keep, sub = _zero_classes(rows)
+    order, gaps, ordered = _leaf_order(g)
+    keep, kept_order, kept_gaps = _zero_runs(order, gaps)
     # Rank sets: the ranks are in one-to-one correspondence with the distances.
-    before, after = set().union(*rows), set().union(*sub)
+    before, after = {0, *gaps}, {0, *kept_gaps}
     if before != after:
         raise InternalCheckError(
             f"quotient changed the distance set: |D| = {len(before)} on "
-            f"{len(rows)} vertices, {len(after)} on {len(keep)} representatives"
+            f"{len(order)} vertices, {len(after)} on {len(keep)} representatives"
         )
     reps = [g.vertices[i] for i in keep]
     identity = len(reps) == len(g.vertices)
@@ -160,7 +161,7 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         sys.stdout.write("representatives: " + " ".join(reps) + "\n")
         if identity:
             sys.stdout.write("note: every class is a singleton; the quotient is the input\n")
-    sys.stdout.writelines(_render_rows(reps, sub, ordered, args.format, head))
+    sys.stdout.writelines(_render_order(reps, kept_order, kept_gaps, ordered, args.format, head))
     return 0
 
 

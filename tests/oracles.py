@@ -33,6 +33,7 @@ from ultragraph import (
     distance_set,
     is_gh,
     is_tree,
+    rho_w,
     tree_from_pruefer,
 )
 from ultragraph.analysis import _tree_criteria
@@ -225,6 +226,17 @@ def cycle_criterion_realizable(wg: WeightedGraph) -> bool:
         if weights.count(max(weights)) < 2:
             return False
     return True
+
+
+def matrix_realizability(wg: WeightedGraph) -> tuple:
+    """Realizability read off the full minimax matrix: the first edge, in
+    declaration order, whose entry is below its weight, with that entry."""
+    rho = rho_w(wg)
+    for u, v in wg.edges:
+        shortcut = rho.get(u, v)
+        if shortcut != wg.weights[(u, v)]:
+            return (False, (u, v), shortcut)
+    return (True, None, None)
 
 
 def is_valid_spanning_tree(g: LabeledGraph, t: LabeledGraph) -> bool:

@@ -543,7 +543,7 @@ def test_oracles_refuse_before_any_distance_work(graph_file, capsys, monkeypatch
     def unreachable(*_args):
         raise AssertionError("the cap is checked before any distance work")
 
-    monkeypatch.setattr(cli, "_distance_rows", unreachable)
+    monkeypatch.setattr(cli, "_leaf_order", unreachable)
     monkeypatch.setattr(cli, "is_weight_realizable", unreachable)
     # disconnected too: the cap is reported, not the missing edges
     isolated = "".join(f"v x{k} 1\n" for k in range(12))
@@ -621,6 +621,35 @@ def test_long_path_reports_without_a_matrix(tmp_path, monkeypatch, capsys):
     assert out.hexdigest() == expected.hexdigest()
 
 
+# Recorded from the n^2 rank-row route; the text digests are also the
+# CI's dist3000 and quotient3000, the CSV one its dist-csv3000.
+_PATH3000_DIGESTS = {
+    ("dist", "text"): "3ef5a3039e39e2f742c4ce0b687fc7852bc856ed0ee834676b46506c303f6ba3",
+    ("dist", "csv"): "4086dc67fa72b9b0dc66f612c98679f963824489de2860a091b90e051c3cf053",
+    ("dist", "json"): "655c9b1069af649d8e5753823dd01051ce18fdbaa715b435f402f3ec9d32a01a",
+    ("quotient", "text"): "5475f0a8931b503f0dc420ebe0e4a14fd32839ee1d23ed1833f40048f63db859",
+    ("quotient", "csv"): "4086dc67fa72b9b0dc66f612c98679f963824489de2860a091b90e051c3cf053",
+    ("quotient", "json"): "7158f731c064614107bc9e64b3ce384e2bb1415726cb87c3a3293c7aa67a7206",
+}
+
+
+def test_long_path_prints_without_a_matrix(tmp_path, monkeypatch):
+    # dist and quotient print from the leaf order in O(n) memory beyond
+    # the row being written; the n^2 rows must not be built.
+    def no_matrix(*_args):
+        raise AssertionError("an n^2 matrix was built")
+
+    monkeypatch.setattr(metrics, "_bottleneck_rows", no_matrix)
+    monkeypatch.setattr(metrics, "_validate_rows", no_matrix)
+    path = tmp_path / "path.graph"
+    path.write_text(_ascending_path(3000), encoding="utf-8")
+    for (command, fmt), digest in _PATH3000_DIGESTS.items():
+        out = _Digest()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main([command, str(path), "--format", fmt]) == 0
+        assert (command, fmt, out.hexdigest()) == (command, fmt, digest)
+
+
 def test_dist_and_quotient_print_without_a_matrix(tmp_path, monkeypatch, capsys):
     # Both commands render the sweep's rank rows: no Fraction matrix and
     # no validation.
@@ -669,6 +698,34 @@ def _named_graphs(draw):
     )
 
 
+def _names(draw, n):
+    return draw(
+        st.lists(st.text("abxyz_019", min_size=1, max_size=9), min_size=n, max_size=n, unique=True)
+    )
+
+
+@st.composite
+def _larger_named_graphs(draw):
+    """Connected graphs of up to 40 vertices: a random tree, its depth set
+    by how far back each vertex may attach, plus a few extra edges."""
+    n = draw(st.integers(2, 40))
+    names = _names(draw, n)
+    reach = draw(st.integers(1, n))
+    edges = [(draw(st.integers(max(0, i - reach), i - 1)), i) for i in range(1, n)]
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
+    seen = {frozenset(e) for e in edges}
+    for i, j in extra:
+        if i != j and frozenset((i, j)) not in seen:
+            seen.add(frozenset((i, j)))
+            edges.append((i, j))
+    labels = draw(st.lists(st.sampled_from(_WIDE_POOL), min_size=n, max_size=n))
+    return LabeledGraph(
+        tuple(names),
+        tuple((names[i], names[j]) for i, j in draw(st.permutations(edges))),
+        dict(zip(names, labels)),
+    )
+
+
 def _output(tmp_path_factory, g, command, fmt):
     path = tmp_path_factory.getbasetemp() / "named.graph"
     path.write_text(g.to_text(), encoding="utf-8")
@@ -692,6 +749,33 @@ def test_quotient_matches_the_reference_rendering(tmp_path_factory, g):
     for fmt in ("text", "csv", "json"):
         got = _output(tmp_path_factory, g, "quotient", fmt)
         assert got == oracles.reference_quotient_rendering(reps, q, len(g.vertices), fmt)
+
+
+def _assert_reference_renderings(tmp_path_factory, g):
+    dm = distance_matrix(g)
+    reps, q = zero_quotient(dm)
+    for fmt in ("text", "csv", "json"):
+        assert _output(tmp_path_factory, g, "dist", fmt) == oracles.reference_rendering(dm, fmt)
+        got = _output(tmp_path_factory, g, "quotient", fmt)
+        assert got == oracles.reference_quotient_rendering(reps, q, len(g.vertices), fmt)
+
+
+@given(_larger_named_graphs())
+def test_larger_graphs_match_the_reference_renderings(tmp_path_factory, g):
+    # Enough vertices for long chains of records on both sides of a row.
+    _assert_reference_renderings(tmp_path_factory, g)
+
+
+def test_alternating_gap_path_matches_the_reference_renderings(tmp_path_factory):
+    # Labels 0, 1, 0, 2, 0, 3, ...: every edge weight comes twice in a row.
+    n = 400
+    names = tuple(f"y{k}" for k in range(n))
+    g = LabeledGraph(
+        names,
+        tuple(zip(names, names[1:])),
+        {v: Fraction(k // 2 + 1 if k % 2 else 0) for k, v in enumerate(names)},
+    )
+    _assert_reference_renderings(tmp_path_factory, g)
 
 
 @st.composite
@@ -738,6 +822,10 @@ class _Digest:
     def write(self, text):
         self._h.update(text.encode())
         return len(text)
+
+    def writelines(self, lines):
+        for text in lines:
+            self.write(text)
 
     def hexdigest(self):
         return self._h.hexdigest()
@@ -821,8 +909,8 @@ def _without_last_merge(g):
             "quotient",
             P3,
             cli,
-            "_zero_classes",
-            lambda rows: ([0], [[0]]),
+            "_zero_runs",
+            lambda order, gaps: ([0], [0], []),
             "quotient changed the distance set: |D| = 3 on 3 vertices, 1 on 1 representatives",
         ),
     ],
@@ -839,7 +927,7 @@ def test_interrupt_exits_130_with_one_line(graph_file, capsys, monkeypatch):
     def interrupted(g):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_distance_rows", interrupted)
+    monkeypatch.setattr(cli, "_leaf_order", interrupted)
     assert main(["dist", graph_file(P3)]) == 130
     out, err = capsys.readouterr()
     assert out == ""
@@ -850,7 +938,7 @@ def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):
     def exhausted(g):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_distance_rows", exhausted)
+    monkeypatch.setattr(cli, "_leaf_order", exhausted)
     assert main(["dist", graph_file(P3)]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 from fractions import Fraction
 from itertools import combinations, islice, product
 
@@ -398,6 +399,24 @@ def test_quotient_is_ultrametric_and_preserves_values(g):
         assert (v in reps) == (first == v)
 
 
+@given(connected_graphs(max_n=9))
+def test_leaf_order_gaps_give_every_distance(g):
+    # d(x, y) is the largest gap between x and y in the leaf order, and
+    # the zero classes are the runs of zero gaps, kept as their first member.
+    order, gaps, ordered = metrics._leaf_order(g)
+    n = len(g.vertices)
+    assert sorted(order) == list(range(n)) and len(gaps) == n - 1
+    dm = distance_matrix(g)
+    for p in range(n):
+        for q in range(p + 1, n):
+            assert ordered[max(gaps[p:q])] == dm.entries[order[p]][order[q]]
+    keep, kept_order, kept_gaps = metrics._zero_runs(order, gaps)
+    reps, _q = zero_quotient(dm)
+    assert tuple(g.vertices[i] for i in keep) == reps
+    assert sorted(kept_order) == list(range(len(keep)))
+    assert kept_gaps == [w for w in gaps if w]
+
+
 # -- explicit weights ----------------------------------------------------------
 
 
@@ -473,6 +492,46 @@ def test_realizability_matches_cycle_criterion(g, data):
     }
     wg = WeightedGraph(g.vertices, g.edges, weights)
     assert is_weight_realizable(wg).realizable == oracles.cycle_criterion_realizable(wg)
+
+
+@st.composite
+def _weighted_graphs(draw):
+    """Weighted graphs of 1 to 8 vertices, connected or not, with tied and zero weights."""
+    n = draw(st.integers(1, 8))
+    names = tuple(f"v{i}" for i in range(n))
+    pairs = [(names[i], names[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    pool = (0, "1/2", "2/4", 1, 2, 3)
+    return WeightedGraph(names, tuple(edges), {e: draw(st.sampled_from(pool)) for e in edges})
+
+
+@given(st.one_of(tied_weighted_graphs(), _weighted_graphs()))
+def test_realizability_matches_the_matrix_route(wg):
+    # Verdict, witness and rho as read off the full minimax matrix; a
+    # disconnected graph raises the matrix route's error.
+    try:
+        expected = oracles.matrix_realizability(wg)
+    except DisconnectedGraphError as exc:
+        with pytest.raises(DisconnectedGraphError, match=re.escape(str(exc))):
+            is_weight_realizable(wg)
+    else:
+        assert is_weight_realizable(wg) == expected
+
+
+def test_realizability_builds_no_matrix(monkeypatch):
+    def no_matrix(*_args):
+        raise AssertionError("an n^2 matrix was built")
+
+    monkeypatch.setattr(metrics, "_bottleneck_rows", no_matrix)
+    n = 6000
+    path = [f"v x{k}\n" for k in range(n)] + [f"e x{k} x{k + 1} {k % 5 + 1}\n" for k in range(n - 1)]
+    assert is_weight_realizable(parse_weighted_graph("".join(path))) == (True, None, None)
+    # The closing edge is the cycle's unique maximum; the rest of the
+    # cycle joins its ends at the next weight down.
+    cycle = [f"v x{k}\n" for k in range(n)] + [f"e x{k} x{(k + 1) % n} {k + 1}\n" for k in range(n)]
+    verdict = is_weight_realizable(parse_weighted_graph("".join(cycle)))
+    assert verdict == (False, ("x0", "x5999"), Fraction(n - 1))
 
 
 def test_weighted_graph_validation():
