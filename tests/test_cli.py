@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import time
@@ -10,6 +12,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,7 @@ from ultragraph import (
     dendrogram,
     dendrograms,
     distance_matrix,
+    layout,
     metrics,
     parse_graph,
     rho_w,
@@ -543,7 +547,7 @@ def test_oracles_refuse_before_any_distance_work(graph_file, capsys, monkeypatch
     def unreachable(*_args):
         raise AssertionError("the cap is checked before any distance work")
 
-    monkeypatch.setattr(cli, "_leaf_order", unreachable)
+    monkeypatch.setattr(layout, "_leaf_order", unreachable)
     monkeypatch.setattr(cli, "is_weight_realizable", unreachable)
     # disconnected too: the cap is reported, not the missing edges
     isolated = "".join(f"v x{k} 1\n" for k in range(12))
@@ -908,7 +912,7 @@ def _without_last_merge(g):
         (
             "quotient",
             P3,
-            cli,
+            layout,
             "_zero_runs",
             lambda order, gaps: ([0], [0], []),
             "quotient changed the distance set: |D| = 3 on 3 vertices, 1 on 1 representatives",
@@ -927,7 +931,7 @@ def test_interrupt_exits_130_with_one_line(graph_file, capsys, monkeypatch):
     def interrupted(g):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "_leaf_order", interrupted)
+    monkeypatch.setattr(layout, "_leaf_order", interrupted)
     assert main(["dist", graph_file(P3)]) == 130
     out, err = capsys.readouterr()
     assert out == ""
@@ -938,7 +942,7 @@ def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):
     def exhausted(g):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "_leaf_order", exhausted)
+    monkeypatch.setattr(layout, "_leaf_order", exhausted)
     assert main(["dist", graph_file(P3)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -1071,6 +1075,18 @@ def test_no_arguments_is_a_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_import_leaves_the_leaf_order_printer_unloaded():
+    # dist and quotient import it when they run; the other commands never compile it.
+    probe = "import sys, ultragraph.cli; print('ultragraph.layout' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_parser_is_built_once(graph_file, capsys, monkeypatch):
