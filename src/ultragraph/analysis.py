@@ -4,8 +4,8 @@ For a space ``X`` with distance set ``D`` (all values, zero included),
 ``|D| <= |X|`` always holds; spaces attaining equality are the
 Gomory-Hu (GH) spaces.  On trees, membership admits three equivalent
 counting restatements.  :func:`gh_report` reads all four criteria off
-the size of the distance set it takes from the graph's edge-sweep
-merges, with no matrix: on a positively labeled tree each one says
+the size of the distance set it takes from the gaps of the graph's
+leaf order, with no matrix: on a positively labeled tree each one says
 ``|D| = |V|``.  Tests pin this against :func:`tree_gh_report`, which
 counts each criterion on a swept and validated matrix of its own.
 Constructively, every connected graph carries a GH labeling, built from
@@ -35,9 +35,8 @@ from .metrics import (
     InternalCheckError,
     NotUltrametricError,
     _bottleneck_rows,
-    _merge_events,
+    _leaf_order,
     _ranks,
-    _ultrametric,
     _validate_rows,
     classify_metric,
     is_nondegenerate,
@@ -65,9 +64,11 @@ _ULTRAMETRIC_ONLY = (
 )
 
 
-def _require_ultrametric(dm: DistanceMatrix) -> None:
+def _distance_count(dm: DistanceMatrix) -> int:
+    """``|D|`` of an ultrametric space; a pseudoultrametric is refused."""
     if classify_metric(dm) != ULTRAMETRIC:
         raise NotUltrametricError(_ULTRAMETRIC_ONLY)
+    return len(distance_set(dm))
 
 
 def check_gomory_hu(dm: DistanceMatrix) -> bool:
@@ -76,14 +77,12 @@ def check_gomory_hu(dm: DistanceMatrix) -> bool:
     Cannot be false for matrices built by this package; a false return
     is a bug in the caller's hands, not a property of the input.
     """
-    _require_ultrametric(dm)
-    return len(distance_set(dm)) <= len(dm.vertices)
+    return _distance_count(dm) <= len(dm.vertices)
 
 
 def is_gh(dm: DistanceMatrix) -> bool:
     """Membership test: does the distance set exhaust ``|X|`` values?"""
-    _require_ultrametric(dm)
-    return len(distance_set(dm)) == len(dm.vertices)
+    return _distance_count(dm) == len(dm.vertices)
 
 
 class EdgeBound(NamedTuple):
@@ -141,15 +140,16 @@ def _tree_criteria(
     the label of rank ``r`` and rank ``0`` is the value ``0`` (see
     :func:`ultragraph.metrics._ranks`); ``index_edges`` are the tree's
     edges as index pairs in declaration order.  The distance matrix is
-    swept from the ranks, validated and its merges checked for a zero
-    before its values are counted.  Only order and equality of labels
-    are used, so the verdicts are those of the labels themselves.  Guards on the tree
-    itself are the caller's job.
+    swept from the ranks, validated and the gaps of its leaf order
+    checked for a zero before its values are counted.  Only order and
+    equality of labels are used, so the verdicts are those of the labels
+    themselves.  Guards on the tree itself are the caller's job.
     """
     weighted = [(max(ranks[i], ranks[j]), i, j) for i, j in index_edges]
     weighted.sort(key=itemgetter(0))
     rows = _bottleneck_rows(vertices, weighted)
-    if not _ultrametric(_validate_rows(vertices, rows, ordered)):
+    _order, gaps = _validate_rows(vertices, rows, ordered)
+    if 0 in gaps:
         raise NotUltrametricError(_ULTRAMETRIC_ONLY)
     # the diagonal contributes the zero distance
     sizes = len(set(chain.from_iterable(rows)))
@@ -241,19 +241,18 @@ class GHReport:
 def _generated_distance_set(g: LabeledGraph) -> tuple[tuple[Fraction, ...], bool]:
     """The distance set of the space ``g`` generates, and whether it is ultrametric.
 
-    Read off the merge events of the graph's edge sweep, with no matrix:
-    the distances are ``0`` and the merge heights, and the space is
-    ultrametric exactly when no merge happens at height ``0``.
+    Read off the gaps of the graph's leaf order, with no matrix: the
+    distances are ``0`` and the gaps, and the space is ultrametric
+    exactly when no gap is ``0``.
     """
-    merges, ordered = _merge_events(g)
-    ranks = sorted({0}.union(w for w, _a, _b in merges))
-    return tuple(ordered[r] for r in ranks), _ultrametric(merges)
+    _order, gaps, ordered = _leaf_order(g)
+    return tuple(ordered[r] for r in sorted({0, *gaps})), 0 not in gaps
 
 
 def gh_report(g: LabeledGraph) -> GHReport:
     """Compute the full report for a connected labeled graph.
 
-    Off the merge events of one edge sweep: the size of the distance set
+    Off the leaf order of one edge sweep: the size of the distance set
     decides both inequalities, the GH verdict and all four tree
     criteria.  A failing self-check is an internal error.
     """
@@ -266,7 +265,7 @@ def gh_report(g: LabeledGraph) -> GHReport:
 
     tree_eq = None
     # The sweep proved g connected, so it is a tree exactly when |E| = |V| - 1;
-    # the first edge swept always merges, so no zero merge means no edge
+    # the first edge swept always merges, so no zero gap means no edge
     # joins two zero labels.  On such a tree every edge merges at its own
     # maximum, so |D| = 1 + (distinct edge maxima); with the degree total
     # 2|E| = 2n - 2, each of the four criteria says |D| = n.

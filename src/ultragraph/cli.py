@@ -25,6 +25,8 @@ from .metrics import (
     NotUltrametricError,
     WeightedGraph,
     _json_scalar,
+    _leaf_order,
+    _zero_runs,
     is_weight_realizable,
     oracle_matrix,
     parse_weighted_graph,
@@ -83,7 +85,7 @@ def _bool(x: bool) -> str:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     # Imported where it is first needed: the other commands do not compile it.
-    from .layout import _leaf_order, _order_rows, _render_order
+    from .layout import _order_rows, _render_order
 
     g = parse_graph(_read(args.path))
     if args.oracle:
@@ -141,7 +143,7 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_quotient(args: argparse.Namespace) -> int:
-    from .layout import _leaf_order, _render_order, _zero_runs
+    from .layout import _render_order
 
     g = parse_graph(_read(args.path))
     order, gaps, ordered = _leaf_order(g)

@@ -6,10 +6,11 @@ the merge heights.  Two spaces are isometric exactly when these trees
 match as height-labeled trees, so a canonical string of the tree turns
 isometry into string equality.
 
-The tree is the replay of Kruskal merge events: those of a matrix's
-validation sweep (:func:`dendrogram`), or, for the space a labeled graph
-generates, those of the graph's own edge sweep (:func:`graph_dendrogram`),
-which needs no matrix.  The replay refuses a merge at height ``0``.
+The tree is the Cartesian tree of a leaf order's gaps (Vuillemin 1980):
+the leaf order of a matrix's validation sweep (:func:`dendrogram`), or,
+for the space a labeled graph generates, that of the graph's own edge
+sweep (:func:`graph_dendrogram`), which needs no matrix.  The build
+refuses a gap of ``0``.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ from .metrics import (
     DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
-    _merge_events,
-    _ultrametric,
+    _leaf_order,
 )
 
 LEAF_MARK = "·"
@@ -62,7 +62,7 @@ class Merge:
     def _checked(cls, height: Fraction, children: tuple["Node", ...]) -> "Merge":
         """The node of a height and children already checked as ``__post_init__`` checks them.
 
-        ``height`` is a Fraction and ``children`` a tuple; :func:`_replay`
+        ``height`` is a Fraction and ``children`` a tuple; :func:`_close`
         makes the checks on ranks.
         """
         node = cls.__new__(cls)
@@ -77,25 +77,25 @@ Node = Union[Leaf, Merge]
 def dendrogram(dm: DistanceMatrix) -> Node:
     """Build the merge tree of an ultrametric space given as a matrix.
 
-    Validation sweeps the matrix's rank rows; its merge events are
-    replayed by :func:`_replay`.
+    Validation sweeps the matrix's rank rows; the leaf order and gaps
+    of that sweep are built into the tree by :func:`_replay`.
     """
-    return _replay(dm.vertices, dm._merges(), dm._ordered)
+    return _replay(dm.vertices, *dm._leaf_order(), dm._ordered)
 
 
 def graph_dendrogram(g: LabeledGraph) -> Node:
     """The merge tree of the space a connected labeled graph generates.
 
-    Replays the merge events of the graph's own edge sweep, with no
-    distance matrix: the space is ultrametric exactly when no merge
-    happens at height ``0``.  The result equals
-    ``dendrogram(distance_matrix(g))``.  In place of that route's
-    validation, besides the sweep's count of merges and the node checks
-    of :func:`_replay`, every internal node must have a leaf child: the
-    endpoint labeled ``h`` of an edge merging at ``h`` is at distance
-    exactly ``h`` from every other point of the new cluster.
+    Built from the leaf order of the graph's own edge sweep, with no
+    distance matrix: the space is ultrametric exactly when no gap is
+    ``0``.  The result equals ``dendrogram(distance_matrix(g))``.  In
+    place of that route's validation, besides the sweep's count of
+    merges and the node checks of :func:`_close`, every internal node
+    must have a leaf child: the endpoint labeled ``h`` of an edge
+    merging at ``h`` is at distance exactly ``h`` from every other point
+    of the new cluster.
     """
-    root = _replay(g.vertices, *_merge_events(g))
+    root = _replay(g.vertices, *_leaf_order(g))
     stack = [root] if isinstance(root, Merge) else []
     while stack:
         node = stack.pop()
@@ -106,62 +106,70 @@ def graph_dendrogram(g: LabeledGraph) -> Node:
     return root
 
 
-def _replay(
-    vertices: Sequence[str], merges: Sequence[tuple[int, int, int]], ordered: Sequence
-) -> Node:
-    """Replay Kruskal merge events ``(w, a, b)`` into a merge tree.
+_Item = tuple[int, int, Node]
 
-    Events come in ascending order of their rank ``w``, with ``a`` and
-    ``b`` the indices of the two clusters' roots; ``a`` roots the union,
-    and ``ordered[w]`` is the height; a merge at rank ``0`` raises
-    :class:`NotUltrametricError`.  A merged cluster stays open at its
-    height until it merges again higher up, so clusters chaining
-    together at one height share a single multiway node.  Heights are
-    ranks until a :class:`Merge` is built, and each node gets the checks
-    of ``Merge.__post_init__`` on its ranks, which the rank map keeps
-    (it is strictly increasing, and rank ``0`` is the value ``0``): a
-    positive height and each child below its parent.  A failure raises
-    the same :class:`ValueError`.  Every open cluster holds at least one
-    child and a merge joins two, so a node with a single child is
-    passed up unclosed and every node built has at least two.  Children
-    are ordered by their first vertex in declaration order, so the tree
-    does not depend on the order of events at one height.
+
+def _close(height: int, kids: list[_Item], ordered: Sequence) -> _Item:
+    """The node at rank ``height`` over ``kids``, as ``(first leaf, rank, node)``.
+
+    Each kid is ``(first leaf index, height rank, node)``, with leaves
+    at rank ``0``.  The node gets the checks of ``Merge.__post_init__``
+    on its ranks, which the rank map keeps (it is strictly increasing,
+    and rank ``0`` is the value ``0``): a positive height and each child
+    below its parent.  A failure raises the same :class:`ValueError`.
+    Children are ordered by their first leaf in declaration order.
     """
+    if height <= 0:
+        raise ValueError("merge heights must be positive")
+    for _, rank, _ in kids:
+        if rank >= height:
+            raise ValueError("child merge heights must strictly decrease")
+    kids.sort(key=itemgetter(0))
+    children = tuple([child for _, _, child in kids])
+    return kids[0][0], height, Merge._checked(ordered[height], children)
 
-    def close(height: int, kids: list[tuple[int, int, Node]]) -> tuple[int, int, Node]:
-        if len(kids) == 1:
-            return kids[0]
-        if height <= 0:
-            raise ValueError("merge heights must be positive")
-        for _, rank, _ in kids:
-            if rank >= height:
-                raise ValueError("child merge heights must strictly decrease")
-        kids.sort(key=itemgetter(0))
-        children = tuple([child for _, _, child in kids])
-        return kids[0][0], height, Merge._checked(ordered[height], children)
 
-    if not _ultrametric(merges):
+def _replay(
+    vertices: Sequence[str], order: Sequence[int], gaps: Sequence[int], ordered: Sequence
+) -> Node:
+    """Build the merge tree of a leaf order: the Cartesian tree of its gaps.
+
+    ``order`` lists indices into ``vertices`` and ``gaps[p]`` is the
+    rank of the distance between ``order[p]`` and ``order[p + 1]``, as
+    :func:`ultragraph.metrics._leaf_order` returns them; ``ordered[w]``
+    is the height of rank ``w``.  An order and gaps that do not cover
+    every vertex raise :class:`InternalCheckError`, and a gap of rank
+    ``0`` raises :class:`NotUltrametricError`.  One pass from left to
+    right keeps a stack of open nodes, heights falling toward the top,
+    each holding the subtrees to its left.  A gap first closes every
+    open node below it, then joins the open node at its own height or
+    opens one there, so neighbouring gaps of one height under no higher
+    gap share a single multiway node.  :func:`_close` orders each node's
+    children by their first vertex in declaration order, so the tree
+    does not depend on the order of subtrees in the leaf order.
+    """
+    n, covered = len(vertices), min(len(order), len(gaps) + 1)
+    if covered != n:
+        raise InternalCheckError(f"dendrogram construction covers {covered} of {n} vertices")
+    if 0 in gaps:
         raise NotUltrametricError(_NEEDS_ULTRAMETRIC)
-    # cluster root -> (height rank, [(first leaf index, height rank, child)]);
-    # leaves sit at 0
-    open_at = {i: (0, [(i, 0, Leaf(v))]) for i, v in enumerate(vertices)}
-    for w, a, b in merges:
-        kids: list[tuple[int, int, Node]] = []
-        for root in (a, b):
-            height, sub = open_at.pop(root)
-            if height == w:
-                kids.extend(sub)
-            else:
-                kids.append(close(height, sub))
-        open_at[a] = (w, kids)
-
-    if len(open_at) != 1:
-        roots = ", ".join(repr(vertices[i]) for i in sorted(open_at))
-        raise InternalCheckError(
-            f"dendrogram construction left {len(open_at)} unmerged clusters, rooted at {roots}"
-        )
-    ((height, kids),) = open_at.values()
-    return close(height, kids)[2]
+    stack: list[tuple[int, list[_Item]]] = []
+    item = (order[0], 0, Leaf(vertices[order[0]]))
+    for w, v in zip(gaps, order[1:]):
+        while stack and stack[-1][0] < w:
+            height, kids = stack.pop()
+            kids.append(item)
+            item = _close(height, kids, ordered)
+        if stack and stack[-1][0] == w:
+            stack[-1][1].append(item)
+        else:
+            stack.append((w, [item]))
+        item = (v, 0, Leaf(vertices[v]))
+    while stack:
+        height, kids = stack.pop()
+        kids.append(item)
+        item = _close(height, kids, ordered)
+    return item[2]
 
 
 def canonical_form(node: Node) -> str:

@@ -47,8 +47,8 @@ maximum of every pair of its ranks, one byte per pair, and a tree picks
 its edges' bytes out of it with one ``operator.itemgetter`` built per
 tree.  Sampled mode takes the ``n - 1`` maxima of each draw directly;
 its ranks can exceed a byte.  Only GH labelings are mapped back to
-Fractions, for their canonical forms, which are read off the merge
-events of their own edge sweeps; an exhaustive shard renders the
+Fractions, for their canonical forms, which are built from the leaf
+orders of their own edge sweeps; an exhaustive shard renders the
 caterpillar of a distance set once, keyed by its sorted rank maxima.
 
 Sampled mode checks each draw and counts GH spaces per distance set, so

@@ -22,8 +22,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 DEFAULT_CYCLE_CAP = 10
 DEFAULT_TREE_CAP = 8
 
-# Python's int-string digit limit (0: none); before 3.10.7, its default.
-_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)
+# Python's int-string digit limit; where it is off (0) or missing (before
+# 3.10.7), its default, 4300, bounds values all the same.
+_int_digits_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 class GraphFormatError(ValueError):
@@ -218,16 +219,16 @@ def _number(token: str, what: str) -> Fraction:
     """
     if "_" in token:  # digit separators, which Fraction takes from 3.11 on
         raise ValueError(f"malformed {what} {token!r}")
-    limit = _int_digits_limit()
+    limit = _int_digits_limit() or 4300
     mantissa, e, exponent = token.lower().partition("e")
     try:
-        huge = bool(e) and 0 < limit < abs(int(exponent))
+        huge = bool(e) and limit < abs(int(exponent))
         value = Fraction(mantissa + "e0" if huge else token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed {what} {token!r}") from None
     if huge:
         raise ValueError(f"exponent of {what} {token!r} exceeds {limit}")
-    if limit and max(abs(value.numerator), value.denominator) >= _digits_bound(limit):
+    if max(abs(value.numerator), value.denominator) >= _digits_bound(limit):
         raise ValueError(f"{what} {token!r} has more than {limit} digits")
     return value
 

@@ -1,11 +1,12 @@
-"""A graph's space laid out in the leaf order of its dendrogram, and printed from it.
+"""The distance matrix of a space printed from the leaf order of its dendrogram.
 
 With the vertices in the leaf order of their dendrogram, and gap
 ``gaps[p]`` between positions ``p`` and ``p + 1``, the distance between
 the vertices at positions ``p < q`` is ``max(gaps[p:q])`` (single
 linkage, Gower and Ross 1969).  The edge sweep of
-:mod:`ultragraph.metrics` yields that order (:func:`_leaf_order`), and
-the zero classes are its runs of zero gaps (:func:`_zero_runs`).  So
+:mod:`ultragraph.metrics` yields that order
+(:func:`ultragraph.metrics._leaf_order`), and the zero classes are its
+runs of zero gaps (:func:`ultragraph.metrics._zero_runs`).  So
 printing the distance matrix (:func:`_render_order`) needs no n^2 table,
 and each distinct distance becomes a string once; there are at most
 ``n + 1`` of them (every distance is ``0`` or a label).
@@ -25,65 +26,17 @@ is O(n), so memory is O(n) beyond the row being written.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from operator import itemgetter
 from typing import Iterator, Mapping, Sequence
 
-from .graphs import LabeledGraph, require_connected
-from .metrics import InternalCheckError, _csv_line, _json_scalar, _label_edges, _sweep
-
-
-def _leaf_order(g: LabeledGraph) -> tuple[list[int], list[int], list[Fraction]]:
-    """A connected graph's vertices in the leaf order of its dendrogram, the
-    gaps between neighbours in that order, and the rank table.
-
-    ``order`` lists vertex indices.  ``gaps[p]`` is the rank of the
-    distance between ``order[p]`` and ``order[p + 1]``, and the distance
-    between the vertices at positions ``p < q`` is ``max(gaps[p:q])``:
-    :func:`_sweep` keeps every cluster's members in one contiguous run,
-    and each merge puts the runs side by side, with the merge's height
-    between them and no larger gap inside either.  Disconnected graphs
-    are reported as by :func:`ultragraph.metrics._merge_events`.
-    """
-    n = len(g.vertices)
-    edges, ordered = _label_edges(g)
-    after = [0] * n
-    order = [0]
-    for w, a, b in _sweep(n, edges):
-        after[a[-1]] = w
-        order = a
-    if len(order) != n:
-        require_connected(g)
-        raise InternalCheckError(f"sweep joined {len(order)} of {n} connected vertices")
-    return order, list(map(after.__getitem__, order[:-1])), ordered
+from .metrics import _csv_line, _json_scalar
 
 
 def _order_rows(order: Sequence[int], gaps: Sequence[int]) -> list[list[int]]:
     """The rank rows, in vertex order, of the distances a leaf order gives; O(n^3)."""
     pos = sorted(range(len(order)), key=order.__getitem__)
     return [[max(gaps[min(p, q) : max(p, q)], default=0) for q in pos] for p in pos]
-
-
-def _zero_runs(
-    order: Sequence[int], gaps: Sequence[int]
-) -> tuple[list[int], list[int], list[int]]:
-    """Collapse the zero classes of a leaf order: its maximal runs of rank-0 gaps.
-
-    Each run is kept as its least index.  Returns the kept indices
-    ascending, their leaf order as positions in that list, and the gaps
-    between them, which are the order's nonzero gaps.
-    """
-    kept, between = [order[0]], []
-    for v, w in zip(order[1:], gaps):
-        if w:
-            kept.append(v)
-            between.append(w)
-        elif v < kept[-1]:
-            kept[-1] = v
-    keep = sorted(kept)
-    at = dict(zip(keep, range(len(keep))))
-    return keep, list(map(at.__getitem__, kept)), between
 
 
 def _record_chains(gaps: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:

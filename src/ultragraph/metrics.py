@@ -7,15 +7,19 @@ equals the minimax (bottleneck) path distance for the edge weights
 computes with a sorted-edge union-find sweep.  A literal path-by-path
 evaluation is kept alongside as :func:`distance_oracle`.
 
-The sweep's merge events (:func:`_merge_events`) are the whole space
-(single linkage, Gower and Ross 1969): ``d(x, y)`` is the height of the
-merge that first joins ``x`` and ``y``.  So the distance set, the
-classification and the dendrogram of a graph's space need no matrix.
-Printing one needs none either: :mod:`ultragraph.layout` prints the
-rows from the dendrogram's leaf order in O(n) memory beyond the row
-being written.  :func:`distance_matrix` fills the n^2 rank rows
-(:func:`_bottleneck_rows`) for API callers.  :func:`is_weight_realizable`
-runs its own union-find sweep over the weight ranks, with no matrix.
+The sweep leaves the vertices in the leaf order of their dendrogram
+(:func:`_leaf_order`), with the gap between each pair of neighbours:
+``d(x, y)`` is the largest gap between ``x`` and ``y`` in that order
+(single linkage, Gower and Ross 1969).  That order and its gaps are the
+whole space: the distance set is ``0`` and the gaps, the space is
+ultrametric exactly when no gap is ``0``, its zero classes are the runs
+of zero gaps (:func:`_zero_runs`), and the dendrogram is the Cartesian
+tree of the gaps.  So none of these needs a matrix, and neither does
+printing one: :mod:`ultragraph.layout` prints the rows from the leaf
+order in O(n) memory beyond the row being written.
+:func:`distance_matrix` fills the n^2 rank rows (:func:`_bottleneck_rows`)
+for API callers.  :func:`is_weight_realizable` runs its own union-find
+sweep over the weight ranks, with no matrix.
 
 Everything is exact: ``Fraction`` at the API boundary, ranks inside.
 Labels, weights and distances are :class:`fractions.Fraction` values
@@ -23,9 +27,9 @@ wherever they enter or leave.  Every distance is ``0`` or one of the
 labels (weights), so the sweep only needs their order: it runs on
 integer ranks.  A :class:`DistanceMatrix` is those rank rows and the
 table that maps ranks back to values, and its check
-(:func:`_validate_rows`, whose merges :func:`_ultrametric` reads), the
-distance set, the zero quotient and the dendrogram all run on the ints.
-A matrix built from outside (its constructor, ``from_csv``,
+(:func:`_validate_rows`, which returns the leaf order of its own sweep),
+the distance set, the zero quotient and the dendrogram all run on the
+ints.  A matrix built from outside (its constructor, ``from_csv``,
 ``from_json_dict``) is ranked once, at construction; rank ``0`` is
 always the value ``0``, so negative entries keep negative ranks.
 
@@ -188,10 +192,10 @@ class DistanceMatrix:
 
         See :func:`_validate_rows` for the checks and their cost.
         """
-        self._merges()
+        self._leaf_order()
 
-    def _merges(self) -> list[tuple[int, int, int]]:
-        """:meth:`validate`, returning the merge events of its sweep."""
+    def _leaf_order(self) -> tuple[list[int], list[int]]:
+        """:meth:`validate`, returning the leaf order and gaps of its sweep."""
         return _validate_rows(self.vertices, self._rows, self._ordered)
 
     # -- serialization ----------------------------------------------
@@ -254,7 +258,7 @@ def _check_shape(vertices: Sequence[str], rows: Sequence[Sequence]) -> None:
 
 def _validate_rows(
     vertices: Sequence[str], m: Sequence[Sequence[int]], ordered: Sequence
-) -> list[tuple[int, int, int]]:
+) -> tuple[list[int], list[int]]:
     """Raise :class:`MatrixInvariantError` unless ``m`` is a pseudoultrametric.
 
     ``m`` holds sign-preserving integer ranks (zero is rank ``0``) and
@@ -265,9 +269,8 @@ def _validate_rows(
     over the matrix's own entries: the inequality holds for all triples
     exactly when every pair first joined at height ``w`` has entry
     ``w``.  The pairs are ordered by a stable sort on their int ranks,
-    ties in row-major order.  Returns the sweep's merge events
-    ``(w, a, b)``: clusters rooted at ``a`` and ``b`` join at rank ``w``
-    into one rooted at ``a``.
+    ties in row-major order.  Returns the sweep's leaf order and gaps,
+    as :func:`_leaf_order` returns them for a graph.
     """
     n = len(vertices)
     pairs = []
@@ -286,7 +289,8 @@ def _validate_rows(
                 )
             pairs.append((w, i, j))
     pairs.sort(key=itemgetter(0))
-    merges = []
+    after = [0] * n
+    order = [0]
     for w, a, b in _sweep(n, pairs):
         for x in a:
             row = m[x]
@@ -298,13 +302,9 @@ def _validate_rows(
                         f"{ordered[row[y]]}, but a path joins them with every step "
                         f"at most {ordered[w]}"
                     )
-        merges.append((w, a[0], b[0]))
-    return merges
-
-
-def _ultrametric(merges: Sequence[tuple[int, int, int]]) -> bool:
-    """True when no merge event, ascending in rank, happens at rank ``0``."""
-    return not merges or merges[0][0] > 0
+        after[a[-1]] = w
+        order = a
+    return order, list(map(after.__getitem__, order[:-1]))
 
 
 # -- weighted-format parsing --------------------------------------------
@@ -412,7 +412,7 @@ def _bottleneck_rows(
     Its n^2 slots are for the callers that want every entry:
     :func:`distance_matrix`, :func:`rho_w` and
     :func:`ultragraph.analysis._tree_criteria`.  The commands print from
-    :func:`ultragraph.layout._leaf_order` instead.
+    :func:`_leaf_order` instead.
     """
     n = len(vertices)
     dist: list[list] = [[None] * n for _ in range(n)]
@@ -456,21 +456,52 @@ def _label_edges(g: LabeledGraph) -> tuple[Iterator[tuple[int, int, int]], list[
     return _sorted_edges(rank_edges, ordered), ordered
 
 
-def _merge_events(g: LabeledGraph) -> tuple[list[tuple[int, int, int]], list[Fraction]]:
-    """The merge events of a connected graph's edge sweep, and the rank table.
+def _leaf_order(g: LabeledGraph) -> tuple[list[int], list[int], list[Fraction]]:
+    """A connected graph's vertices in the leaf order of its dendrogram, the
+    gaps between neighbours in that order, and the rank table.
 
-    Events are ``(w, a, b)``, ascending in ``w``, as :func:`_validate_rows`
-    returns them.  A connected graph has exactly ``n - 1``; fewer mean a
-    disconnected graph, reported with the witness of
-    :func:`ultragraph.graphs.require_connected`.
+    ``order`` lists vertex indices.  ``gaps[p]`` is the rank of the
+    distance between ``order[p]`` and ``order[p + 1]``, and the distance
+    between the vertices at positions ``p < q`` is ``max(gaps[p:q])``:
+    :func:`_sweep` keeps every cluster's members in one contiguous run,
+    and each merge puts the runs side by side, with the merge's height
+    between them and no larger gap inside either.  A connected graph
+    takes exactly ``n - 1`` merges; fewer mean a disconnected graph,
+    reported with the witness of :func:`ultragraph.graphs.require_connected`.
     """
     n = len(g.vertices)
     edges, ordered = _label_edges(g)
-    merges = [(w, a[0], b[0]) for w, a, b in _sweep(n, edges)]
-    if len(merges) != n - 1:
+    after = [0] * n
+    order, merges = [0], 0
+    for w, a, b in _sweep(n, edges):
+        after[a[-1]] = w
+        order = a
+        merges += 1
+    if merges != n - 1:
         require_connected(g)
-        raise InternalCheckError(f"sweep made {len(merges)} merges on {n} connected vertices")
-    return merges, ordered
+        raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
+    return order, list(map(after.__getitem__, order[:-1])), ordered
+
+
+def _zero_runs(
+    order: Sequence[int], gaps: Sequence[int]
+) -> tuple[list[int], list[int], list[int]]:
+    """Collapse the zero classes of a leaf order: its maximal runs of rank-0 gaps.
+
+    Each run is kept as its least index.  Returns the kept indices
+    ascending, their leaf order as positions in that list, and the gaps
+    between them, which are the order's nonzero gaps.
+    """
+    kept, between = [order[0]], []
+    for v, w in zip(order[1:], gaps):
+        if w:
+            kept.append(v)
+            between.append(w)
+        elif v < kept[-1]:
+            kept[-1] = v
+    keep = sorted(kept)
+    at = dict(zip(keep, range(len(keep))))
+    return keep, list(map(at.__getitem__, kept)), between
 
 
 def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
@@ -534,7 +565,7 @@ def classify_metric(dm: DistanceMatrix) -> str:
     was not produced by this package's constructors and is reported as
     an internal error rather than a verdict.
     """
-    return ULTRAMETRIC if _ultrametric(dm._merges()) else PSEUDOULTRAMETRIC
+    return PSEUDOULTRAMETRIC if 0 in dm._leaf_order()[1] else ULTRAMETRIC
 
 
 def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
@@ -543,26 +574,13 @@ def zero_quotient(dm: DistanceMatrix) -> tuple[tuple[str, ...], DistanceMatrix]:
     Returns the representatives (in declaration order) and the matrix
     restricted to them.  The strong triangle inequality makes distance
     zero an equivalence, so the restriction is well defined and keeps
-    the set of distance values unchanged.
+    the set of distance values unchanged.  The classes are the runs of
+    zero gaps in the leaf order of the validation sweep
+    (:func:`_zero_runs`), as for the ``quotient`` command.
     """
-    dm.validate()
-    keep, sub = _zero_classes(dm._rows)
+    keep, _order, _gaps = _zero_runs(*dm._leaf_order())
     reps = tuple(map(dm.vertices.__getitem__, keep))
-    return reps, DistanceMatrix._from_ranks(reps, sub, dm._ordered)
-
-
-def _zero_classes(rows: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """The representatives of a pseudoultrametric's zero classes, by index, and
-    the rank rows restricted to them.
-
-    A vertex represents its class when no earlier vertex is at distance
-    zero from it: its row's first zero (rank 0) is its diagonal.  With
-    no zero off the diagonal the rows are returned as they are.
-    """
-    keep = [i for i, row in enumerate(rows) if row.index(0) == i]
-    if len(keep) == len(rows):
-        return keep, rows
-    return keep, [list(map(rows[i].__getitem__, keep)) for i in keep]
+    return reps, dm.submatrix(reps)
 
 
 class RealizabilityResult(NamedTuple):

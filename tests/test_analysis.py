@@ -378,7 +378,7 @@ _PASSES = (
 
 
 def test_report_builds_no_matrix(monkeypatch):
-    # One rank pass feeds one edge sweep, whose merges give the report:
+    # One rank pass feeds one edge sweep, whose leaf order gives the report:
     # no matrix, no validation, no distance set of a matrix; the sweep
     # proves the graph connected, so no BFS runs either.
     counts = _count_calls(monkeypatch, _PASSES)

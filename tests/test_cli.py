@@ -34,7 +34,6 @@ from ultragraph import (
     dendrogram,
     dendrograms,
     distance_matrix,
-    layout,
     metrics,
     parse_graph,
     rho_w,
@@ -547,7 +546,7 @@ def test_oracles_refuse_before_any_distance_work(graph_file, capsys, monkeypatch
     def unreachable(*_args):
         raise AssertionError("the cap is checked before any distance work")
 
-    monkeypatch.setattr(layout, "_leaf_order", unreachable)
+    monkeypatch.setattr(cli, "_leaf_order", unreachable)
     monkeypatch.setattr(cli, "is_weight_realizable", unreachable)
     # disconnected too: the cap is reported, not the missing edges
     isolated = "".join(f"v x{k} 1\n" for k in range(12))
@@ -587,7 +586,7 @@ def test_deep_dendrogram_json_needs_no_recursion(graph_file, capsys):
 
 
 def test_long_path_reports_without_a_matrix(tmp_path, monkeypatch, capsys):
-    # check, canon and isometric read the edge sweep's merges; the matrix
+    # check, canon and isometric read the edge sweep's leaf order; the matrix
     # sweep and its validation are quadratic in n and must not run.
     def no_matrix(*_args):
         raise AssertionError("an n^2 matrix was built")
@@ -875,9 +874,9 @@ def test_deep_input_exits_3_with_one_line(graph_file, capsys, monkeypatch):
     )
 
 
-def _without_last_merge(g):
-    merges, ordered = metrics._merge_events(g)
-    return merges[:-1], ordered
+def _without_last_vertex(g):
+    order, gaps, ordered = metrics._leaf_order(g)
+    return order[:-1], gaps[:-1], ordered
 
 
 # Each self-check that only a bug can fail, made to fail: its message
@@ -905,14 +904,14 @@ def _without_last_merge(g):
             "canon",
             P3,
             dendrograms,
-            "_merge_events",
-            _without_last_merge,
-            "dendrogram construction left 2 unmerged clusters, rooted at 'a', 'c'",
+            "_leaf_order",
+            _without_last_vertex,
+            "dendrogram construction covers 2 of 3 vertices",
         ),
         (
             "quotient",
             P3,
-            layout,
+            cli,
             "_zero_runs",
             lambda order, gaps: ([0], [0], []),
             "quotient changed the distance set: |D| = 3 on 3 vertices, 1 on 1 representatives",
@@ -931,7 +930,7 @@ def test_interrupt_exits_130_with_one_line(graph_file, capsys, monkeypatch):
     def interrupted(g):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(layout, "_leaf_order", interrupted)
+    monkeypatch.setattr(cli, "_leaf_order", interrupted)
     assert main(["dist", graph_file(P3)]) == 130
     out, err = capsys.readouterr()
     assert out == ""
@@ -942,7 +941,7 @@ def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):
     def exhausted(g):
         raise MemoryError
 
-    monkeypatch.setattr(layout, "_leaf_order", exhausted)
+    monkeypatch.setattr(cli, "_leaf_order", exhausted)
     assert main(["dist", graph_file(P3)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -962,6 +961,28 @@ def test_huge_exponent_exits_2_at_once(graph_file, capsys):
         elapsed = time.perf_counter() - start
         assert (code, *capsys.readouterr()) == (2, "", f"error: {message} exceeds {limit}\n")
         assert elapsed < 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="needs Python 3.10.7 or later"
+)
+def test_huge_exponent_exits_2_with_the_digit_limit_off(graph_file, capsys):
+    # With the limit off, Python's default still bounds the exponent and the
+    # digits, so 10**99999999 is never expanded.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for doc, message in (
+            ("v a 1e99999999\n", "line 1: exponent of label '1e99999999' exceeds 4300"),
+            ("v a 1e4300\n", "line 1: label '1e4300' has more than 4300 digits"),
+        ):
+            start = time.perf_counter()
+            code = main(["check", graph_file(doc)])
+            elapsed = time.perf_counter() - start
+            assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+            assert elapsed < 1
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_unprintable_value_exits_2_with_its_line(graph_file, capsys):

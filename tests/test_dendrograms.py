@@ -98,27 +98,31 @@ def test_merge_node_validation():
     "merges, message",
     [
         # the first merge closes at rank 2 under a parent at rank 1
-        ([(2, 0, 1), (1, 0, 2)], "child merge heights must strictly decrease"),
-        ([(1, 0, 1), (1, 0, 2), (1, 0, 3)], None),
-        ([(2, 0, 1), (2, 2, 3), (1, 0, 2)], "child merge heights must strictly decrease"),
-        ([(1, 0, 1), (0, 0, 2)], "merge heights must be positive"),
-        ([(1, 0, 1), (-1, 0, 2)], "merge heights must be positive"),
+        ([2, 1], "child merge heights must strictly decrease"),
+        ([1, 1, 1], None),
+        ([2, 2], "child merge heights must strictly decrease"),
+        ([1, 0], "merge heights must be positive"),
+        ([1, -1], "merge heights must be positive"),
     ],
 )
 def test_replay_checks_each_node_on_its_ranks(merges, message):
-    # Merge events fed by hand, out of rank order: the replay raises what
-    # the public constructor raises on the same tree.
+    # The ranks of a chain of merges, innermost first: merge k joins the
+    # tree so far with the next leaf.  Nodes closed by hand, out of rank
+    # order, raise what the public constructor raises on the same tree.
     vertices = tuple("abcd"[: len(merges) + 1])
     ordered = [Fraction(0), Fraction(1), Fraction(2), Fraction(-1)]
     if message is None:
-        assert dendrograms._replay(vertices, merges, ordered) == Merge(
+        # As a leaf order's gaps, equal heights share one node.
+        assert dendrograms._replay(vertices, range(len(vertices)), merges, ordered) == Merge(
             Fraction(1), tuple(Leaf(v) for v in vertices)
         )
         return
     with pytest.raises(ValueError) as err:
-        dendrograms._replay(vertices, merges, ordered)
+        item = (0, 0, Leaf("a"))
+        for k, w in enumerate(merges, start=1):
+            item = dendrograms._close(w, [item, (k, 0, Leaf(vertices[k]))], ordered)
     assert str(err.value) == message
-    (w, a, b), (top, _, _) = merges[0], merges[-1]
+    w, top = merges[0], merges[-1]
     with pytest.raises(ValueError) as public:
         Merge(ordered[top], (Merge(ordered[w], (Leaf("a"), Leaf("b"))), Leaf("c")))
     assert str(public.value) == message
@@ -323,7 +327,7 @@ def test_matrix_route_accepts_a_root_without_leaf_children():
 
 def test_graph_route_checks_for_leaf_children(monkeypatch):
     dm = _two_pairs()
-    monkeypatch.setattr(dendrograms, "_merge_events", lambda _g: (dm._merges(), dm._ordered))
+    monkeypatch.setattr(dendrograms, "_leaf_order", lambda _g: (*dm._leaf_order(), dm._ordered))
     with pytest.raises(InternalCheckError, match="^merge at height 2 has no leaf child$"):
         graph_dendrogram(path_graph(1, 2, 3, 4))
 

@@ -51,7 +51,7 @@ from ultragraph import (
     rho_w,
     zero_quotient,
 )
-from ultragraph import layout, metrics
+from ultragraph import metrics
 
 
 def _weighted_triangle(wab, wbc, wca) -> WeightedGraph:
@@ -403,14 +403,14 @@ def test_quotient_is_ultrametric_and_preserves_values(g):
 def test_leaf_order_gaps_give_every_distance(g):
     # d(x, y) is the largest gap between x and y in the leaf order, and
     # the zero classes are the runs of zero gaps, kept as their first member.
-    order, gaps, ordered = layout._leaf_order(g)
+    order, gaps, ordered = metrics._leaf_order(g)
     n = len(g.vertices)
     assert sorted(order) == list(range(n)) and len(gaps) == n - 1
     dm = distance_matrix(g)
     for p in range(n):
         for q in range(p + 1, n):
             assert ordered[max(gaps[p:q])] == dm.entries[order[p]][order[q]]
-    keep, kept_order, kept_gaps = layout._zero_runs(order, gaps)
+    keep, kept_order, kept_gaps = metrics._zero_runs(order, gaps)
     reps, _q = zero_quotient(dm)
     assert tuple(g.vertices[i] for i in keep) == reps
     assert sorted(kept_order) == list(range(len(keep)))
