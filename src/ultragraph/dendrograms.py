@@ -91,25 +91,19 @@ def graph_dendrogram(g: LabeledGraph) -> Node:
     ``0``.  The result equals ``dendrogram(distance_matrix(g))``.  In
     place of that route's validation, besides the sweep's count of
     merges and the node checks of :func:`_close`, every internal node
-    must have a leaf child: the endpoint labeled ``h`` of an edge
-    merging at ``h`` is at distance exactly ``h`` from every other point
-    of the new cluster.
+    must have a leaf child, which :func:`_close` checks as it builds the
+    node: the endpoint labeled ``h`` of an edge merging at ``h`` is at
+    distance exactly ``h`` from every other point of the new cluster.
     """
-    root = _replay(g.vertices, *_leaf_order(g))
-    stack = [root] if isinstance(root, Merge) else []
-    while stack:
-        node = stack.pop()
-        below = [child for child in node.children if isinstance(child, Merge)]
-        if len(below) == len(node.children):
-            raise InternalCheckError(f"merge at height {node.height} has no leaf child")
-        stack.extend(below)
-    return root
+    return _replay(g.vertices, *_leaf_order(g), leaf_children=True)
 
 
 _Item = tuple[int, int, Node]
 
 
-def _close(height: int, kids: list[_Item], ordered: Sequence) -> _Item:
+def _close(
+    height: int, kids: list[_Item], ordered: Sequence, leaf_children: bool = False
+) -> _Item:
     """The node at rank ``height`` over ``kids``, as ``(first leaf, rank, node)``.
 
     Each kid is ``(first leaf index, height rank, node)``, with leaves
@@ -117,20 +111,28 @@ def _close(height: int, kids: list[_Item], ordered: Sequence) -> _Item:
     on its ranks, which the rank map keeps (it is strictly increasing,
     and rank ``0`` is the value ``0``): a positive height and each child
     below its parent.  A failure raises the same :class:`ValueError`.
-    Children are ordered by their first leaf in declaration order.
+    With ``leaf_children``, a node none of whose kids has rank ``0``, so
+    none a leaf, raises :class:`InternalCheckError`.  Children are
+    ordered by their first leaf in declaration order.
     """
     if height <= 0:
         raise ValueError("merge heights must be positive")
     for _, rank, _ in kids:
         if rank >= height:
             raise ValueError("child merge heights must strictly decrease")
+    if leaf_children and all([rank for _, rank, _ in kids]):
+        raise InternalCheckError(f"merge at height {ordered[height]} has no leaf child")
     kids.sort(key=itemgetter(0))
     children = tuple([child for _, _, child in kids])
     return kids[0][0], height, Merge._checked(ordered[height], children)
 
 
 def _replay(
-    vertices: Sequence[str], order: Sequence[int], gaps: Sequence[int], ordered: Sequence
+    vertices: Sequence[str],
+    order: Sequence[int],
+    gaps: Sequence[int],
+    ordered: Sequence,
+    leaf_children: bool = False,
 ) -> Node:
     """Build the merge tree of a leaf order: the Cartesian tree of its gaps.
 
@@ -147,6 +149,8 @@ def _replay(
     gap share a single multiway node.  :func:`_close` orders each node's
     children by their first vertex in declaration order, so the tree
     does not depend on the order of subtrees in the leaf order.
+    ``leaf_children`` turns on its test for a leaf child, which holds in
+    every space a labeled graph generates but not in every ultrametric.
     """
     n, covered = len(vertices), min(len(order), len(gaps) + 1)
     if covered != n:
@@ -159,7 +163,7 @@ def _replay(
         while stack and stack[-1][0] < w:
             height, kids = stack.pop()
             kids.append(item)
-            item = _close(height, kids, ordered)
+            item = _close(height, kids, ordered, leaf_children)
         if stack and stack[-1][0] == w:
             stack[-1][1].append(item)
         else:
@@ -168,7 +172,7 @@ def _replay(
     while stack:
         height, kids = stack.pop()
         kids.append(item)
-        item = _close(height, kids, ordered)
+        item = _close(height, kids, ordered, leaf_children)
     return item[2]
 
 

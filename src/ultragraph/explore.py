@@ -17,7 +17,7 @@ children has at most ``n - 1``, with equality exactly when it is binary;
 so the dendrogram is binary and each height sits at exactly one node.
 In a generated space every internal node has a leaf child: the
 endpoint labeled ``h`` of an edge merging at ``h`` is at distance at
-least ``h`` from every other point (:func:`graph_dendrogram` checks
+least ``h`` from every other point (the dendrogram build checks
 this).  A binary tree whose internal nodes all have a leaf child is a
 caterpillar: its internal nodes form one chain, here with heights
 rising toward the root, so the heights fix the tree.  Equal canonical
@@ -46,9 +46,13 @@ mode reads the maxima from a table: each pattern (below) carries the
 maximum of every pair of its ranks, one byte per pair, and a tree picks
 its edges' bytes out of it with one ``operator.itemgetter`` built per
 tree.  Sampled mode takes the ``n - 1`` maxima of each draw directly;
-its ranks can exceed a byte.  Only GH labelings are mapped back to
-Fractions, for their canonical forms, which are built from the leaf
-orders of their own edge sweeps; an exhaustive shard renders the
+its ranks can exceed a byte.  A GH labeling's dendrogram is built from
+the same rank maxima: the tree's edges sorted by them are its edge
+sweep, whose leaf order and gaps :func:`ultragraph.dendrograms._replay`
+builds into the tree that :func:`ultragraph.dendrograms.graph_dendrogram`
+builds from the labeled graph, with heights read from the universe.  No
+graph is built for a labeling, and its labels become Fractions only in
+the message of a failed check.  An exhaustive shard renders the
 caterpillar of a distance set once, keyed by its sorted rank maxima.
 
 Sampled mode checks each draw and counts GH spaces per distance set, so
@@ -98,12 +102,12 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 from math import comb
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dendrograms import LEAF_MARK, canonical_form, graph_dendrogram
+from .dendrograms import LEAF_MARK, Node, _replay, canonical_form
 from .graphs import (
     CapExceededError,
     LabeledGraph,
@@ -111,7 +115,7 @@ from .graphs import (
     is_tree,
     tree_from_pruefer,
 )
-from .metrics import InternalCheckError
+from .metrics import InternalCheckError, _merge_order
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -270,6 +274,30 @@ def _caterpillar(heights: Iterable[Fraction]) -> str:
     return form
 
 
+def _gh_dendrogram(
+    names: Sequence[str], sweep: Iterable[tuple[int, int, int]], ordered: Sequence
+) -> Node:
+    """The dendrogram of a labeled tree whose edge maxima are distinct, from ranks.
+
+    ``sweep`` holds the tree's edges as ``(w, i, j)``, ``w`` the rank of
+    ``max(l(i), l(j))``, sorted by ``w``, and ``ordered[w]`` is the label
+    of rank ``w``, with rank ``0`` the value ``0``.  The maxima are
+    distinct, so one sort orders the edges as the bucket pass of
+    :func:`ultragraph.metrics._leaf_order` would, and the rank map is
+    strictly increasing: the tree is the one that
+    :func:`ultragraph.dendrograms.graph_dendrogram` builds for the same
+    labeled tree, under the same checks (the sweep's count of merges,
+    and the node and leaf-child checks of
+    :func:`ultragraph.dendrograms._close`), with no graph and no
+    Fraction but the heights.
+    """
+    n = len(names)
+    order, gaps, merges = _merge_order(n, sweep)
+    if merges != n - 1:
+        raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
+    return _replay(names, order, gaps, ordered, leaf_children=True)
+
+
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
     """Scan the trees whose Pruefer sequence starts with ``prefix``.
 
@@ -280,17 +308,23 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     their number ``m`` of values; sampled mode checks each draw and
     counts the GH spaces per distance set.
     Each GH labeling (in exhaustive mode, each GH pattern read as the
-    ``m`` smallest labels) is turned back into Fractions and its
-    canonical form checked against the caterpillar of its distance set,
-    ``0`` and its edge maxima; exhaustive mode renders that caterpillar
-    once per distance set in the shard, keyed by its sorted rank maxima
-    (each is a subset of ``1 .. 7``), and sampled mode once per GH draw.
+    ``m`` smallest labels) has its dendrogram built from its ranks by
+    :func:`_gh_dendrogram`, and its canonical form checked against the
+    caterpillar of its distance set, ``0`` and its edge maxima; its
+    labels are mapped back to Fractions only for the message of a
+    failed check.  Exhaustive mode filters a tree's GH patterns with one
+    chain of ``map`` calls over the pattern tables, and renders each
+    caterpillar once per distance set in the shard, keyed by its sorted
+    rank maxima (each is a subset of ``1 .. 7``); sampled mode renders
+    it once per GH draw.
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
     label_of = (0, *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
     zero_labels = dict.fromkeys(names, 0)
+    patterns = _patterns(n, k) if cfg.mode == EXHAUSTIVE else ()
+    tables = [table for _, table in patterns]
     caterpillars: dict[tuple[int, ...], str] = {}
     trees = 0
     labelings = 0
@@ -299,45 +333,43 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     for tree_index, seq in _pruefer_block(n, prefix):
         index_edges = tree_from_pruefer(seq, n)
         edges = tuple((names[i], names[j]) for i, j in index_edges)
-        skeleton = LabeledGraph(names, edges, zero_labels)
         # Label-independent guard of tree_gh_report, once per tree.
         # Nondegeneracy needs no check: every rank is at least 1.
-        if not is_tree(skeleton):
+        if not is_tree(LabeledGraph(names, edges, zero_labels)):
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         trees += 1
+        ends = tuple(zip(*index_edges))
 
-        def check(ranks: tuple[int, ...], expected: str) -> None:
-            """Raise unless the tree labeled by ``ranks`` has the form ``expected``."""
-            labels = dict(zip(names, map(label_of.__getitem__, ranks)))
-            # Names and edges are checked once per tree, labels once per config.
-            g = LabeledGraph._checked(skeleton._index, index_edges, labels)
-            form = canonical_form(graph_dendrogram(g))
+        def check(ranks: Sequence[int], maxima: Sequence[int], expected: str) -> None:
+            """Raise unless the tree labeled by ``ranks``, with edge maxima
+            ``maxima`` in edge order, has the form ``expected``."""
+            form = canonical_form(_gh_dendrogram(names, sorted(zip(maxima, *ends)), label_of))
             if form != expected:
+                labels = ", ".join(str(label_of[r]) for r in ranks)
                 raise InternalCheckError(
                     "GH space is not the caterpillar of its distance set: tree "
-                    f"{edges} labeled ({', '.join(map(str, labels.values()))}) has form "
-                    f"{form}, not {expected}"
+                    f"{edges} labeled ({labels}) has form {form}, not {expected}"
                 )
 
         # GH on a tree: the n - 1 edge maxima are pairwise distinct.
         if cfg.mode == EXHAUSTIVE:
             labelings += k**n
             pick = _picker([_pair_slot(n, i, j) for i, j in index_edges])
-            for ranks, table in _patterns(n, k):
-                maxima = set(pick(table))
-                if len(maxima) == n - 1:
-                    key = tuple(sorted(maxima))
-                    if key not in caterpillars:
-                        caterpillars[key] = _caterpillar(map(label_of.__getitem__, key))
-                    check(ranks, caterpillars[key])
-                    counts[max(ranks)] += 1  # a pattern's values are 1 .. max
+            gh = map((n - 1).__eq__, map(len, map(set, map(pick, tables))))
+            for ranks, table in compress(patterns, gh):
+                maxima = pick(table)
+                key = tuple(sorted(maxima))
+                if key not in caterpillars:
+                    caterpillars[key] = _caterpillar(map(label_of.__getitem__, key))
+                check(ranks, maxima, caterpillars[key])
+                counts[max(ranks)] += 1  # a pattern's values are 1 .. max
         else:
             labelings += cfg.samples_per_tree
             for ranks in _labelings(cfg, n, tree_index):
-                maxima = {max(ranks[i], ranks[j]) for i, j in index_edges}
-                if len(maxima) == n - 1:
+                maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
+                if len(set(maxima)) == n - 1:
                     dset = (Fraction(0), *map(label_of.__getitem__, sorted(maxima)))
-                    check(ranks, _caterpillar(dset[1:]))
+                    check(ranks, maxima, _caterpillar(dset[1:]))
                     counts[dset] += 1
     return trees, labelings, counts
 

@@ -214,15 +214,17 @@ def _number(token: str, what: str) -> Fraction:
     The int-string limit bounds the value, so that every output can print
     it: its numerator and denominator must have at most ``limit`` digits.
     An exponent beyond the limit is refused first, before ``Fraction``
-    spends seconds on ``10**exp``.  A refused token raises ``ValueError``
-    naming it as ``what``.
+    spends seconds on ``10**exp``, and one with more digits than the
+    limit has is refused by its digit count, before ``int`` spends
+    seconds converting it.  A refused token raises ``ValueError`` naming
+    it as ``what``.
     """
     if "_" in token:  # digit separators, which Fraction takes from 3.11 on
         raise ValueError(f"malformed {what} {token!r}")
     limit = _int_digits_limit() or 4300
     mantissa, e, exponent = token.lower().partition("e")
     try:
-        huge = bool(e) and limit < abs(int(exponent))
+        huge = bool(e) and _exceeds(exponent, limit)
         value = Fraction(mantissa + "e0" if huge else token)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"malformed {what} {token!r}") from None
@@ -231,6 +233,21 @@ def _number(token: str, what: str) -> Fraction:
     if max(abs(value.numerator), value.denominator) >= _digits_bound(limit):
         raise ValueError(f"{what} {token!r} has more than {limit} digits")
     return value
+
+
+def _exceeds(exponent: str, limit: int) -> bool:
+    """Whether the integer ``exponent`` is beyond ``±limit``; ``ValueError`` if malformed.
+
+    Its digits after the sign and any leading zeros are counted first.
+    An exponent with more of them than ``limit`` has is beyond it and is
+    not converted; only a shorter one is.
+    """
+    digits = exponent[1:] if exponent[:1] in ("+", "-") else exponent
+    if len(digits.lstrip("0")) <= len(str(limit)):
+        return limit < abs(int(exponent))
+    if not digits.isdecimal():
+        raise ValueError(f"malformed exponent {exponent!r}")
+    return True
 
 
 def _rational(token: str, what: str) -> Fraction:

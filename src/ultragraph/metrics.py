@@ -471,16 +471,27 @@ def _leaf_order(g: LabeledGraph) -> tuple[list[int], list[int], list[Fraction]]:
     """
     n = len(g.vertices)
     edges, ordered = _label_edges(g)
+    order, gaps, merges = _merge_order(n, edges)
+    if merges != n - 1:
+        require_connected(g)
+        raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
+    return order, gaps, ordered
+
+
+def _merge_order(n: int, edges: Iterable[tuple]) -> tuple[list[int], list[int], int]:
+    """The leaf order and gaps of :func:`_sweep` over sorted ``(w, i, j)`` edges,
+    and its number of merges.
+
+    The order and gaps are those of :func:`_leaf_order`, and cover every
+    point only when the merges number ``n - 1``; the caller checks that.
+    """
     after = [0] * n
     order, merges = [0], 0
     for w, a, b in _sweep(n, edges):
         after[a[-1]] = w
         order = a
         merges += 1
-    if merges != n - 1:
-        require_connected(g)
-        raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
-    return order, list(map(after.__getitem__, order[:-1])), ordered
+    return order, list(map(after.__getitem__, order[:-1])), merges
 
 
 def _zero_runs(

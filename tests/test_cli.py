@@ -948,6 +948,9 @@ def test_out_of_memory_exits_2_with_one_line(graph_file, capsys, monkeypatch):
     assert err == "error: out of memory; the input is too large\n"
 
 
+_NINES = "1e" + "9" * 2_000_000  # an exponent far longer than the int-string limit
+
+
 def test_huge_exponent_exits_2_at_once(graph_file, capsys):
     # Expanding 10**10000000 alone took about 12 s before exponents were bounded.
     limit = sys.get_int_max_str_digits()
@@ -955,6 +958,8 @@ def test_huge_exponent_exits_2_at_once(graph_file, capsys):
         ("dist", "v a 1e10000000\nv b 1\ne a b\n", "line 1: exponent of label '1e10000000'"),
         ("check", "v a 1e10000000\n", "line 1: exponent of label '1e10000000'"),
         ("realizable", "v a\nv b\ne a b 1e-9999999\n", "line 3: exponent of weight '1e-9999999'"),
+        # int() refuses an exponent longer than the limit: not a malformed label.
+        ("check", f"v a {_NINES}\n", f"line 1: exponent of label '{_NINES}'"),
     ):
         start = time.perf_counter()
         code = main([command, graph_file(doc)])
@@ -975,6 +980,8 @@ def test_huge_exponent_exits_2_with_the_digit_limit_off(graph_file, capsys):
         for doc, message in (
             ("v a 1e99999999\n", "line 1: exponent of label '1e99999999' exceeds 4300"),
             ("v a 1e4300\n", "line 1: label '1e4300' has more than 4300 digits"),
+            # Converting these 2,000,000 digits alone took 15 s.
+            (f"v a {_NINES}\n", f"line 1: exponent of label '{_NINES}' exceeds 4300"),
         ):
             start = time.perf_counter()
             code = main(["check", graph_file(doc)])

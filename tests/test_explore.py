@@ -35,6 +35,7 @@ from ultragraph import (
     dendrogram,
     distance_matrix,
     enumerate_trees,
+    graph_dendrogram,
     is_gh,
     search_conjecture,
     tree_from_pruefer,
@@ -44,6 +45,7 @@ from ultragraph import analysis, explore, metrics
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
 from ultragraph.explore import (
+    _gh_dendrogram,
     _labelings,
     _pair_slot,
     _patterns,
@@ -385,6 +387,100 @@ def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("internal check failed: GH space is not the caterpillar")
+
+
+@pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
+@pytest.mark.parametrize(
+    "name, fed, message",
+    [
+        # d(1,2) = d(3,4) = 1 and every other distance 2: no leaf under the root.
+        (
+            "_merge_order",
+            lambda _n, _sweep: ([0, 1, 2, 3], [1, 2, 1], 3),
+            "merge at height 2 has no leaf child",
+        ),
+        (
+            "_merge_order",
+            lambda _n, _sweep: ([0, 1, 2, 3], [1, 2, 3], 2),
+            "sweep made 2 merges on 4 connected vertices",
+        ),
+        (
+            "tree_from_pruefer",
+            lambda _seq, _n: [(0, 1), (1, 2), (0, 2), (2, 3)],
+            "Pruefer sequence (0, 0) did not decode to a tree",
+        ),
+    ],
+    ids=["leaf-child", "merge-count", "tree"],
+)
+def test_scan_checks_each_tree_and_sweep(monkeypatch, mode, name, fed, message):
+    monkeypatch.setattr(explore, name, fed)
+    cfg = SearchConfig(n_max=4, universe=U123, mode=mode)
+    with pytest.raises(InternalCheckError) as err:
+        _scan_shard((cfg, 4, 0))
+    assert str(err.value) == message
+
+
+def _assert_routes_agree(names, index_edges, ranks, ordered):
+    """The scan's rank route builds the dendrogram of the graph route."""
+    maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
+    assert len(set(maxima)) == len(names) - 1
+    sweep = sorted((w, i, j) for w, (i, j) in zip(maxima, index_edges))
+    labels = {v: ordered[r] for v, r in zip(names, ranks)}
+    edges = tuple((names[i], names[j]) for i, j in index_edges)
+    expected = graph_dendrogram(LabeledGraph(names, edges, labels))
+    root = _gh_dendrogram(names, sweep, ordered)
+    assert canonical_form(root) == canonical_form(expected)
+    assert root == expected
+
+
+def test_rank_route_matches_the_graph_route_on_every_gh_pattern():
+    ordered = (0, *map(Fraction, range(1, 5)))
+    checked = 0
+    for n in range(2, 6):
+        names = tuple(str(i + 1) for i in range(n))
+        for seq in product(range(n), repeat=n - 2):
+            index_edges = tree_from_pruefer(seq, n)
+            for ranks, _ in _patterns(n, 4):
+                if len({max(ranks[i], ranks[j]) for i, j in index_edges}) == n - 1:
+                    _assert_routes_agree(names, index_edges, ranks, ordered)
+                    checked += 1
+    # The counting of the explore docstring: B = n!(n - 1)! patterns with
+    # n values (none for n = 5 over 4 labels) and A = B / 2 with n - 1.
+    b = {n: factorial(n) * factorial(n - 1) for n in range(2, 6)}
+    assert checked == sum(b[n] // 2 + (b[n] if n <= 4 else 0) for n in b)
+
+
+@given(st.data())
+def test_rank_route_matches_the_graph_route_on_sampled_ranks(data):
+    n = data.draw(st.integers(2, 8))
+    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
+    index_edges = tree_from_pruefer(seq, n)
+    k = data.draw(st.integers(n, 400))
+    step = data.draw(
+        st.fractions(min_value=Fraction(1, 12), max_value=9, max_denominator=12).filter(
+            lambda q: q.denominator > 1
+        )
+    )
+    ordered = (0, *(step * r for r in range(1, k + 1)))
+    # A GH labeling: grow the tree from a root, each new vertex joined to
+    # one earlier vertex and labeled above every earlier one, so each
+    # edge's maximum is its later end's label; the root may tie its first
+    # neighbour.
+    grown = [data.draw(st.integers(0, n - 1))]
+    while len(grown) < n:
+        frontier = sorted(
+            {j for i, j in index_edges if i in grown and j not in grown}
+            | {i for i, j in index_edges if j in grown and i not in grown}
+        )
+        grown.append(data.draw(st.sampled_from(frontier)))
+    values = sorted(data.draw(st.sets(st.integers(1, k), min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        values[0] = values[1]
+    ranks = [0] * n
+    for v, r in zip(grown, values):
+        ranks[v] = r
+    names = tuple(f"v{i}" for i in range(n))
+    _assert_routes_agree(names, index_edges, tuple(ranks), ordered)
 
 
 def _gh_counts(n, k):
