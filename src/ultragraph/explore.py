@@ -17,43 +17,49 @@ children has at most ``n - 1``, with equality exactly when it is binary;
 so the dendrogram is binary and each height sits at exactly one node.
 In a generated space every internal node has a leaf child: the
 endpoint labeled ``h`` of an edge merging at ``h`` is at distance at
-least ``h`` from every other point (the dendrogram build checks
-this).  A binary tree whose internal nodes all have a leaf child is a
-caterpillar: its internal nodes form one chain, here with heights
-rising toward the root, so the heights fix the tree.  Equal canonical
-forms mean isometric spaces.
+least ``h`` from every other point (as
+:func:`ultragraph.dendrograms.graph_dendrogram` checks).  A binary tree
+whose internal nodes all have a leaf child is a caterpillar: its
+internal nodes form one chain, here with heights rising toward the
+root, so the heights fix the tree.  Equal canonical forms mean
+isometric spaces.
 
 The search enumerates trees by Pruefer sequence and labelings over a
-finite universe and keeps the GH spaces.  Each GH space's canonical
-form is checked against the caterpillar of its distance set, ``0`` and
-its edge maxima (on a tree every edge merges), which is stronger than
-comparing the forms inside each distance set; a failure raises
-:class:`InternalCheckError`.  ``pairs_tested`` counts the pairs of GH
-spaces sharing a distance set, the pairs the proposition covers.  A
-report claims nothing beyond the universe it states, and its runs'
+finite universe and keeps the GH spaces.  On a tree every edge merges,
+at its own maximum ``max(l(u), l(v))``, so the distance set is ``0`` and
+the edge maxima, and each GH space is checked against the proposition
+stated on its edge sweep: the sweep over the edges sorted by maximum
+must make ``n - 1`` merges, and the gaps of its leaf order
+(:func:`ultragraph.metrics._merge_order`) must be the sorted maxima,
+strictly ascending.  They are exactly when the space is the caterpillar
+of its distance set.  The sweep keeps each cluster contiguous and puts
+the larger of two merging clusters first, so a merge that adds one
+point to a cluster puts its gap at the right end, while a merge of two
+clusters of two or more points puts its gap before the smaller gaps
+inside the second; and a tie repeats a gap.  So the gaps ascend
+strictly exactly when each merge adds one point at a height of its
+own, and the dendrogram, the Cartesian tree of the gaps (Vuillemin
+1980), is then the caterpillar with those heights.  A failed check
+raises :class:`InternalCheckError`.  ``pairs_tested`` counts the pairs
+of GH spaces sharing a distance set, the pairs the proposition covers.
+A report claims nothing beyond the universe it states, and its runs'
 ``"counterexamples"`` lists are always ``[]``.
 
 Labelings are scanned as tuples of integer ranks ``1 .. k`` into the
 sorted universe, and GH is decided on those ints from the edge maxima:
-a labeled tree is GH exactly when its ``n - 1`` edge maxima
-``max(l(u), l(v))`` are pairwise distinct.  With positive labels every
-edge of a tree merges at its own maximum, so the distance set is ``0``
-and the edge maxima, and it has ``n`` values exactly when they are
-distinct; the four criteria of :func:`ultragraph.analysis.tree_gh_report`
+a labeled tree is GH exactly when its ``n - 1`` edge maxima are
+pairwise distinct, since the distance set has ``n`` values exactly when
+they are; the four criteria of :func:`ultragraph.analysis.tree_gh_report`
 all reduce to this.  The test is exact on ranks: the rank map is
 strictly increasing, so it keeps maxima and equalities.  Exhaustive
 mode reads the maxima from a table: each pattern (below) carries the
 maximum of every pair of its ranks, one byte per pair, and a tree picks
 its edges' bytes out of it with one ``operator.itemgetter`` built per
 tree.  Sampled mode takes the ``n - 1`` maxima of each draw directly;
-its ranks can exceed a byte.  A GH labeling's dendrogram is built from
-the same rank maxima: the tree's edges sorted by them are its edge
-sweep, whose leaf order and gaps :func:`ultragraph.dendrograms._replay`
-builds into the tree that :func:`ultragraph.dendrograms.graph_dendrogram`
-builds from the labeled graph, with heights read from the universe.  No
-graph is built for a labeling, and its labels become Fractions only in
-the message of a failed check.  An exhaustive shard renders the
-caterpillar of a distance set once, keyed by its sorted rank maxima.
+its ranks can exceed a byte.  The sweep check runs on the same rank
+maxima.  No graph, dendrogram or canonical form is built for a
+labeling, and its labels become Fractions only in the message of a
+failed check.
 
 Sampled mode checks each draw and counts GH spaces per distance set, so
 its memory grows with the number of distinct distance sets.
@@ -63,8 +69,8 @@ rank tuple over ``1 .. m`` with the same weak order as the labeling.  A
 pattern with ``m`` values stands for the ``C(k, m)`` labelings it maps
 to under the strictly increasing maps ``{1 .. m} -> {1 .. k}``, and by
 the argument above every check comes out the same on each of them as on
-the pattern, read as the ``m`` smallest labels; so does the caterpillar
-check, since such a map keeps the shape of the dendrogram.  Shards only
+the pattern, read as the ``m`` smallest labels; so does the sweep
+check, since such a map keeps the order of the maxima.  Shards only
 tally the GH patterns by ``m``, and the run's counts follow from the
 tallies by counting:
 
@@ -105,9 +111,8 @@ from functools import lru_cache
 from itertools import combinations, compress, product
 from math import comb
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .dendrograms import LEAF_MARK, Node, _replay, canonical_form
 from .graphs import (
     CapExceededError,
     LabeledGraph,
@@ -261,43 +266,6 @@ def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]
         yield base + k, (prefix, *rest)
 
 
-def _caterpillar(heights: Iterable[Fraction]) -> str:
-    """The canonical form of the caterpillar with ascending ``heights``.
-
-    ``(h_{n-1}(...(h_1··)·)...·)``: by the proposition in the module
-    docstring, the form of every GH space with distance set
-    ``{0, h_1 < ... < h_{n-1}}``.
-    """
-    form = LEAF_MARK
-    for height in heights:
-        form = f"({height}{form}{LEAF_MARK})"
-    return form
-
-
-def _gh_dendrogram(
-    names: Sequence[str], sweep: Iterable[tuple[int, int, int]], ordered: Sequence
-) -> Node:
-    """The dendrogram of a labeled tree whose edge maxima are distinct, from ranks.
-
-    ``sweep`` holds the tree's edges as ``(w, i, j)``, ``w`` the rank of
-    ``max(l(i), l(j))``, sorted by ``w``, and ``ordered[w]`` is the label
-    of rank ``w``, with rank ``0`` the value ``0``.  The maxima are
-    distinct, so one sort orders the edges as the bucket pass of
-    :func:`ultragraph.metrics._leaf_order` would, and the rank map is
-    strictly increasing: the tree is the one that
-    :func:`ultragraph.dendrograms.graph_dendrogram` builds for the same
-    labeled tree, under the same checks (the sweep's count of merges,
-    and the node and leaf-child checks of
-    :func:`ultragraph.dendrograms._close`), with no graph and no
-    Fraction but the heights.
-    """
-    n = len(names)
-    order, gaps, merges = _merge_order(n, sweep)
-    if merges != n - 1:
-        raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
-    return _replay(names, order, gaps, ordered, leaf_children=True)
-
-
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
     """Scan the trees whose Pruefer sequence starts with ``prefix``.
 
@@ -306,17 +274,13 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     checks each label pattern once, counts a tree's patterns as its
     ``k**n`` labelings and tallies the GH patterns in ``counts`` by
     their number ``m`` of values; sampled mode checks each draw and
-    counts the GH spaces per distance set.
-    Each GH labeling (in exhaustive mode, each GH pattern read as the
-    ``m`` smallest labels) has its dendrogram built from its ranks by
-    :func:`_gh_dendrogram`, and its canonical form checked against the
-    caterpillar of its distance set, ``0`` and its edge maxima; its
-    labels are mapped back to Fractions only for the message of a
-    failed check.  Exhaustive mode filters a tree's GH patterns with one
-    chain of ``map`` calls over the pattern tables, and renders each
-    caterpillar once per distance set in the shard, keyed by its sorted
-    rank maxima (each is a subset of ``1 .. 7``); sampled mode renders
-    it once per GH draw.
+    counts the GH spaces per distance set.  Exhaustive mode filters a
+    tree's GH patterns with one chain of ``map`` calls over the pattern
+    tables.  Each GH labeling (in exhaustive mode, each GH pattern) is
+    checked against the caterpillar proposition on its edge sweep, as
+    the module docstring states it: ``n - 1`` merges, whose gaps are the
+    sorted edge maxima, strictly ascending.  Its labels are mapped back
+    to Fractions only for the message of a failed check.
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
@@ -325,7 +289,6 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     zero_labels = dict.fromkeys(names, 0)
     patterns = _patterns(n, k) if cfg.mode == EXHAUSTIVE else ()
     tables = [table for _, table in patterns]
-    caterpillars: dict[tuple[int, ...], str] = {}
     trees = 0
     labelings = 0
     counts: Counter = Counter()
@@ -340,15 +303,19 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
         trees += 1
         ends = tuple(zip(*index_edges))
 
-        def check(ranks: Sequence[int], maxima: Sequence[int], expected: str) -> None:
-            """Raise unless the tree labeled by ``ranks``, with edge maxima
-            ``maxima`` in edge order, has the form ``expected``."""
-            form = canonical_form(_gh_dendrogram(names, sorted(zip(maxima, *ends)), label_of))
-            if form != expected:
+        def check(ranks: Sequence[int], maxima: Sequence[int]) -> None:
+            """Raise unless the sweep of the tree labeled by ``ranks``, with
+            edge maxima ``maxima`` in edge order, is that of a caterpillar."""
+            _order, gaps, merges = _merge_order(n, sorted(zip(maxima, *ends)))
+            if merges != n - 1:
+                raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
+            # n - 1 gaps equal to the distinct maxima sorted: strictly ascending.
+            if gaps != sorted(set(maxima)):
                 labels = ", ".join(str(label_of[r]) for r in ranks)
+                heights = ", ".join(str(label_of[w]) for w in gaps)
                 raise InternalCheckError(
                     "GH space is not the caterpillar of its distance set: tree "
-                    f"{edges} labeled ({labels}) has form {form}, not {expected}"
+                    f"{edges} labeled ({labels}) has sweep gaps ({heights})"
                 )
 
         # GH on a tree: the n - 1 edge maxima are pairwise distinct.
@@ -357,20 +324,15 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
             pick = _picker([_pair_slot(n, i, j) for i, j in index_edges])
             gh = map((n - 1).__eq__, map(len, map(set, map(pick, tables))))
             for ranks, table in compress(patterns, gh):
-                maxima = pick(table)
-                key = tuple(sorted(maxima))
-                if key not in caterpillars:
-                    caterpillars[key] = _caterpillar(map(label_of.__getitem__, key))
-                check(ranks, maxima, caterpillars[key])
+                check(ranks, pick(table))
                 counts[max(ranks)] += 1  # a pattern's values are 1 .. max
         else:
             labelings += cfg.samples_per_tree
             for ranks in _labelings(cfg, n, tree_index):
                 maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
                 if len(set(maxima)) == n - 1:
-                    dset = (Fraction(0), *map(label_of.__getitem__, sorted(maxima)))
-                    check(ranks, maxima, _caterpillar(dset[1:]))
-                    counts[dset] += 1
+                    check(ranks, maxima)
+                    counts[(Fraction(0), *map(label_of.__getitem__, sorted(maxima)))] += 1
     return trees, labelings, counts
 
 
@@ -386,8 +348,8 @@ def search_conjecture(
     ``pairs_tested`` by the counting of the module docstring.  Sampled
     shards return counts per distance set; ``pairs_tested`` adds up
     ``C(c, 2)`` over the merged counts.  Every GH space found is checked
-    against the proposition of the module docstring; a failed check
-    raises :class:`InternalCheckError`.
+    against the proposition of the module docstring, on its edge sweep
+    with no dendrogram; a failed check raises :class:`InternalCheckError`.
     """
     cap = 7 if cfg.mode == EXHAUSTIVE else 8
     if cfg.n_max > cap:

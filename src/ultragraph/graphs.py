@@ -207,6 +207,19 @@ class LabeledGraph:
 
 # -- parsing -----------------------------------------------------------
 
+# The most characters of a token or line that a refusal quotes.
+_QUOTE_WIDTH = 64
+
+
+def _quoted(token: str) -> str:
+    """``repr(token)``; past ``_QUOTE_WIDTH`` characters, its head, ``…`` and its length.
+
+    So a refusal is one short line however long the token it names.
+    """
+    if len(token) <= _QUOTE_WIDTH:
+        return repr(token)
+    return f"{token[:_QUOTE_WIDTH]!r}… ({len(token)} characters)"
+
 
 def _number(token: str, what: str) -> Fraction:
     """A rational token of either sign: ``3/2``, ``-1.5`` or ``15e-1``.
@@ -217,21 +230,21 @@ def _number(token: str, what: str) -> Fraction:
     spends seconds on ``10**exp``, and one with more digits than the
     limit has is refused by its digit count, before ``int`` spends
     seconds converting it.  A refused token raises ``ValueError`` naming
-    it as ``what``.
+    it as ``what`` and quoting it by :func:`_quoted`.
     """
     if "_" in token:  # digit separators, which Fraction takes from 3.11 on
-        raise ValueError(f"malformed {what} {token!r}")
+        raise ValueError(f"malformed {what} {_quoted(token)}")
     limit = _int_digits_limit() or 4300
     mantissa, e, exponent = token.lower().partition("e")
     try:
         huge = bool(e) and _exceeds(exponent, limit)
         value = Fraction(mantissa + "e0" if huge else token)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed {what} {token!r}") from None
+        raise ValueError(f"malformed {what} {_quoted(token)}") from None
     if huge:
-        raise ValueError(f"exponent of {what} {token!r} exceeds {limit}")
+        raise ValueError(f"exponent of {what} {_quoted(token)} exceeds {limit}")
     if max(abs(value.numerator), value.denominator) >= _digits_bound(limit):
-        raise ValueError(f"{what} {token!r} has more than {limit} digits")
+        raise ValueError(f"{what} {_quoted(token)} has more than {limit} digits")
     return value
 
 
@@ -254,7 +267,7 @@ def _rational(token: str, what: str) -> Fraction:
     """A non-negative :func:`_number`: the grammar of labels and weights."""
     value = _number(token, what)
     if value < 0:
-        raise ValueError(f"negative {what} {token!r}")
+        raise ValueError(f"negative {what} {_quoted(token)}")
     return value
 
 
@@ -283,11 +296,12 @@ def _read_records(text: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]):
 
     Skips blanks and ``#`` comments, checks each record's token count
     against ``shapes``, then duplicate vertices, undeclared endpoints,
-    self-loops and duplicate edges; messages name the endpoints as
-    written.  Returns ``(index, labels, edges)`` in declaration order:
-    vertex -> declaration index, vertex -> label (a third ``v`` token),
-    and each edge's index pair ``(i, j)``, ``i < j`` -> weight (a fourth
-    ``e`` token); an absent token reads ``None``.
+    self-loops and duplicate edges; messages quote the tokens and lines
+    as written, by :func:`_quoted`.  Returns ``(index, labels, edges)``
+    in declaration order: vertex -> declaration index, vertex -> label
+    (a third ``v`` token), and each edge's index pair ``(i, j)``,
+    ``i < j`` -> weight (a fourth ``e`` token); an absent token reads
+    ``None``.
     """
     index: dict[str, int] = {}
     labels: dict[str, Fraction | None] = {}
@@ -299,17 +313,21 @@ def _read_records(text: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]):
         head = tokens[0]
         if head not in shapes:
             raise GraphFormatError(
-                line_no, "malformed-line", f"unknown directive {head!r} in {raw.strip()!r}"
+                line_no,
+                "malformed-line",
+                f"unknown directive {_quoted(head)} in {_quoted(raw.strip())}",
             )
         counts, usage = shapes[head]
         if len(tokens) not in counts:
             raise GraphFormatError(
-                line_no, "malformed-line", f"expected '{usage}', got {raw.strip()!r}"
+                line_no, "malformed-line", f"expected '{usage}', got {_quoted(raw.strip())}"
             )
         if head == "v":
             vid = tokens[1]
             if vid in index:
-                raise GraphFormatError(line_no, "duplicate-vertex", f"duplicate vertex id {vid!r}")
+                raise GraphFormatError(
+                    line_no, "duplicate-vertex", f"duplicate vertex id {_quoted(vid)}"
+                )
             index[vid] = len(index)
             labels[vid] = None
             if len(tokens) == 3:
@@ -321,13 +339,15 @@ def _read_records(text: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]):
             except KeyError:
                 end = u if u not in index else v
                 raise GraphFormatError(
-                    line_no, "undeclared-endpoint", f"undeclared endpoint {end!r}"
+                    line_no, "undeclared-endpoint", f"undeclared endpoint {_quoted(end)}"
                 ) from None
             if i == j:
-                raise GraphFormatError(line_no, "self-loop", f"self-loop at {u!r}")
+                raise GraphFormatError(line_no, "self-loop", f"self-loop at {_quoted(u)}")
             pair = (i, j) if i < j else (j, i)
             if pair in edges:
-                raise GraphFormatError(line_no, "duplicate-edge", f"duplicate edge {u!r} {v!r}")
+                raise GraphFormatError(
+                    line_no, "duplicate-edge", f"duplicate edge {_quoted(u)} {_quoted(v)}"
+                )
             edges[pair] = None
             if len(tokens) == 4:
                 edges[pair] = _parse_rational(tokens[3], line_no, "bad-weight", "weight")

@@ -484,6 +484,10 @@ def _merge_order(n: int, edges: Iterable[tuple]) -> tuple[list[int], list[int], 
 
     The order and gaps are those of :func:`_leaf_order`, and cover every
     point only when the merges number ``n - 1``; the caller checks that.
+    Each merge puts the larger cluster's run first and its own gap after
+    that run, so the gaps ascend strictly exactly when every merge adds
+    one point at a height of its own: :mod:`ultragraph.explore` checks
+    that each GH tree space is a caterpillar this way, with no dendrogram.
     """
     after = [0] * n
     order, merges = [0], 0

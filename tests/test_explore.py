@@ -41,11 +41,10 @@ from ultragraph import (
     tree_from_pruefer,
     tree_gh_report,
 )
-from ultragraph import analysis, explore, metrics
+from ultragraph import analysis, dendrograms, explore, metrics
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
 from ultragraph.explore import (
-    _gh_dendrogram,
     _labelings,
     _pair_slot,
     _patterns,
@@ -375,18 +374,50 @@ def test_tallies_count_the_recursive_trees(n):
     assert sum((tally for _t, _l, tally in shards), Counter()) == Counter({n - 1: b // 2, n: b})
 
 
+def _two_cherries(n, sweep):
+    """The sweep at n < 4; at n = 4, d(1,2) = 1, d(3,4) = 2 and 3 across: no caterpillar."""
+    if n < 4:
+        return metrics._merge_order(n, sweep)
+    return [0, 1, 2, 3], [1, 3, 2], 3
+
+
+def _lowered_gaps(n, sweep):
+    """The sweep with every gap one rank lower: ascending, but not the edge maxima."""
+    order, gaps, merges = metrics._merge_order(n, sweep)
+    return order, [w - 1 for w in gaps], merges
+
+
+_NOT_THE_CATERPILLAR = "GH space is not the caterpillar of its distance set: tree "
+_STAR4 = "(('1', '2'), ('1', '3'), ('1', '4'))"
+
+
 def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
-    monkeypatch.setattr(explore, "canonical_form", lambda _node: "(9··)")
+    for fed, mode, message in (
+        (_two_cherries, EXHAUSTIVE, f"{_STAR4} labeled (1, 1, 2, 3) has sweep gaps (1, 3, 2)"),
+        (_two_cherries, SAMPLED, f"{_STAR4} labeled (1, 3, 2, 1) has sweep gaps (1, 3, 2)"),
+        (_lowered_gaps, EXHAUSTIVE, "(('1', '2'),) labeled (1, 1) has sweep gaps (0)"),
+        (_lowered_gaps, SAMPLED, "(('1', '2'),) labeled (3, 1) has sweep gaps (2)"),
+    ):
+        monkeypatch.setattr(explore, "_merge_order", fed)
+        with pytest.raises(InternalCheckError) as err:
+            search_conjecture(SearchConfig(n_max=4, universe=U123, mode=mode))
+        assert str(err.value) == _NOT_THE_CATERPILLAR + message
+        # The default labels are U123: the command stops on the same space.
+        assert main(["explore", "--max-n", "4", "--mode", mode]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == f"internal check failed: {_NOT_THE_CATERPILLAR}{message}"
+
+
+def test_scan_checks_that_the_gaps_ascend_strictly(monkeypatch):
+    # Past the GH filter, the first pattern ties every rank at 1: its
+    # sweep's gaps are the sorted maxima, but not strictly ascending.
+    monkeypatch.setattr(explore, "compress", lambda patterns, _gh: patterns)
     with pytest.raises(InternalCheckError) as err:
-        search_conjecture(SearchConfig(n_max=2, universe=U123))
+        _scan_shard((SearchConfig(n_max=4, universe=U123), 4, 0))
     assert str(err.value) == (
-        "GH space is not the caterpillar of its distance set: "
-        "tree (('1', '2'),) labeled (1, 1) has form (9··), not (1··)"
+        f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 1, 1, 1) has sweep gaps (1, 1, 1)"
     )
-    assert main(["explore", "--max-n", "2"]) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("internal check failed: GH space is not the caterpillar")
 
 
 @pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
@@ -397,7 +428,12 @@ def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
         (
             "_merge_order",
             lambda _n, _sweep: ([0, 1, 2, 3], [1, 2, 1], 3),
-            "merge at height 2 has no leaf child",
+            {
+                EXHAUSTIVE: f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 1, 2, 3) "
+                "has sweep gaps (1, 2, 1)",
+                SAMPLED: f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 3, 2, 1) "
+                "has sweep gaps (1, 2, 1)",
+            },
         ),
         (
             "_merge_order",
@@ -417,37 +453,43 @@ def test_scan_checks_each_tree_and_sweep(monkeypatch, mode, name, fed, message):
     cfg = SearchConfig(n_max=4, universe=U123, mode=mode)
     with pytest.raises(InternalCheckError) as err:
         _scan_shard((cfg, 4, 0))
-    assert str(err.value) == message
+    assert str(err.value) == (message if isinstance(message, str) else message[mode])
 
 
-def _assert_routes_agree(names, index_edges, ranks, ordered):
-    """The scan's rank route builds the dendrogram of the graph route."""
+def _assert_sweep_decides_the_caterpillar(names, index_edges, ranks, ordered):
+    """The sweep's gaps ascend strictly exactly when ``canon``'s route gives
+    the caterpillar of the distance set; returns whether they do."""
+    n = len(names)
     maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
-    assert len(set(maxima)) == len(names) - 1
     sweep = sorted((w, i, j) for w, (i, j) in zip(maxima, index_edges))
+    _order, gaps, merges = metrics._merge_order(n, sweep)
+    assert merges == n - 1
     labels = {v: ordered[r] for v, r in zip(names, ranks)}
     edges = tuple((names[i], names[j]) for i, j in index_edges)
-    expected = graph_dendrogram(LabeledGraph(names, edges, labels))
-    root = _gh_dendrogram(names, sweep, ordered)
-    assert canonical_form(root) == canonical_form(expected)
-    assert root == expected
+    form = canonical_form(graph_dendrogram(LabeledGraph(names, edges, labels)))
+    caterpillar = _caterpillar_form((0, *(ordered[w] for w in sorted(set(maxima)))))
+    ascending = all(a < b for a, b in zip(gaps, gaps[1:]))
+    assert ascending == (form == caterpillar)
+    return ascending
 
 
 def test_rank_route_matches_the_graph_route_on_every_gh_pattern():
-    ordered = (0, *map(Fraction, range(1, 5)))
-    checked = 0
+    # Every pattern up to n = 5, GH or not: the sweep check is canon's verdict.
+    ordered = (0, *map(Fraction, range(1, 6)))
+    ascending = 0
     for n in range(2, 6):
         names = tuple(str(i + 1) for i in range(n))
         for seq in product(range(n), repeat=n - 2):
             index_edges = tree_from_pruefer(seq, n)
-            for ranks, _ in _patterns(n, 4):
-                if len({max(ranks[i], ranks[j]) for i, j in index_edges}) == n - 1:
-                    _assert_routes_agree(names, index_edges, ranks, ordered)
-                    checked += 1
-    # The counting of the explore docstring: B = n!(n - 1)! patterns with
-    # n values (none for n = 5 over 4 labels) and A = B / 2 with n - 1.
+            for ranks, _ in _patterns(n, 5):
+                gh = len({max(ranks[i], ranks[j]) for i, j in index_edges}) == n - 1
+                decided = _assert_sweep_decides_the_caterpillar(names, index_edges, ranks, ordered)
+                assert decided == gh
+                ascending += gh
+    # The counting of the explore docstring: B = n!(n - 1)! GH patterns
+    # with n values and A = B / 2 with n - 1.
     b = {n: factorial(n) * factorial(n - 1) for n in range(2, 6)}
-    assert checked == sum(b[n] // 2 + (b[n] if n <= 4 else 0) for n in b)
+    assert ascending == sum(b[n] // 2 + b[n] for n in b)
 
 
 @given(st.data())
@@ -462,6 +504,12 @@ def test_rank_route_matches_the_graph_route_on_sampled_ranks(data):
         )
     )
     ordered = (0, *(step * r for r in range(1, k + 1)))
+    names = tuple(f"v{i}" for i in range(n))
+    if data.draw(st.booleans()):
+        ranks = tuple(data.draw(st.integers(1, k)) for _ in range(n))
+        gh = len({max(ranks[i], ranks[j]) for i, j in index_edges}) == n - 1
+        assert _assert_sweep_decides_the_caterpillar(names, index_edges, ranks, ordered) == gh
+        return
     # A GH labeling: grow the tree from a root, each new vertex joined to
     # one earlier vertex and labeled above every earlier one, so each
     # edge's maximum is its later end's label; the root may tie its first
@@ -479,8 +527,7 @@ def test_rank_route_matches_the_graph_route_on_sampled_ranks(data):
     ranks = [0] * n
     for v, r in zip(grown, values):
         ranks[v] = r
-    names = tuple(f"v{i}" for i in range(n))
-    _assert_routes_agree(names, index_edges, tuple(ranks), ordered)
+    assert _assert_sweep_decides_the_caterpillar(names, index_edges, tuple(ranks), ordered)
 
 
 def _gh_counts(n, k):
@@ -568,13 +615,21 @@ def test_exhaustive_cost_does_not_grow_with_the_labels():
 
 
 def test_scan_builds_no_matrix(monkeypatch):
-    # GH is decided from the edge maxima: no sweep to a matrix, no validation.
+    # GH is decided from the edge maxima: no sweep to a matrix, no validation;
+    # and the proposition is checked on the edge sweep: no dendrogram, no form.
     def no_matrix(*_args):
         raise AssertionError("the scan built a distance matrix")
+
+    def no_dendrogram(*_args, **_kwargs):
+        raise AssertionError("the scan built a dendrogram or its form")
 
     for module in (analysis, metrics):
         monkeypatch.setattr(module, "_bottleneck_rows", no_matrix)
         monkeypatch.setattr(module, "_validate_rows", no_matrix)
+    monkeypatch.setattr(dendrograms, "_replay", no_dendrogram)
+    monkeypatch.setattr(dendrograms, "canonical_form", no_dendrogram)
+    # Nor could the scan reach them by a name of its own.
+    assert not {"_replay", "canonical_form", "dendrograms"} & set(vars(explore))
     kwargs, digest = PINNED_REPORTS[0]
     report = search_conjecture(SearchConfig(**kwargs)).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == digest

@@ -197,6 +197,27 @@ def test_parse_cases_are_pinned_for_both_formats(text, labeled, weighted):
         assert str(err.value) == f"line {line_no}: {message}"
 
 
+def test_refusals_quote_a_bounded_token():
+    # Up to 64 characters a token or line is quoted in full; past that,
+    # its first 64 characters, "…" and its length, so the line stays short.
+    full, long = "x" * 64, "x" * 65
+    cut = f"{full!r}… (65 characters)"
+    for text, message in (
+        (f"v a {full}\n", f"malformed label {full!r}"),
+        (f"v a {long}\n", f"malformed label {cut}"),
+        (f"v a -{'1' * 99}\n", f"negative label '-{'1' * 63}'… (100 characters)"),
+        (f"{long}\n", f"unknown directive {cut} in {cut}"),
+        (
+            f"v a 1 {long}\n",
+            f"expected 'v <id> <label>', got 'v a 1 {'x' * 58}'… (71 characters)",
+        ),
+        (f"v {long} 1\nv {long} 2\n", f"duplicate vertex id {cut}"),
+    ):
+        with pytest.raises(GraphFormatError) as err:
+            parse_graph(text)
+        assert str(err.value) == f"line {text.count(chr(10))}: {message}"
+
+
 def test_exponent_bound_of_rational_tokens():
     limit = sys.get_int_max_str_digits()
     labeled, weighted = "v a {}\n", "v a\nv b\ne a b {}\n"
