@@ -20,7 +20,6 @@ from .explore import SearchConfig, search_conjecture
 from .graphs import DEFAULT_CYCLE_CAP, _rational, _require_cap, enumerate_cycles, parse_graph
 from .metrics import (
     DEFAULT_ORACLE_CAP,
-    DistanceMatrix,
     InternalCheckError,
     NotUltrametricError,
     WeightedGraph,
@@ -85,7 +84,7 @@ def _bool(x: bool) -> str:
 
 def cmd_dist(args: argparse.Namespace) -> int:
     # Imported where it is first needed: the other commands do not compile it.
-    from .layout import _order_rows, _render_order
+    from .layout import _render_order
 
     g = parse_graph(_read(args.path))
     if args.oracle:
@@ -93,17 +92,14 @@ def cmd_dist(args: argparse.Namespace) -> int:
         _require_cap("oracle evaluation", len(g.vertices), DEFAULT_ORACLE_CAP)
     order, gaps, ordered = _leaf_order(g)
     if args.oracle:
-        dm = DistanceMatrix._from_ranks(g.vertices, _order_rows(order, gaps), ordered)
-        om = oracle_matrix(g)
-        if om.entries != dm.entries:
-            for x, y, d in dm.pairs():
-                if om.get(x, y) != d:
-                    print(
-                        f"oracle mismatch at ({x}, {y}): sweep={d} paths={om.get(x, y)}",
-                        file=sys.stderr,
-                    )
-                    break
-            return 3
+        # Every printed cell, row by row below the CSV header, against path enumeration.
+        rows = _render_order(g.vertices, order, gaps, ordered, "csv")
+        next(rows)
+        for x, line, truth in zip(g.vertices, rows, oracle_matrix(g).entries):
+            for y, d, q in zip(g.vertices, line[:-1].split(","), truth):
+                if d != str(q):
+                    print(f"oracle mismatch at ({x}, {y}): sweep={d} paths={q}", file=sys.stderr)
+                    return 3
     sys.stdout.writelines(_render_order(g.vertices, order, gaps, ordered, args.format))
     return 0
 

@@ -57,12 +57,12 @@ maximum of every pair of its ranks, one byte per pair, and a tree picks
 its edges' bytes out of it with one ``operator.itemgetter`` built per
 tree.  Sampled mode takes the ``n - 1`` maxima of each draw directly;
 its ranks can exceed a byte.  The sweep check runs on the same rank
-maxima.  No graph, dendrogram or canonical form is built for a
-labeling, and its labels become Fractions only in the message of a
-failed check.
+maxima, and a tree is checked to be one by a sweep over its decoded
+index pairs.  No graph, dendrogram or canonical form is built, and
+labels become Fractions only in the message of a failed check.
 
-Sampled mode checks each draw and counts GH spaces per distance set, so
-its memory grows with the number of distinct distance sets.
+Sampled mode counts GH spaces per distance set, keyed by its sorted
+rank maxima, so its memory grows with the number of distance sets.
 
 Exhaustive mode checks each label *pattern* once per tree: the dense
 rank tuple over ``1 .. m`` with the same weak order as the labeling.  A
@@ -113,14 +113,8 @@ from math import comb
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .graphs import (
-    CapExceededError,
-    LabeledGraph,
-    _coerce_rational,
-    is_tree,
-    tree_from_pruefer,
-)
-from .metrics import InternalCheckError, _merge_order
+from .graphs import CapExceededError, _coerce_rational, tree_from_pruefer
+from .metrics import InternalCheckError, _merge_order, _sweep
 
 EXHAUSTIVE = "exhaustive"
 SAMPLED = "sampled"
@@ -269,24 +263,23 @@ def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
     """Scan the trees whose Pruefer sequence starts with ``prefix``.
 
-    Returns ``(trees, labelings, counts)``.  GH is decided on rank tuples
-    from the edge maxima (see the module docstring).  Exhaustive mode
-    checks each label pattern once, counts a tree's patterns as its
-    ``k**n`` labelings and tallies the GH patterns in ``counts`` by
-    their number ``m`` of values; sampled mode checks each draw and
-    counts the GH spaces per distance set.  Exhaustive mode filters a
-    tree's GH patterns with one chain of ``map`` calls over the pattern
-    tables.  Each GH labeling (in exhaustive mode, each GH pattern) is
-    checked against the caterpillar proposition on its edge sweep, as
-    the module docstring states it: ``n - 1`` merges, whose gaps are the
-    sorted edge maxima, strictly ascending.  Its labels are mapped back
-    to Fractions only for the message of a failed check.
+    Returns ``(trees, labelings, counts)``.  A tree is one sweep over its
+    decoded edges, and GH is decided on rank tuples from the edge maxima
+    (see the module docstring).  Exhaustive mode checks each label
+    pattern once, counts a tree's patterns as its ``k**n`` labelings and
+    tallies the GH patterns in ``counts`` by their number ``m`` of
+    values; sampled mode checks each draw and counts the GH spaces per
+    distance set, keyed by its sorted rank maxima.  Exhaustive mode
+    filters a tree's GH patterns with one chain of ``map`` calls over
+    the pattern tables.  Each GH labeling (in exhaustive mode, each GH
+    pattern) is checked against the caterpillar proposition on its edge
+    sweep: ``n - 1`` merges, whose gaps are the sorted edge maxima,
+    strictly ascending.  Labels become Fractions only in messages.
     """
     cfg, n, prefix = task
     k = len(cfg.universe)
     label_of = (0, *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
-    zero_labels = dict.fromkeys(names, 0)
     patterns = _patterns(n, k) if cfg.mode == EXHAUSTIVE else ()
     tables = [table for _, table in patterns]
     trees = 0
@@ -295,10 +288,10 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
 
     for tree_index, seq in _pruefer_block(n, prefix):
         index_edges = tree_from_pruefer(seq, n)
-        edges = tuple((names[i], names[j]) for i, j in index_edges)
-        # Label-independent guard of tree_gh_report, once per tree.
+        # Once per tree: n - 1 edges that join n points are a tree.
         # Nondegeneracy needs no check: every rank is at least 1.
-        if not is_tree(LabeledGraph(names, edges, zero_labels)):
+        joins = _sweep(n, ((0, i, j) for i, j in index_edges))
+        if len(index_edges) != n - 1 or sum(1 for _ in joins) != n - 1:
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         trees += 1
         ends = tuple(zip(*index_edges))
@@ -311,6 +304,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
                 raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
             # n - 1 gaps equal to the distinct maxima sorted: strictly ascending.
             if gaps != sorted(set(maxima)):
+                edges = tuple((names[i], names[j]) for i, j in index_edges)
                 labels = ", ".join(str(label_of[r]) for r in ranks)
                 heights = ", ".join(str(label_of[w]) for w in gaps)
                 raise InternalCheckError(
@@ -332,7 +326,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
                 maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
                 if len(set(maxima)) == n - 1:
                     check(ranks, maxima)
-                    counts[(Fraction(0), *map(label_of.__getitem__, sorted(maxima)))] += 1
+                    counts[tuple(sorted(maxima))] += 1  # the distance set, by rank
     return trees, labelings, counts
 
 

@@ -40,7 +40,7 @@ class DisconnectedGraphError(ValueError):
     """Raised by operations that require a connected graph."""
 
     def __init__(self, u: str, v: str):
-        super().__init__(f"graph is disconnected: no path joins {u!r} and {v!r}")
+        super().__init__(f"graph is disconnected: no path joins {_quoted(u)} and {_quoted(v)}")
         self.witnesses = (u, v)
 
 
@@ -96,29 +96,29 @@ class LabeledGraph:
             if not isinstance(v, str):
                 raise ValueError("vertex names must be strings")
             if v in index:
-                raise ValueError(f"duplicate vertex id {v!r}")
+                raise ValueError(f"duplicate vertex id {_quoted(v)}")
             index[v] = len(index)
 
         labels = {v: _coerce_rational(x) for v, x in self.labels.items()}
         for v in self.vertices:
             if v not in labels:
-                raise ValueError(f"vertex {v!r} has no label")
+                raise ValueError(f"vertex {_quoted(v)} has no label")
         for v, x in labels.items():
             if v not in index:
-                raise ValueError(f"label given for undeclared vertex {v!r}")
+                raise ValueError(f"label given for undeclared vertex {_quoted(v)}")
             if x < 0:
-                raise ValueError(f"vertex {v!r} has negative label {x}")
+                raise ValueError(f"vertex {_quoted(v)} has negative label {x}")
 
         pairs: dict[tuple[int, int], None] = {}
         for u, v in self.edges:
             if u not in index or v not in index:
-                raise ValueError(f"edge ({u!r}, {v!r}) has an undeclared endpoint")
+                raise ValueError(f"edge ({_quoted(u)}, {_quoted(v)}) has an undeclared endpoint")
             if u == v:
-                raise ValueError(f"self-loop at {u!r}")
+                raise ValueError(f"self-loop at {_quoted(u)}")
             i, j = index[u], index[v]
             pair = (i, j) if i < j else (j, i)
             if pair in pairs:
-                raise ValueError(f"duplicate edge ({u!r}, {v!r})")
+                raise ValueError(f"duplicate edge ({_quoted(u)}, {_quoted(v)})")
             pairs[pair] = None
         self._store(index, pairs, labels)
 
@@ -191,7 +191,7 @@ class LabeledGraph:
     def edge_key(self, u: str, v: str) -> tuple[str, str]:
         """The stored orientation of an edge: endpoints by declaration index."""
         if u == v or u not in self._index or v not in self._index:
-            raise ValueError(f"({u!r}, {v!r}) is not a valid vertex pair")
+            raise ValueError(f"({_quoted(u)}, {_quoted(v)}) is not a valid vertex pair")
         return (u, v) if self._index[u] < self._index[v] else (v, u)
 
     def with_labels(self, labels: Mapping[str, object]) -> "LabeledGraph":
@@ -211,11 +211,15 @@ class LabeledGraph:
 _QUOTE_WIDTH = 64
 
 
-def _quoted(token: str) -> str:
+def _quoted(token) -> str:
     """``repr(token)``; past ``_QUOTE_WIDTH`` characters, its head, ``…`` and its length.
 
-    So a refusal is one short line however long the token it names.
+    So a refusal is one short line however long the token or vertex name
+    it quotes; a value that is not a string is quoted by its bounded repr.
     """
+    if not isinstance(token, str):  # an API caller's endpoint
+        text = repr(token)
+        return text if len(text) <= _QUOTE_WIDTH and text.isprintable() else _quoted(text)
     if len(token) <= _QUOTE_WIDTH:
         return repr(token)
     return f"{token[:_QUOTE_WIDTH]!r}… ({len(token)} characters)"
@@ -440,7 +444,7 @@ def enumerate_simple_paths(g: LabeledGraph, x: str, y: str) -> Iterator[tuple[st
     """
     for v in (x, y):
         if v not in g._index:
-            raise ValueError(f"unknown vertex {v!r}")
+            raise ValueError(f"unknown vertex {_quoted(v)}")
     if x == y:
         raise ValueError("path endpoints must be distinct")
 
@@ -540,7 +544,7 @@ def enumerate_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[LabeledGrap
 def root_levels(t: LabeledGraph, root: str) -> dict[str, int]:
     """Distance-from-root levels of a tree, by breadth-first traversal."""
     if root not in t._index:
-        raise ValueError(f"unknown root {root!r}")
+        raise ValueError(f"unknown root {_quoted(root)}")
     if not is_tree(t):
         raise NotATreeError("root levels are only defined for trees")
     return {v: level for v, (_parent, level) in _bfs(t, root).items()}

@@ -33,12 +33,6 @@ from typing import Iterator, Mapping, Sequence
 from .metrics import _csv_line, _json_scalar
 
 
-def _order_rows(order: Sequence[int], gaps: Sequence[int]) -> list[list[int]]:
-    """The rank rows, in vertex order, of the distances a leaf order gives; O(n^3)."""
-    pos = sorted(range(len(order)), key=order.__getitem__)
-    return [[max(gaps[min(p, q) : max(p, q)], default=0) for q in pos] for p in pos]
-
-
 def _record_chains(gaps: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:
     """The chains of weak records of ``gaps``, for :func:`_render_order`.
 

@@ -53,6 +53,7 @@ from .graphs import (
     LabeledGraph,
     _WEIGHTED_RECORDS,
     _coerce_rational,
+    _quoted,
     _read_records,
     _require_cap,
     enumerate_simple_paths,
@@ -96,16 +97,16 @@ class WeightedGraph:
             u, v = key
             edge = skeleton.edge_key(u, v)
             if not skeleton.has_edge(u, v):
-                raise ValueError(f"weight given for missing edge ({u!r}, {v!r})")
+                raise ValueError(f"weight given for missing edge ({_quoted(u)}, {_quoted(v)})")
             if edge in weights:
-                raise ValueError(f"two weights given for edge ({u!r}, {v!r})")
+                raise ValueError(f"two weights given for edge ({_quoted(u)}, {_quoted(v)})")
             w = _coerce_rational(value)
             if w < 0:
-                raise ValueError(f"edge ({u!r}, {v!r}) has negative weight {w}")
+                raise ValueError(f"edge ({_quoted(u)}, {_quoted(v)}) has negative weight {w}")
             weights[edge] = w
-        for edge in skeleton.edges:
-            if edge not in weights:
-                raise ValueError(f"edge {edge!r} has no weight")
+        for u, v in skeleton.edges:
+            if (u, v) not in weights:
+                raise ValueError(f"edge ({_quoted(u)}, {_quoted(v)}) has no weight")
         self._store(skeleton, map(weights.__getitem__, skeleton.edges))
 
     @classmethod
@@ -276,16 +277,16 @@ def _validate_rows(
     pairs = []
     for i, row in enumerate(m):
         if row[i] != 0:
-            raise MatrixInvariantError(f"nonzero diagonal at {vertices[i]!r}")
+            raise MatrixInvariantError(f"nonzero diagonal at {_quoted(vertices[i])}")
         for j in range(i + 1, n):
             w = row[j]
             if w != m[j][i]:
                 raise MatrixInvariantError(
-                    f"asymmetry at ({vertices[i]!r}, {vertices[j]!r})"
+                    f"asymmetry at ({_quoted(vertices[i])}, {_quoted(vertices[j])})"
                 )
             if w < 0:
                 raise MatrixInvariantError(
-                    f"negative distance at ({vertices[i]!r}, {vertices[j]!r})"
+                    f"negative distance at ({_quoted(vertices[i])}, {_quoted(vertices[j])})"
                 )
             pairs.append((w, i, j))
     pairs.sort(key=itemgetter(0))
@@ -298,7 +299,7 @@ def _validate_rows(
                 if row[y] != w:
                     p, q = vertices[min(x, y)], vertices[max(x, y)]
                     raise MatrixInvariantError(
-                        f"strong triangle inequality fails: d({p!r}, {q!r}) = "
+                        f"strong triangle inequality fails: d({_quoted(p)}, {_quoted(q)}) = "
                         f"{ordered[row[y]]}, but a path joins them with every step "
                         f"at most {ordered[w]}"
                     )
@@ -412,7 +413,9 @@ def _bottleneck_rows(
     Its n^2 slots are for the callers that want every entry:
     :func:`distance_matrix`, :func:`rho_w` and
     :func:`ultragraph.analysis._tree_criteria`.  The commands print from
-    :func:`_leaf_order` instead.
+    :func:`_leaf_order` instead.  Rows read off the printer's chains
+    are 1.5-2x slower at n <= 48, where these callers are, and the tests
+    use this route as the printer's independent reference.
     """
     n = len(vertices)
     dist: list[list] = [[None] * n for _ in range(n)]
@@ -649,10 +652,10 @@ def is_weight_realizable(wg: WeightedGraph) -> RealizabilityResult:
         return RealizabilityResult(True, None, None)
     parent = list(range(len(parent)))
     i, j = pairs[witness]
+    u, v = wg.edges[witness]
     for r, bucket in enumerate(buckets):
         for k in bucket:
             parent[find(pairs[k][0])] = find(pairs[k][1])
         if find(i) == find(j):
-            u, v = wg.edges[witness]
             return RealizabilityResult(False, (u, v), ordered[r])
-    raise InternalCheckError(f"the ends of edge {wg.edges[witness]!r} never met")
+    raise InternalCheckError(f"the ends of edge ({_quoted(u)}, {_quoted(v)}) never met")

@@ -96,6 +96,53 @@ def test_dist_oracle_agrees(graph_file, capsys):
     assert out.splitlines()[0] == "   a  b  c"
 
 
+# A 9-vertex path a .. iii labeled 3 0 5 5 2 7/2 1 5 4, with three chords.
+NINE = (
+    "".join(
+        f"v {v} {x}\n"
+        for v, x in zip(
+            ("a", "bb", "ccc", "dddd", "eeeee", "ffffff", "g", "hh", "iii"),
+            ("3", "0", "5", "5", "2", "7/2", "1", "5", "4"),
+        )
+    )
+    + "e a bb\ne bb ccc\ne ccc dddd\ne dddd eeeee\ne eeeee ffffff\ne ffffff g\n"
+    + "e g hh\ne hh iii\ne a eeeee\ne ccc g\ne bb iii\n"
+)
+
+
+def test_dist_oracle_checks_the_printed_cells(graph_file, monkeypatch, capsys):
+    from ultragraph import layout
+
+    path = graph_file(NINE)
+    assert main(["dist", "--format", "csv", path]) == 0
+    truth = capsys.readouterr().out
+
+    record_chains = layout._record_chains
+
+    def skipping(gaps):
+        # The leaf order is a, bb, eeeee, ffffff, g, ...: from g leftwards,
+        # the chain jumps from gap 3 past gap 2 to gap 0, so d(g, a) shows 3.
+        nge, pge, run, lrun = record_chains(gaps)
+        pge[3] = 0
+        return nge, pge, run, lrun
+
+    monkeypatch.setattr(layout, "_record_chains", skipping)
+    assert main(["dist", "--format", "csv", path]) == 0
+    shown = capsys.readouterr().out
+    wrong = [
+        (i, j)
+        for i, (row, good) in enumerate(zip(shown.splitlines(), truth.splitlines()))
+        for j, (d, q) in enumerate(zip(row.split(","), good.split(",")))
+        if d != q
+    ]
+    assert wrong == [(7, 0)]  # line 7 is row g, under the header
+    for fmt in ("text", "csv"):
+        assert main(["dist", "--oracle", "--format", fmt, path]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "oracle mismatch at (g, a): sweep=3 paths=7/2\n"
+
+
 def test_dist_single_vertex(graph_file, capsys):
     assert main(["dist", graph_file("v a 0\n")]) == 0
     assert capsys.readouterr().out == "   a\na  0\n"
@@ -104,6 +151,19 @@ def test_dist_single_vertex(graph_file, capsys):
 def test_dist_disconnected_names_a_witness_pair(graph_file, capsys):
     assert main(["dist", graph_file(DISCONNECTED)]) == 2
     assert "no path joins 'a' and 'c'" in capsys.readouterr().err
+
+
+def test_disconnected_witness_is_quoted_bounded(graph_file, capsys):
+    long = "x" * 1_000_000
+    path = graph_file(f"v a 1\nv b 2\nv {long} 3\ne a b\n")
+    for command in ("check", "dist", "quotient", "canon"):
+        assert main([command, path]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: graph is disconnected: no path joins 'a' and "
+            f"{long[:64]!r}… (1000000 characters)\n"
+        )
 
 
 def test_dist_malformed_input(graph_file, capsys):

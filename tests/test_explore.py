@@ -41,7 +41,7 @@ from ultragraph import (
     tree_from_pruefer,
     tree_gh_report,
 )
-from ultragraph import analysis, dendrograms, explore, metrics
+from ultragraph import analysis, dendrograms, explore, graphs, metrics
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
 from ultragraph.explore import (
@@ -352,7 +352,11 @@ def test_pattern_scan_matches_the_labeling_scan(data):
         shard_trees, shard_labelings, tally = _scan_shard(task)
         assert (shard_trees, shard_labelings) == (trees, labelings)
         if mode == SAMPLED:
-            assert tally == counts
+            # sampled tallies are keyed by the sorted edge maxima, as ranks
+            label_of = (0, *cfg.universe)
+            assert Counter(
+                {(0, *map(label_of.__getitem__, key)): c for key, c in tally.items()}
+            ) == counts
         else:
             # a GH pattern with m values stands for its C(k, m) labelings
             assert Counter({m: c * comb(k, m) for m, c in tally.items()}) == Counter(
@@ -445,8 +449,19 @@ def test_scan_checks_that_the_gaps_ascend_strictly(monkeypatch):
             lambda _seq, _n: [(0, 1), (1, 2), (0, 2), (2, 3)],
             "Pruefer sequence (0, 0) did not decode to a tree",
         ),
+        # n - 1 edges that do not join n points: the sweep makes n - 2 merges.
+        (
+            "tree_from_pruefer",
+            lambda _seq, _n: [(0, 1), (1, 2), (0, 2)],
+            "Pruefer sequence (0, 0) did not decode to a tree",
+        ),
+        (
+            "tree_from_pruefer",
+            lambda _seq, _n: [(0, 1), (1, 2), (1, 2)],
+            "Pruefer sequence (0, 0) did not decode to a tree",
+        ),
     ],
-    ids=["leaf-child", "merge-count", "tree"],
+    ids=["leaf-child", "merge-count", "tree", "tree-triangle", "tree-duplicate"],
 )
 def test_scan_checks_each_tree_and_sweep(monkeypatch, mode, name, fed, message):
     monkeypatch.setattr(explore, name, fed)
@@ -623,13 +638,21 @@ def test_scan_builds_no_matrix(monkeypatch):
     def no_dendrogram(*_args, **_kwargs):
         raise AssertionError("the scan built a dendrogram or its form")
 
+    def no_graph(*_args):
+        raise AssertionError("the scan built a graph or searched one")
+
     for module in (analysis, metrics):
         monkeypatch.setattr(module, "_bottleneck_rows", no_matrix)
         monkeypatch.setattr(module, "_validate_rows", no_matrix)
     monkeypatch.setattr(dendrograms, "_replay", no_dendrogram)
     monkeypatch.setattr(dendrograms, "canonical_form", no_dendrogram)
+    # A tree is checked by one sweep over its index pairs: no graph, no BFS.
+    monkeypatch.setattr(graphs.LabeledGraph, "_store", no_graph)
+    monkeypatch.setattr(graphs, "_bfs", no_graph)
     # Nor could the scan reach them by a name of its own.
-    assert not {"_replay", "canonical_form", "dendrograms"} & set(vars(explore))
+    assert not {"_replay", "canonical_form", "dendrograms", "LabeledGraph", "is_tree"} & set(
+        vars(explore)
+    )
     kwargs, digest = PINNED_REPORTS[0]
     report = search_conjecture(SearchConfig(**kwargs)).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == digest

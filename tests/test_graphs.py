@@ -26,6 +26,7 @@ from ultragraph import (
     DistanceMatrix,
     GraphFormatError,
     LabeledGraph,
+    MatrixInvariantError,
     NotATreeError,
     SearchConfig,
     WeightedGraph,
@@ -216,6 +217,61 @@ def test_refusals_quote_a_bounded_token():
         with pytest.raises(GraphFormatError) as err:
             parse_graph(text)
         assert str(err.value) == f"line {text.count(chr(10))}: {message}"
+
+
+def _refusals_naming(x):
+    """Calls of the public API that refuse input naming the vertex ``x``."""
+    pair = LabeledGraph((x, "b"), ((x, "b"),), {x: 1, "b": 1})
+    other = LabeledGraph(("b", "c"), (("b", "c"),), {"b": 1, "c": 1})
+    return [
+        lambda: LabeledGraph((x, x), (), {x: 1}),
+        lambda: LabeledGraph((x,), (), {}),
+        lambda: LabeledGraph(("z",), (), {"z": 1, x: 1}),
+        lambda: LabeledGraph((x,), (), {x: -1}),
+        lambda: LabeledGraph(("z",), (("z", x),), {"z": 1}),
+        lambda: LabeledGraph((x,), ((x, x),), {x: 1}),
+        lambda: LabeledGraph((x, "b"), ((x, "b"), ("b", x)), {x: 1, "b": 1}),
+        lambda: pair.edge_key(x, "q"),
+        lambda: WeightedGraph((x, "b", "c"), ((x, "b"),), {(x, "c"): 1}),
+        lambda: WeightedGraph((x, "b"), ((x, "b"),), {(x, "b"): 1, ("b", x): 2}),
+        lambda: WeightedGraph((x, "b"), ((x, "b"),), {(x, "b"): -1}),
+        lambda: WeightedGraph((x, "b"), ((x, "b"),), {}),
+        lambda: DistanceMatrix((x, "b"), ((1, 1), (1, 0))).validate(),
+        lambda: DistanceMatrix((x, "b"), ((0, 1), (2, 0))).validate(),
+        lambda: DistanceMatrix((x, "b"), ((0, -1), (-1, 0))).validate(),
+        lambda: DistanceMatrix((x, "b", "c"), ((0, 1, 2), (1, 0, 1), (2, 1, 0))).validate(),
+        lambda: is_tree(LabeledGraph((x, "b"), (), {x: 1, "b": 1})),
+        lambda: root_levels(other, x),
+        lambda: list(enumerate_simple_paths(other, x, "b")),
+    ]
+
+
+def test_refusals_quote_a_bounded_vertex_name():
+    # Every refusal that names a vertex quotes it as the reader quotes a
+    # token: in full up to 64 characters, its head and length past that.
+    for short in ("a", "x" * 64):
+        for call in _refusals_naming(short):
+            with pytest.raises((ValueError, MatrixInvariantError)) as err:
+                call()
+            assert repr(short) in str(err.value)
+    long = "x" * 1_000_000
+    for call in _refusals_naming(long):
+        with pytest.raises((ValueError, MatrixInvariantError)) as err:
+            call()
+        message = str(err.value)
+        assert len(message) < 200 and "\n" not in message
+        assert "… (1000000 characters)" in message
+
+
+@pytest.mark.parametrize("end", [5, None, ("x" * 1_000_000,), Fraction(1, 3)])
+def test_endpoints_that_are_not_strings_get_one_short_line(end):
+    with pytest.raises(ValueError) as err:
+        LabeledGraph(("a",), (("a", end),), {"a": 1})
+    message = str(err.value)
+    assert message.endswith(") has an undeclared endpoint")
+    assert len(message) < 200 and "\n" not in message
+    if end != ("x" * 1_000_000,):
+        assert message == f"edge ('a', {end!r}) has an undeclared endpoint"
 
 
 def test_exponent_bound_of_rational_tokens():
