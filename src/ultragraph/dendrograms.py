@@ -20,7 +20,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
-from .graphs import LabeledGraph, _coerce_rational
+from .graphs import LabeledGraph, _coerce_rational, _quoted
 from .metrics import (
     DistanceMatrix,
     InternalCheckError,
@@ -53,6 +53,8 @@ class Merge:
         if len(self.children) < 2:
             raise ValueError("merge nodes need at least two children")
         for child in self.children:
+            if not isinstance(child, (Leaf, Merge)):
+                raise ValueError(f"merge child {_quoted(child)} is not a Leaf or a Merge")
             if isinstance(child, Merge) and child.height >= height:
                 raise ValueError("child merge heights must strictly decrease")
         object.__setattr__(self, "height", height)

@@ -110,7 +110,7 @@ class LabeledGraph:
                 raise ValueError(f"vertex {_quoted(v)} has negative label {x}")
 
         pairs: dict[tuple[int, int], None] = {}
-        for u, v in self.edges:
+        for u, v in map(_endpoints, self.edges):
             if u not in index or v not in index:
                 raise ValueError(f"edge ({_quoted(u)}, {_quoted(v)}) has an undeclared endpoint")
             if u == v:
@@ -223,6 +223,16 @@ def _quoted(token) -> str:
     if len(token) <= _QUOTE_WIDTH:
         return repr(token)
     return f"{token[:_QUOTE_WIDTH]!r}… ({len(token)} characters)"
+
+
+def _endpoints(pair, what: str = "edge") -> tuple:
+    """The two hashable ends of an API caller's edge or weight key; a string is no pair."""
+    try:
+        u, v = () if isinstance(pair, str) else pair
+        hash((u, v))
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} {_quoted(pair)} is not a pair of vertices") from None
+    return u, v
 
 
 def _number(token: str, what: str) -> Fraction:

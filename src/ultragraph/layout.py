@@ -18,47 +18,82 @@ next gap no smaller than it.  The right side of a row is thus a few
 pieces: a constant block between records that are apart, a slice of the
 table of gaps shown in place where records are adjacent, and, once the
 maximum reaches every gap left of ``p``, a slice of the table of prefix
-maxima, which is the rest of the row.  The left side is the mirror
-image.  The chains of records are found once, in O(n), and every table
-is O(n), so memory is O(n) beyond the row being written.
+maxima, which is the rest of the row.  The left side is the same walk
+on the mirrored order, reversed.  The chains of records are found once
+per side, in O(n), and every table is O(n), so memory is O(n) beyond the
+row being written.
 """
 
 from __future__ import annotations
 
 import json
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import itemgetter
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .metrics import _csv_line, _json_scalar
 
 
-def _record_chains(gaps: Sequence[int]) -> tuple[list[int], list[int], list[int], list[int]]:
-    """The chains of weak records of ``gaps``, for :func:`_render_order`.
+def _record_chains(gaps: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The chain of weak records of ``gaps``, for :func:`_render_order`.
 
-    Returns ``(nge, pge, run, lrun)``.  ``nge[k]`` (``pge[k]``) is the
-    next (previous) gap no smaller than ``gaps[k]``, or ``m`` (``-1``)
-    when there is none, where ``m = len(gaps)``.  ``run[k]`` (``lrun[k]``)
-    is where the chain of ``nge`` (``pge``) steps of one from ``k`` ends.
-    ``run`` and ``lrun`` have a spare last slot, ``m`` and ``-1``, which
-    the chains' ends past either side index.  One stack pass: O(m).
+    Returns ``(nge, run)``.  ``nge[k]`` is the next gap no smaller than
+    ``gaps[k]``, or ``m = len(gaps)`` when there is none.  ``run[k]`` is
+    where the chain of ``nge`` steps of one from ``k`` ends; ``run`` has a
+    spare last slot, ``m``.  One stack pass: O(m).  "No smaller than" is
+    symmetric, so the chain leftwards is this one on ``gaps[::-1]``.
     """
     m = len(gaps)
-    nge, pge, stack = [m] * m, [-1] * m, []
+    nge, stack = [m] * m, []
     for k, w in enumerate(gaps):
-        while stack and gaps[stack[-1]] < w:
+        while stack and gaps[stack[-1]] <= w:
             nge[stack.pop()] = k
-        if stack:
-            pge[k] = stack[-1]
-            if gaps[stack[-1]] == w:
-                nge[stack.pop()] = k
         stack.append(k)
-    run, lrun = [m] * (m + 1), [-1] * (m + 1)
+    run = [m] * (m + 1)
     for k in range(m - 1, -1, -1):
         run[k] = run[k + 1] if nge[k] == k + 1 else k
-    for k in range(m):
-        lrun[k] = lrun[k - 1] if pge[k] == k - 1 else k
-    return nge, pge, run, lrun
+    return nge, run
+
+
+def _right_walk(gaps: list, cell: list, chains: tuple) -> Callable[[int, list], list]:
+    """The function ``walk(p, row)`` that appends the cells right of position ``p`` to ``row``.
+
+    ``cell[p]`` holds position ``p``'s cells by rank, and ``chains`` is
+    :func:`_record_chains` of ``gaps``.
+    """
+    m = len(gaps)
+    nge, run = chains
+    # The cells of position k + 1 showing gap k and its prefix maximum.
+    pmax = list(accumulate(gaps, max))
+    right = list(map(list.__getitem__, cell[1:], gaps))
+    prefix = list(map(list.__getitem__, cell[1:], pmax))
+    pmax.append(-1)
+    # wend[p]: the last position of the run from p that shares one cell table.
+    wend = [m] * (m + 1)
+    for p in range(m - 1, -1, -1):
+        wend[p] = wend[p + 1] if cell[p] is cell[p + 1] else p
+
+    def walk(p: int, row: list) -> list:
+        k, top = p, pmax[p - 1]
+        while k < m:
+            w = gaps[k]
+            if w >= top:
+                row += prefix[k:]
+                break
+            e = nge[k]
+            if e == k + 1:
+                r = run[k]
+                row += right[k:r]
+                k = r
+                continue
+            if wend[k + 1] >= e:
+                row += repeat(cell[k + 1][w], e - k)
+            else:
+                row += map(list.__getitem__, cell[k + 1 : e + 1], repeat(w, e - k))
+            k = e
+        return row
+
+    return walk
 
 
 def _render_order(
@@ -88,45 +123,31 @@ def _render_order(
     pos = [0] * n
     for p, i in enumerate(order):
         pos[i] = p
-    nge, pge, run, lrun = _record_chains(gaps)
+    sides = (gaps, gaps[::-1])
+    chains = list(map(_record_chains, sides))
 
     if fmt == "text":
-        # rw[k] (lw[k]): the widest value on the chain from gap k rightwards (leftwards).
-        gw = [len(text[w]) for w in gaps]
-        rw, lw = [0] * (m + 1), [0] * (m + 1)
-        for k in range(m - 1, -1, -1):
-            rw[k] = max(gw[k], rw[nge[k]])
-        for k in range(m):
-            lw[k] = max(gw[k], lw[pge[k]])
-        width = list(map(max, map(len, map(names.__getitem__, order)), rw, lw[-1:] + lw[:m]))
+        # The widest value on the chain of records from each gap rightwards,
+        # in the order and in its mirror: so on either side of a position.
+        wide = []
+        for g, (nge, _) in zip(sides, chains):
+            widest = [0] * (m + 1)
+            for k in range(m - 1, -1, -1):
+                widest[k] = max(len(text[g[k]]), widest[nge[k]])
+            wide.append(widest)
+        width = list(map(max, map(len, map(names.__getitem__, order)), wide[0], reversed(wide[1])))
         padded = {w: [t.rjust(w) for t in text] for w in set(width)}
         # cell[p][r]: the value of rank r as shown in the column at position p.
         cell = list(map(padded.__getitem__, width))
     else:
         shown = list(map(_json_scalar, text)) if fmt == "json" else text
-        width, cell = [0] * n, [shown] * n
-    # wend[p]: the last position of the run of equal widths from position p.
-    wend = [m] * n
-    for p in range(m - 1, -1, -1):
-        wend[p] = wend[p + 1] if width[p] == width[p + 1] else p
-
-    # The cells of position k + 1 (right) and k (left) showing gap k, its
-    # prefix maximum and its suffix maximum; and each position's zero.
-    pmax = list(accumulate(gaps, max))
-    smax = list(accumulate(reversed(gaps), max))[::-1]
-    right = list(map(list.__getitem__, cell[1:], gaps))
-    left = list(map(list.__getitem__, cell, gaps))
-    prefix = list(map(list.__getitem__, cell[1:], pmax))
-    suffix = list(map(list.__getitem__, cell, smax))
-    zero = [c[0] for c in cell]
-    pmax.append(-1)
-    smax.append(-1)
+        cell = [shown] * n
+    fore, back = map(_right_walk, sides, (cell, cell[::-1]), chains)
     perm = itemgetter(*pos) if n > 1 else tuple
 
     if fmt == "text":
         name_w = max(map(len, names))
-        col_w = list(map(width.__getitem__, pos))
-        yield " " * name_w + "  " + "  ".join(map(str.rjust, names, col_w)) + "\n"
+        yield " " * name_w + "  " + "  ".join(map(str.rjust, names, perm(width))) + "\n"
     elif fmt == "csv":
         yield _csv_line(names)
     else:
@@ -137,46 +158,11 @@ def _render_order(
         ) + '  "matrix": ['
     for i, name in enumerate(names):
         p = pos[i]
-        pieces = []
-        # Leftwards from position p - 1, then reversed.
-        k, top = p - 1, smax[p]
-        while k >= 0:
-            w = gaps[k]
-            if w >= top:
-                pieces.append(suffix[: k + 1])
-                break
-            e = pge[k]
-            if e == k - 1:
-                r = lrun[k]
-                pieces.append(left[r + 1 : k + 1])
-                k = r
-                continue
-            if wend[e + 1] >= k:
-                pieces.append(repeat(cell[k][w], k - e))
-            else:
-                pieces.append(map(list.__getitem__, cell[e + 1 : k + 1], repeat(w, k - e)))
-            k = e
-        pieces.reverse()
-        pieces.append((zero[p],))
-        # Rightwards from position p + 1.
-        k, top = p, pmax[p - 1]
-        while k < m:
-            w = gaps[k]
-            if w >= top:
-                pieces.append(prefix[k:])
-                break
-            e = nge[k]
-            if e == k + 1:
-                r = run[k]
-                pieces.append(right[k:r])
-                k = r
-                continue
-            if wend[k + 1] >= e:
-                pieces.append(repeat(cell[k + 1][w], e - k))
-            else:
-                pieces.append(map(list.__getitem__, cell[k + 1 : e + 1], repeat(w, e - k)))
-            k = e
-        row = perm(list(chain.from_iterable(pieces)))
+        # The left side is the right side of the mirrored order, reversed.
+        row = back(n - 1 - p, [])
+        row.reverse()
+        row.append(cell[p][0])
+        row = perm(fore(p, row))
         if fmt == "text":
             yield name.ljust(name_w) + "  " + "  ".join(row) + "\n"
         elif fmt == "csv":

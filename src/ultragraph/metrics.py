@@ -53,6 +53,7 @@ from .graphs import (
     LabeledGraph,
     _WEIGHTED_RECORDS,
     _coerce_rational,
+    _endpoints,
     _quoted,
     _read_records,
     _require_cap,
@@ -94,7 +95,7 @@ class WeightedGraph:
         )
         weights: dict[tuple[str, str], Fraction] = {}
         for key, value in self.weights.items():
-            u, v = key
+            u, v = _endpoints(key, "weight key")
             edge = skeleton.edge_key(u, v)
             if not skeleton.has_edge(u, v):
                 raise ValueError(f"weight given for missing edge ({_quoted(u)}, {_quoted(v)})")

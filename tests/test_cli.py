@@ -15,7 +15,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -118,13 +118,18 @@ def test_dist_oracle_checks_the_printed_cells(graph_file, monkeypatch, capsys):
     truth = capsys.readouterr().out
 
     record_chains = layout._record_chains
+    calls = []
 
     def skipping(gaps):
         # The leaf order is a, bb, eeeee, ffffff, g, ...: from g leftwards,
         # the chain jumps from gap 3 past gap 2 to gap 0, so d(g, a) shows 3.
-        nge, pge, run, lrun = record_chains(gaps)
-        pge[3] = 0
-        return nge, pge, run, lrun
+        # Each print takes the chains of the order, then of its mirror, where
+        # gap k of the 8 is gap 7 - k: the fault is the mirror's jump 4 -> 7.
+        nge, run = record_chains(gaps)
+        calls.append(gaps)
+        if len(calls) % 2 == 0:
+            nge[4] = 7
+        return nge, run
 
     monkeypatch.setattr(layout, "_record_chains", skipping)
     assert main(["dist", "--format", "csv", path]) == 0
@@ -839,6 +844,41 @@ def test_alternating_gap_path_matches_the_reference_renderings(tmp_path_factory)
         {v: Fraction(k // 2 + 1 if k % 2 else 0) for k, v in enumerate(names)},
     )
     _assert_reference_renderings(tmp_path_factory, g)
+
+
+@st.composite
+def _leaf_orders(draw):
+    """Any leaf order of 1 to 40 points with any gap ranks, in runs of equal
+    gaps up to 12 long; rank 0 and ties come up freely.  A sweep's orders
+    always put the larger cluster first; these need not."""
+    ordered = [Fraction(0), *sorted(draw(st.sets(st.sampled_from(_WIDE_POOL[1:]), max_size=6)))]
+    runs = draw(st.lists(st.tuples(st.integers(0, len(ordered) - 1), st.integers(1, 12))))
+    gaps = [r for r, k in runs for _ in range(k)][:39]
+    n = len(gaps) + 1
+    return _names(draw, n), draw(st.permutations(range(n))), gaps, ordered
+
+
+@given(_leaf_orders(), st.integers(0, 3))
+@example((["a"], [0], [], [Fraction(0)]), 0)
+@example((["a", "bbbbbbbbb"], [1, 0], [0], [Fraction(0)]), 1)
+def test_render_order_matches_the_reference_renderings(case, merged):
+    from ultragraph import layout
+
+    names, order, gaps, ordered = case
+    n = len(names)
+    pos = {i: p for p, i in enumerate(order)}
+    rows = [
+        [ordered[max(gaps[min(pos[i], pos[j]) : max(pos[i], pos[j])], default=0)] for j in range(n)]
+        for i in range(n)
+    ]
+    dm = DistanceMatrix(tuple(names), tuple(map(tuple, rows)))
+    for fmt in ("text", "csv", "json"):
+        got = "".join(layout._render_order(names, order, gaps, ordered, fmt))
+        assert got == oracles.reference_rendering(dm, fmt)
+    # As quotient prints it: the representatives of n + merged vertices.
+    head = {"representatives": names, "identity": not merged}
+    got = "".join(layout._render_order(names, order, gaps, ordered, "json", head))
+    assert got == oracles.reference_quotient_rendering(tuple(names), dm, n + merged, "json")
 
 
 @st.composite

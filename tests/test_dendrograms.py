@@ -94,6 +94,15 @@ def test_merge_node_validation():
         Merge(Fraction(2), (inner, Leaf("c")))
 
 
+@pytest.mark.parametrize("child", [None, "x" * 1_000_000], ids=("None", "long"))
+def test_merge_children_that_are_not_nodes_get_one_short_line(child):
+    with pytest.raises(ValueError) as err:
+        Merge(1, (Leaf("a"), child))
+    message = str(err.value)
+    assert message.startswith("merge child ") and message.endswith(" is not a Leaf or a Merge")
+    assert len(message) < 200
+
+
 @pytest.mark.parametrize(
     "merges, message",
     [

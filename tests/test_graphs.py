@@ -274,6 +274,22 @@ def test_endpoints_that_are_not_strings_get_one_short_line(end):
         assert message == f"edge ('a', {end!r}) has an undeclared endpoint"
 
 
+@pytest.mark.parametrize(
+    "edge",
+    [("a",), ("a", "b", "c"), "ab", ("a", ["b"]), ("x" * 1_000_000,)],
+    ids=["one", "three", "str", "unhashable", "long"],
+)
+def test_edges_that_are_not_pairs_get_one_short_line(edge):
+    # A string would unpack to its two characters.
+    with pytest.raises(ValueError) as err:
+        LabeledGraph(("a", "b"), (edge,), {"a": 1, "b": 1})
+    message = str(err.value)
+    assert message.startswith("edge ") and message.endswith(" is not a pair of vertices")
+    assert len(message) < 200
+    if len(repr(edge)) < 64:
+        assert message == f"edge {edge!r} is not a pair of vertices"
+
+
 def test_exponent_bound_of_rational_tokens():
     limit = sys.get_int_max_str_digits()
     labeled, weighted = "v a {}\n", "v a\nv b\ne a b {}\n"

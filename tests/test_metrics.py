@@ -549,6 +549,14 @@ def test_weighted_graph_validation():
         WeightedGraph(("a", "b"), (), {("a", "b"): 1})
 
 
+@pytest.mark.parametrize("key", [("a", "b", "c"), "ab"], ids=["three", "str"])
+def test_weight_keys_that_are_not_pairs_get_one_short_line(key):
+    # A string would unpack to its two characters: 'ab' named the edge (a, b).
+    with pytest.raises(ValueError) as err:
+        WeightedGraph(("a", "b"), (("a", "b"),), {key: 1})
+    assert str(err.value) == f"weight key {key!r} is not a pair of vertices"
+
+
 # -- weighted parsing -----------------------------------------------------------
 
 
