@@ -38,6 +38,10 @@ _NEEDS_ULTRAMETRIC = (
 class Leaf:
     vertex: str
 
+    def __post_init__(self):
+        if not isinstance(self.vertex, str):
+            raise ValueError("vertex names must be strings")
+
 
 @dataclass(frozen=True)
 class Merge:

@@ -51,15 +51,12 @@ a labeled tree is GH exactly when its ``n - 1`` edge maxima are
 pairwise distinct, since the distance set has ``n`` values exactly when
 they are; the four criteria of :func:`ultragraph.analysis.tree_gh_report`
 all reduce to this.  The test is exact on ranks: the rank map is
-strictly increasing, so it keeps maxima and equalities.  Exhaustive
-mode reads the maxima from a table: each pattern (below) carries the
-maximum of every pair of its ranks, one byte per pair, and a tree picks
-its edges' bytes out of it with one ``operator.itemgetter`` built per
-tree.  Sampled mode takes the ``n - 1`` maxima of each draw directly;
-its ranks can exceed a byte.  The sweep check runs on the same rank
-maxima, and a tree is checked to be one by a sweep over its decoded
-index pairs.  No graph, dendrogram or canonical form is built, and
-labels become Fractions only in the message of a failed check.
+strictly increasing, so it keeps maxima and equalities.  Sampled mode
+runs the test on each draw; exhaustive mode enumerates only GH patterns
+(below).  The sweep check runs on the rank maxima, and a tree is
+checked to be one by a sweep over its decoded index pairs.  No graph,
+dendrogram or canonical form is built, and labels become Fractions only
+in the message of a failed check.
 
 Sampled mode counts GH spaces per distance set, keyed by its sorted
 rank maxima, so its memory grows with the number of distance sets.
@@ -89,9 +86,17 @@ Over labeled trees ``B = n!·(n - 1)!``: with ``n`` values every vertex
 but the least has exactly one neighbour of lower label, so each of the
 ``n!`` orders has ``(n - 1)!`` recursive trees.  And ``A = B / 2``: the
 least block is a tied adjacent pair and the rest attach as before,
-``C(n, 2)·(n - 2)!`` orders with ``(n - 1)!`` trees each.  The scan
-counts ``A`` and ``B`` rather than assuming them, and its work is the
-same for every ``k >= n``.
+``C(n, 2)·(n - 2)!`` orders with ``(n - 1)!`` trees each.
+
+Growth orders.  So a GH pattern with ``n`` values, read in increasing
+label order, is an order in which its tree grows from one vertex by
+adding a neighbour, and one with ``n - 1`` values is such an order
+whose first two vertices share rank 1.  Exhaustive mode enumerates each
+tree's growth orders (:func:`_growths`), taking each tied pattern from
+the one of its two orders whose first two vertices ascend, and tests no
+weak order.  From a root a tree has ``n! / ∏_v s_v`` of them, ``s_v``
+the size of the subtree of ``v`` (the hook-length formula for trees;
+Knuth, TAOCP Vol. 3, §5.1.4).  The work is the same for every ``k >= n``.
 
 Work is partitioned by the first Pruefer symbol, and each shard
 enumerates only its own block of sequences, so shards can run in
@@ -107,10 +112,8 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import product
 from math import comb
-from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
 from .graphs import CapExceededError, _coerce_rational, tree_from_pruefer
@@ -210,41 +213,6 @@ def _labelings(cfg: SearchConfig, n: int, tree_index: int) -> Iterator[tuple[int
     return (tuple(rng.choice(ranks) for _ in range(n)) for _ in range(cfg.samples_per_tree))
 
 
-# A search asks for one (n, k) at a time, once per shard.
-@lru_cache(maxsize=8)
-def _patterns(n: int, k: int) -> tuple[tuple[tuple[int, ...], bytes], ...]:
-    """Every label pattern of ``n`` vertices over ``k`` ranks, with its pair-maxima table.
-
-    A pattern is a rank tuple over ``1 .. m`` that uses every value, with
-    ``m <= min(n, k)``; it stands for ``C(k, m)`` rank tuples over
-    ``1 .. k`` with the same weak order, one per strictly increasing map
-    ``{1 .. m} -> {1 .. k}``, and these multiplicities add up to
-    ``k**n``.  Its table holds ``max(r_i, r_j)`` for each pair
-    ``i < j``, in the order of :func:`_pair_slot`; exhaustive search
-    stops at ``n = 7``, so every rank fits in a byte.
-    """
-    top = min(n, k)
-    pairs = list(combinations(range(n), 2))
-    return tuple(
-        (ranks, bytes([max(ranks[i], ranks[j]) for i, j in pairs]))
-        for ranks in product(range(1, top + 1), repeat=n)
-        if len(set(ranks)) == max(ranks)
-    )
-
-
-def _pair_slot(n: int, i: int, j: int) -> int:
-    """Position of the pair ``i < j`` among the pairs of ``0 .. n-1`` in lexicographic order."""
-    return i * n - i * (i + 1) // 2 + (j - i - 1)
-
-
-def _picker(indices: list[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
-    """``operator.itemgetter`` over ``indices``, giving a tuple even for one index."""
-    if len(indices) == 1:
-        (index,) = indices
-        return lambda seq: (seq[index],)
-    return itemgetter(*indices)
-
-
 def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The shard's Pruefer sequences, those starting with ``prefix``.
 
@@ -260,18 +228,37 @@ def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]
         yield base + k, (prefix, *rest)
 
 
+def _growths(n: int, index_edges: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+    """Every order, lexicographically, in which the tree grows from one vertex
+    by adding a neighbour: its GH patterns in increasing label order."""
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for i, j in index_edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+
+    def grow(order: tuple[int, ...], frontier: list[int]) -> Iterator[tuple[int, ...]]:
+        for v in frontier:
+            grown = (*order, v)
+            if len(grown) == n:
+                yield grown
+            else:
+                yield from grow(grown, sorted({*frontier, *adjacent[v]}.difference(grown)))
+
+    for root in range(n):
+        yield from grow((root,), sorted(adjacent[root]))
+
+
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
     """Scan the trees whose Pruefer sequence starts with ``prefix``.
 
     Returns ``(trees, labelings, counts)``.  A tree is one sweep over its
-    decoded edges, and GH is decided on rank tuples from the edge maxima
-    (see the module docstring).  Exhaustive mode checks each label
-    pattern once, counts a tree's patterns as its ``k**n`` labelings and
-    tallies the GH patterns in ``counts`` by their number ``m`` of
-    values; sampled mode checks each draw and counts the GH spaces per
-    distance set, keyed by its sorted rank maxima.  Exhaustive mode
-    filters a tree's GH patterns with one chain of ``map`` calls over
-    the pattern tables.  Each GH labeling (in exhaustive mode, each GH
+    decoded edges (see the module docstring).  Exhaustive mode reads a
+    tree's GH patterns off its growth orders, the tied pattern of an
+    order before its distinct one, counts the tree as its ``k**n``
+    labelings and tallies the GH patterns in ``counts`` by their number
+    ``m`` of values; sampled mode decides GH on each draw from its edge
+    maxima and counts the GH spaces per distance set, keyed by its
+    sorted rank maxima.  Each GH labeling (in exhaustive mode, each GH
     pattern) is checked against the caterpillar proposition on its edge
     sweep: ``n - 1`` merges, whose gaps are the sorted edge maxima,
     strictly ascending.  Labels become Fractions only in messages.
@@ -280,8 +267,8 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
     k = len(cfg.universe)
     label_of = (0, *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
-    patterns = _patterns(n, k) if cfg.mode == EXHAUSTIVE else ()
-    tables = [table for _, table in patterns]
+    # Exhaustive GH patterns: tied (start 0) with k >= n - 1, distinct (start 1) with k >= n.
+    starts = [start for start in (0, 1) if k >= n - 1 + start]
     trees = 0
     labelings = 0
     counts: Counter = Counter()
@@ -312,18 +299,22 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
                     f"{edges} labeled ({labels}) has sweep gaps ({heights})"
                 )
 
-        # GH on a tree: the n - 1 edge maxima are pairwise distinct.
         if cfg.mode == EXHAUSTIVE:
             labelings += k**n
-            pick = _picker([_pair_slot(n, i, j) for i, j in index_edges])
-            gh = map((n - 1).__eq__, map(len, map(set, map(pick, tables))))
-            for ranks, table in compress(patterns, gh):
-                check(ranks, pick(table))
-                counts[max(ranks)] += 1  # a pattern's values are 1 .. max
+            for order in _growths(n, index_edges) if starts else ():
+                for start in starts:
+                    if start or order[0] < order[1]:
+                        # Position t of the order has rank t + start, but at least 1.
+                        ranks = [0] * n
+                        for t, v in enumerate(order, start):
+                            ranks[v] = t or 1
+                        check(ranks, [max(ranks[i], ranks[j]) for i, j in index_edges])
+                        counts[n - 1 + start] += 1
         else:
             labelings += cfg.samples_per_tree
             for ranks in _labelings(cfg, n, tree_index):
                 maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
+                # GH on a tree: the n - 1 edge maxima are pairwise distinct.
                 if len(set(maxima)) == n - 1:
                     check(ranks, maxima)
                     counts[tuple(sorted(maxima))] += 1  # the distance set, by rank
@@ -335,9 +326,9 @@ def search_conjecture(
 ) -> ConjectureReport:
     """Run the search over every tree size from 2 to ``cfg.n_max``.
 
-    Exhaustive mode is capped at 7 vertices (the ``n**(n-2)`` trees times
-    the weak orders of ``n`` labels grow too fast beyond that); sampled
-    mode at 8.  Exhaustive shards tally GH patterns by their number of
+    Exhaustive mode is capped at 7 vertices (the ``n!·(n-1)!`` growth
+    orders over all trees, 3.6 million at 7, grow too fast beyond that);
+    sampled mode at 8.  Exhaustive shards tally GH patterns by their number of
     values, and the merged tallies ``A`` and ``B`` give ``gh_spaces`` and
     ``pairs_tested`` by the counting of the module docstring.  Sampled
     shards return counts per distance set; ``pairs_tested`` adds up

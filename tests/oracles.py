@@ -534,7 +534,23 @@ def fraction_dendrogram(dm: DistanceMatrix) -> Node:
 #
 # The shard scan as it ran before exhaustive mode checked label patterns:
 # every rank tuple of every tree gets its own criteria check, in product
-# order (exhaustive) or draw order (sampled).
+# order (exhaustive) or draw order (sampled).  And the label patterns
+# exhaustive mode filtered before it enumerated the GH ones directly.
+
+
+def weak_orders(n: int, k: int) -> list[tuple[int, ...]]:
+    """Every label pattern of ``n`` vertices over ``k`` ranks.
+
+    A pattern is a rank tuple over ``1 .. m`` that uses every value, with
+    ``m <= min(n, k)``: one per weak order of ``n`` labels with at most
+    ``k`` values.  It stands for the ``C(k, m)`` rank tuples over
+    ``1 .. k`` with its weak order, and these add up to ``k**n``.
+    """
+    return [
+        ranks
+        for ranks in product(range(1, min(n, k) + 1), repeat=n)
+        if len(set(ranks)) == max(ranks)
+    ]
 
 
 def _reference_labelings(cfg, n: int, tree_index: int):

@@ -103,6 +103,13 @@ def test_merge_children_that_are_not_nodes_get_one_short_line(child):
     assert len(message) < 200
 
 
+@pytest.mark.parametrize("vertex", [5, None, b"a", ("a",)])
+def test_leaves_refuse_names_that_are_not_strings(vertex):
+    # The wording of LabeledGraph and DistanceMatrix.
+    with pytest.raises(ValueError, match="^vertex names must be strings$"):
+        Leaf(vertex)
+
+
 @pytest.mark.parametrize(
     "merges, message",
     [

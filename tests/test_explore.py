@@ -12,7 +12,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
-from math import comb, factorial
+from math import comb, factorial, prod
 from pathlib import Path
 
 import pytest
@@ -44,14 +44,7 @@ from ultragraph import (
 from ultragraph import analysis, dendrograms, explore, graphs, metrics
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
-from ultragraph.explore import (
-    _labelings,
-    _pair_slot,
-    _patterns,
-    _picker,
-    _pruefer_block,
-    _scan_shard,
-)
+from ultragraph.explore import _growths, _labelings, _pruefer_block, _scan_shard
 
 U123 = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -265,33 +258,68 @@ def _stirling2(n, m):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_patterns_are_the_weak_orders_with_their_multiplicities(n):
     for k in range(1, 8):
-        patterns = _patterns(n, k)
+        patterns = oracles.weak_orders(n, k)
         assert len(patterns) == sum(
             factorial(m) * _stirling2(n, m) for m in range(1, min(n, k) + 1)
         )
         # a pattern with m values stands for C(k, m) labelings: k**n in all
-        assert sum(comb(k, max(pattern)) for pattern, _ in patterns) == k**n
-        for pattern, table in patterns:
+        assert sum(comb(k, max(pattern)) for pattern in patterns) == k**n
+        for pattern in patterns:
             assert set(pattern) == set(range(1, max(pattern) + 1))
-            assert len(table) == n * (n - 1) // 2
-            for i in range(n):
-                for j in range(i + 1, n):
-                    assert table[i * n - i * (i + 1) // 2 + (j - i - 1)] == max(
-                        pattern[i], pattern[j]
-                    )
 
 
-@given(st.data())
-def test_edge_maxima_lookups_match_the_set_comprehension(data):
-    n = data.draw(st.integers(2, 6))
-    seq = tuple(data.draw(st.integers(0, n - 1)) for _ in range(n - 2))
-    index_edges = tree_from_pruefer(seq, n)
-    k = data.draw(st.integers(1, 8))
-    ranks, table = data.draw(st.sampled_from(_patterns(n, k)))
-    expected = {max(ranks[i], ranks[j]) for i, j in index_edges}
-    # exhaustive mode: one itemgetter over the tree's slots of the table
-    pick = _picker([_pair_slot(n, i, j) for i, j in index_edges])
-    assert set(pick(table)) == expected
+def _growth_patterns(n, k, index_edges):
+    """The GH patterns the scan reads off the tree's growth orders: the
+    tied one (the first two vertices share rank 1, taken from the order
+    whose first two ascend) with k >= n - 1, the distinct one with k >= n."""
+    for order in _growths(n, index_edges):
+        if k >= n - 1 and order[0] < order[1]:
+            yield tuple(max(order.index(v), 1) for v in range(n))
+        if k >= n:
+            yield tuple(order.index(v) + 1 for v in range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_growth_orders_give_each_gh_weak_order_once(n):
+    candidates = oracles.weak_orders(n, n)
+    columns = list(zip(*candidates))
+    # every candidate's maximum on each pair of vertices, a column per pair
+    pair_maxima = {
+        (i, j): list(map(max, columns[i], columns[j])) for i in range(n) for j in range(n)
+    }
+    for seq in product(range(n), repeat=n - 2):
+        index_edges = tree_from_pruefer(seq, n)
+        maxima = zip(*(pair_maxima[edge] for edge in index_edges))
+        gh = [ranks for ranks, m in zip(candidates, maxima) if len(set(m)) == n - 1]
+        for k in (n - 1, n):
+            expected = Counter(ranks for ranks in gh if max(ranks) <= k)
+            assert Counter(_growth_patterns(n, k, index_edges)) == expected
+
+
+def _hook_length_count(n, index_edges):
+    """Sum over roots of n! / (product of the subtree sizes)."""
+    adjacent = {v: [] for v in range(n)}
+    for i, j in index_edges:
+        adjacent[i].append(j)
+        adjacent[j].append(i)
+
+    def sizes(v, parent):
+        below = [sizes(w, v) for w in adjacent[v] if w != parent]
+        return [1 + sum(s[0] for s in below), *(x for s in below for x in s)]
+
+    return sum(factorial(n) // prod(sizes(root, None)) for root in range(n))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_growth_orders_follow_the_hook_length_formula(n):
+    total = 0
+    for seq in product(range(n), repeat=n - 2):
+        index_edges = tree_from_pruefer(seq, n)
+        orders = list(_growths(n, index_edges))
+        assert len(orders) == len(set(orders)) == _hook_length_count(n, index_edges)
+        total += len(orders)
+    # B = n!(n - 1)!: one GH pattern with n values per growth order
+    assert total == factorial(n) * factorial(n - 1)
 
 
 def _pattern_of(ranks):
@@ -370,7 +398,7 @@ def test_pattern_scan_matches_the_labeling_scan(data):
     assert run.pairs_tested == sum(comb(c, 2) for c in reference.values())
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_tallies_count_the_recursive_trees(n):
     cfg = SearchConfig(n_max=n, universe=tuple(range(1, n + 1)))
     shards = [_scan_shard((cfg, n, prefix)) for prefix in ([0] if n == 2 else range(n))]
@@ -414,13 +442,15 @@ def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
 
 
 def test_scan_checks_that_the_gaps_ascend_strictly(monkeypatch):
-    # Past the GH filter, the first pattern ties every rank at 1: its
-    # sweep's gaps are the sorted maxima, but not strictly ascending.
-    monkeypatch.setattr(explore, "compress", lambda patterns, _gh: patterns)
+    # Leaves first: not a growth order of the star.  Its tied pattern
+    # labels the center 2, above two leaves, so two edges share the
+    # maximum 2: the sweep's gaps are the sorted maxima, but not strictly
+    # ascending.
+    monkeypatch.setattr(explore, "_growths", lambda _n, _edges: iter([(1, 2, 0, 3)]))
     with pytest.raises(InternalCheckError) as err:
         _scan_shard((SearchConfig(n_max=4, universe=U123), 4, 0))
     assert str(err.value) == (
-        f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 1, 1, 1) has sweep gaps (1, 1, 1)"
+        f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (2, 1, 1, 3) has sweep gaps (2, 2, 3)"
     )
 
 
@@ -494,9 +524,10 @@ def test_rank_route_matches_the_graph_route_on_every_gh_pattern():
     ascending = 0
     for n in range(2, 6):
         names = tuple(str(i + 1) for i in range(n))
+        patterns = oracles.weak_orders(n, 5)
         for seq in product(range(n), repeat=n - 2):
             index_edges = tree_from_pruefer(seq, n)
-            for ranks, _ in _patterns(n, 5):
+            for ranks in patterns:
                 gh = len({max(ranks[i], ranks[j]) for i, j in index_edges}) == n - 1
                 decided = _assert_sweep_decides_the_caterpillar(names, index_edges, ranks, ordered)
                 assert decided == gh
@@ -620,7 +651,6 @@ def test_exhaustive_cost_does_not_grow_with_the_labels():
     ] == [_gh_counts(n, 400) for n in range(2, 6)]
     # Every allocation of a scan happens in its shards; trace one n = 5
     # shard of each (the whole search runs seven times slower traced).
-    _patterns(5, 5)  # cached outside the trace, as _patterns(5, 400) is
     gc.disable()  # a full collection empties the free lists
     try:
         peaks = [_traced_peak(lambda: _scan_shard((cfg, 5, 0))) for cfg in (long, short)]
