@@ -97,7 +97,7 @@ def check_edge_bound(g: LabeledGraph, dm: DistanceMatrix) -> EdgeBound:
     suite asserts across the whole corpus.
     """
     size = len(distance_set(dm))
-    bound = len(g.edges) + 1
+    bound = len(g._pairs) + 1
     return EdgeBound(size <= bound, size == bound)
 
 
@@ -116,11 +116,10 @@ def tree_gh_report(t: LabeledGraph) -> tuple[bool, bool, bool, bool]:
         raise ValueError("tree_gh_report needs at least two vertices")
     if not is_nondegenerate(t):
         raise DegenerateLabelingError("every edge needs a positively labeled endpoint")
-    index = t._index
     ranks, ordered = _ranks([t.labels[v] for v in t.vertices])
     return _tree_criteria(
         t.vertices,
-        [(index[u], index[v]) for u, v in t.edges],
+        t._pairs,
         ranks,
         sum(t.degree(v) for v in t.vertices),
         ordered,
@@ -257,7 +256,7 @@ def gh_report(g: LabeledGraph) -> GHReport:
     criteria.  A failing self-check is an internal error.
     """
     d_set, ultrametric = _generated_distance_set(g)
-    size, n, m = len(d_set), len(g.vertices), len(g.edges)
+    size, n, m = len(d_set), len(g.vertices), len(g._pairs)
     if size > m + 1:
         raise InternalCheckError(f"edge bound |D| <= |E|+1 failed: |D| = {size}, |E| = {m}")
     if size > n:

@@ -96,7 +96,9 @@ tree's growth orders (:func:`_growths`), taking each tied pattern from
 the one of its two orders whose first two vertices ascend, and tests no
 weak order.  From a root a tree has ``n! / ∏_v s_v`` of them, ``s_v``
 the size of the subtree of ``v`` (the hook-length formula for trees;
-Knuth, TAOCP Vol. 3, §5.1.4).  The work is the same for every ``k >= n``.
+Knuth, TAOCP Vol. 3, §5.1.4).  The work is the same for every ``k >= n``;
+with ``k = n - 1`` only the orders whose first two vertices ascend are
+enumerated, half of them.
 
 Work is partitioned by the first Pruefer symbol, and each shard
 enumerates only its own block of sequences, so shards can run in
@@ -228,9 +230,15 @@ def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]
         yield base + k, (prefix, *rest)
 
 
-def _growths(n: int, index_edges: Sequence[tuple[int, int]]) -> Iterator[tuple[int, ...]]:
+def _growths(
+    n: int, index_edges: Sequence[tuple[int, int]], ascending: bool = False
+) -> Iterator[tuple[int, ...]]:
     """Every order, lexicographically, in which the tree grows from one vertex
-    by adding a neighbour: its GH patterns in increasing label order."""
+    by adding a neighbour: its GH patterns in increasing label order.
+
+    An order starts with an edge ``(r, s)``; with ``ascending``, only the
+    orders with ``r < s`` come, one per tied pattern.
+    """
     adjacent: list[list[int]] = [[] for _ in range(n)]
     for i, j in index_edges:
         adjacent[i].append(j)
@@ -244,8 +252,11 @@ def _growths(n: int, index_edges: Sequence[tuple[int, int]]) -> Iterator[tuple[i
             else:
                 yield from grow(grown, sorted({*frontier, *adjacent[v]}.difference(grown)))
 
-    for root in range(n):
-        yield from grow((root,), sorted(adjacent[root]))
+    for r in range(n):
+        for s in sorted(adjacent[r]):
+            if r < s or not ascending:
+                frontier = sorted({*adjacent[r], *adjacent[s]}.difference((r, s)))
+                yield from grow((r, s), frontier) if frontier else [(r, s)]
 
 
 def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
@@ -301,7 +312,8 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]
 
         if cfg.mode == EXHAUSTIVE:
             labelings += k**n
-            for order in _growths(n, index_edges) if starts else ():
+            # With k = n - 1 only the tied patterns count.
+            for order in _growths(n, index_edges, ascending=k < n) if starts else ():
                 for start in starts:
                     if start or order[0] < order[1]:
                         # Position t of the order has rank t + start, but at least 1.

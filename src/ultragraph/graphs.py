@@ -77,11 +77,13 @@ def _coerce_rational(value) -> Fraction:
 class LabeledGraph:
     """Immutable simple graph with one non-negative rational label per vertex.
 
-    ``vertices`` keeps declaration order.  Each edge is stored with its
-    endpoints ordered by declaration index, but the edge tuple itself
-    keeps the order in which edges were declared.  ``_pairs`` holds the
-    same edges as index pairs ``(i, j)``, ``i < j``.  Adjacency is built
-    on first use.
+    ``vertices`` keeps declaration order.  Each edge has its endpoints
+    ordered by declaration index, but the edge tuple itself keeps the
+    order in which edges were declared.  ``_pairs`` holds the edges as
+    index pairs ``(i, j)``, ``i < j``; it is what the package reads.  The
+    name pairs of ``edges`` are built from it when first read, as
+    adjacency is, so a command that never reads them (``dist``,
+    ``quotient``, ``canon``, ``check``) does not build them.
     """
 
     vertices: tuple[str, ...]
@@ -141,13 +143,21 @@ class LabeledGraph:
     def _store(
         self, index: dict[str, int], pairs: Iterable[tuple[int, int]], labels: dict[str, Fraction]
     ) -> None:
-        names = tuple(index)
-        pairs = tuple(pairs)
-        object.__setattr__(self, "vertices", names)
-        object.__setattr__(self, "edges", tuple([(names[i], names[j]) for i, j in pairs]))
+        object.__setattr__(self, "vertices", tuple(index))
+        # The constructor's raw edges go: ``edges`` is named from ``_pairs``.
+        self.__dict__.pop("edges", None)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_pairs", tuple(pairs))
+
+    def __getattr__(self, name: str):
+        """``edges``, named from ``_pairs`` on first read and kept."""
+        if name != "edges":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        names = self.vertices
+        edges = tuple([(names[i], names[j]) for i, j in self._pairs])
+        object.__setattr__(self, "edges", edges)
+        return edges
 
     # -- basic accessors ------------------------------------------------
 
@@ -316,58 +326,81 @@ def _read_records(text: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]):
     (a third ``v`` token), and each edge's index pair ``(i, j)``,
     ``i < j`` -> weight (a fourth ``e`` token); an absent token reads
     ``None``.
+
+    A dense graph is mostly edge lines, so a line with head ``e`` and
+    the format's edge token count is tested first.  Such a line costs
+    its two index lookups, its pair and one dict test; a refusal's text
+    is built only once the line is known to be wrong
+    (:func:`_edge_refusal`, :func:`_line_refusal`).
     """
     index: dict[str, int] = {}
     labels: dict[str, Fraction | None] = {}
     edges: dict[tuple[int, int], Fraction | None] = {}
+    (width,) = shapes["e"][0]  # an edge record has one token count
+    vertex_counts = shapes["v"][0]
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
-        if not tokens or tokens[0][0] == "#":
+        if len(tokens) == width and tokens[0] == "e":
+            try:
+                i, j = index[tokens[1]], index[tokens[2]]
+            except KeyError:
+                raise _edge_refusal(line_no, tokens, index) from None
+            pair = (i, j) if i < j else (j, i)
+            if i == j or pair in edges:
+                raise _edge_refusal(line_no, tokens, index)
+            edges[pair] = (
+                _parse_rational(tokens[3], line_no, "bad-weight", "weight") if width == 4 else None
+            )
+        elif not tokens or tokens[0][0] == "#":
             continue
-        head = tokens[0]
-        if head not in shapes:
-            raise GraphFormatError(
-                line_no,
-                "malformed-line",
-                f"unknown directive {_quoted(head)} in {_quoted(raw.strip())}",
-            )
-        counts, usage = shapes[head]
-        if len(tokens) not in counts:
-            raise GraphFormatError(
-                line_no, "malformed-line", f"expected '{usage}', got {_quoted(raw.strip())}"
-            )
-        if head == "v":
+        elif tokens[0] == "v" and len(tokens) in vertex_counts:
             vid = tokens[1]
             if vid in index:
                 raise GraphFormatError(
                     line_no, "duplicate-vertex", f"duplicate vertex id {_quoted(vid)}"
                 )
             index[vid] = len(index)
-            labels[vid] = None
-            if len(tokens) == 3:
-                labels[vid] = _parse_rational(tokens[2], line_no, "bad-label", "label")
+            labels[vid] = (
+                _parse_rational(tokens[2], line_no, "bad-label", "label")
+                if len(tokens) == 3
+                else None
+            )
         else:
-            u, v = tokens[1], tokens[2]
-            try:
-                i, j = index[u], index[v]
-            except KeyError:
-                end = u if u not in index else v
-                raise GraphFormatError(
-                    line_no, "undeclared-endpoint", f"undeclared endpoint {_quoted(end)}"
-                ) from None
-            if i == j:
-                raise GraphFormatError(line_no, "self-loop", f"self-loop at {_quoted(u)}")
-            pair = (i, j) if i < j else (j, i)
-            if pair in edges:
-                raise GraphFormatError(
-                    line_no, "duplicate-edge", f"duplicate edge {_quoted(u)} {_quoted(v)}"
-                )
-            edges[pair] = None
-            if len(tokens) == 4:
-                edges[pair] = _parse_rational(tokens[3], line_no, "bad-weight", "weight")
+            raise _line_refusal(line_no, raw, tokens[0], shapes)
     if not index:
         raise GraphFormatError(0, "empty-graph", "no vertices declared")
     return index, labels, edges
+
+
+def _edge_refusal(line_no: int, tokens: list[str], index: Mapping[str, int]) -> GraphFormatError:
+    """Why the well-formed edge line ``tokens`` is refused, given the vertices before it.
+
+    An undeclared endpoint (the first one) comes before a self-loop, and
+    a self-loop before a duplicate edge; the endpoints are quoted as
+    written.
+    """
+    u, v = tokens[1], tokens[2]
+    if u not in index or v not in index:
+        end = u if u not in index else v
+        return GraphFormatError(
+            line_no, "undeclared-endpoint", f"undeclared endpoint {_quoted(end)}"
+        )
+    if u == v:
+        return GraphFormatError(line_no, "self-loop", f"self-loop at {_quoted(u)}")
+    return GraphFormatError(
+        line_no, "duplicate-edge", f"duplicate edge {_quoted(u)} {_quoted(v)}"
+    )
+
+
+def _line_refusal(
+    line_no: int, raw: str, head: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]
+) -> GraphFormatError:
+    """The ``malformed-line`` refusal of line ``raw``: an unknown directive or a wrong count."""
+    if head not in shapes:
+        message = f"unknown directive {_quoted(head)} in {_quoted(raw.strip())}"
+    else:
+        message = f"expected '{shapes[head][1]}', got {_quoted(raw.strip())}"
+    return GraphFormatError(line_no, "malformed-line", message)
 
 
 def parse_graph(text: str) -> LabeledGraph:
@@ -430,7 +463,7 @@ def is_tree(g: LabeledGraph) -> bool:
     connected graph acyclicity is exactly ``|E| = |V| - 1``.
     """
     require_connected(g)
-    return len(g.edges) == len(g.vertices) - 1
+    return len(g._pairs) == len(g.vertices) - 1
 
 
 def spanning_tree(g: LabeledGraph) -> LabeledGraph:

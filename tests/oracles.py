@@ -39,6 +39,7 @@ from ultragraph import (
 from ultragraph.analysis import _tree_criteria
 from ultragraph.dendrograms import Node
 from ultragraph.explore import _pruefer_block
+from ultragraph.graphs import GraphFormatError, _parse_rational, _quoted
 
 
 def path_enumeration_distances(g: LabeledGraph) -> dict[tuple[int, int], Fraction | None]:
@@ -603,3 +604,72 @@ def reference_scan_shard(task) -> tuple[int, int, list]:
                 )
             )
     return trees, labelings, entries
+
+
+def reference_read_records(text: str, shapes) -> tuple[dict, dict, dict]:
+    """The graph-file reader as it was before its edge-line test came first.
+
+    Kept verbatim as the reference of ``graphs._read_records``: the same
+    ``(index, labels, edges)`` dicts, in the same order, or the same
+    :class:`GraphFormatError` refusal (line number, category, message).
+
+    Skips blanks and ``#`` comments, checks each record's token count
+    against ``shapes``, then duplicate vertices, undeclared endpoints,
+    self-loops and duplicate edges; messages quote the tokens and lines
+    as written, by :func:`_quoted`.  Returns ``(index, labels, edges)``
+    in declaration order: vertex -> declaration index, vertex -> label
+    (a third ``v`` token), and each edge's index pair ``(i, j)``,
+    ``i < j`` -> weight (a fourth ``e`` token); an absent token reads
+    ``None``.
+    """
+    index: dict[str, int] = {}
+    labels: dict[str, Fraction | None] = {}
+    edges: dict[tuple[int, int], Fraction | None] = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        tokens = raw.split()
+        if not tokens or tokens[0][0] == "#":
+            continue
+        head = tokens[0]
+        if head not in shapes:
+            raise GraphFormatError(
+                line_no,
+                "malformed-line",
+                f"unknown directive {_quoted(head)} in {_quoted(raw.strip())}",
+            )
+        counts, usage = shapes[head]
+        if len(tokens) not in counts:
+            raise GraphFormatError(
+                line_no, "malformed-line", f"expected '{usage}', got {_quoted(raw.strip())}"
+            )
+        if head == "v":
+            vid = tokens[1]
+            if vid in index:
+                raise GraphFormatError(
+                    line_no, "duplicate-vertex", f"duplicate vertex id {_quoted(vid)}"
+                )
+            index[vid] = len(index)
+            labels[vid] = None
+            if len(tokens) == 3:
+                labels[vid] = _parse_rational(tokens[2], line_no, "bad-label", "label")
+        else:
+            u, v = tokens[1], tokens[2]
+            try:
+                i, j = index[u], index[v]
+            except KeyError:
+                end = u if u not in index else v
+                raise GraphFormatError(
+                    line_no, "undeclared-endpoint", f"undeclared endpoint {_quoted(end)}"
+                ) from None
+            if i == j:
+                raise GraphFormatError(line_no, "self-loop", f"self-loop at {_quoted(u)}")
+            pair = (i, j) if i < j else (j, i)
+            if pair in edges:
+                raise GraphFormatError(
+                    line_no, "duplicate-edge", f"duplicate edge {_quoted(u)} {_quoted(v)}"
+                )
+            edges[pair] = None
+            if len(tokens) == 4:
+                edges[pair] = _parse_rational(tokens[3], line_no, "bad-weight", "weight")
+    if not index:
+        raise GraphFormatError(0, "empty-graph", "no vertices declared")
+    return index, labels, edges

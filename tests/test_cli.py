@@ -440,6 +440,26 @@ def test_digit_separators_are_refused_on_every_version(graph_file, monkeypatch, 
             assert capsys.readouterr() == ("", f"error: {message} {token!r}\n")
 
 
+def test_unicode_decimal_digits_are_read_as_fraction_reads_them(graph_file, capsys):
+    # Arabic-Indic 12 and a full-width 3: Fraction reads any Unicode decimal
+    # digit, and so does the grammar.  A superscript 2 is a digit to
+    # str.isdigit but not a decimal one, and is refused.
+    assert main(["check", graph_file("v a ١٢\nv b ３/2\nv c 1\ne a b\ne b c\n")]) == 0
+    assert capsys.readouterr() == (
+        "vertices: 3\n"
+        "edges: 2\n"
+        "classification: ultrametric\n"
+        "distance set: 0 3/2 12\n"
+        "gh: true\n"
+        "gomory-hu holds: true\n"
+        "edge bound holds: true\n"
+        "tree equivalences: true true true true\n",
+        "",
+    )
+    assert main(["check", graph_file("v a ²\nv b 1\ne a b\n")]) == 2
+    assert capsys.readouterr() == ("", "error: line 1: malformed label '²'\n")
+
+
 # -- pinned outputs --------------------------------------------------------
 
 # Label spellings with ties, zeros and one value written three ways.

@@ -317,6 +317,11 @@ def test_growth_orders_follow_the_hook_length_formula(n):
         index_edges = tree_from_pruefer(seq, n)
         orders = list(_growths(n, index_edges))
         assert len(orders) == len(set(orders)) == _hook_length_count(n, index_edges)
+        assert orders == sorted(orders)
+        # The orders of the tied patterns: those whose first two vertices ascend.
+        ascending = [order for order in orders if order[0] < order[1]]
+        assert list(_growths(n, index_edges, ascending=True)) == ascending
+        assert 2 * len(ascending) == len(orders)
         total += len(orders)
     # B = n!(n - 1)!: one GH pattern with n values per growth order
     assert total == factorial(n) * factorial(n - 1)
@@ -446,7 +451,7 @@ def test_scan_checks_that_the_gaps_ascend_strictly(monkeypatch):
     # labels the center 2, above two leaves, so two edges share the
     # maximum 2: the sweep's gaps are the sorted maxima, but not strictly
     # ascending.
-    monkeypatch.setattr(explore, "_growths", lambda _n, _edges: iter([(1, 2, 0, 3)]))
+    monkeypatch.setattr(explore, "_growths", lambda _n, _edges, ascending: iter([(1, 2, 0, 3)]))
     with pytest.raises(InternalCheckError) as err:
         _scan_shard((SearchConfig(n_max=4, universe=U123), 4, 0))
     assert str(err.value) == (

@@ -42,6 +42,9 @@ from ultragraph import (
     spanning_tree,
     tree_from_pruefer,
 )
+from ultragraph.graphs import _LABELED_RECORDS, _WEIGHTED_RECORDS, _read_records
+from ultragraph.layout import _render_order
+from ultragraph.metrics import _leaf_order
 
 
 # -- construction --------------------------------------------------------
@@ -51,6 +54,29 @@ def test_edges_normalized_to_declaration_order():
     g = LabeledGraph(("a", "b"), (("b", "a"),), {"a": 1, "b": 2})
     assert g.edges == (("a", "b"),)
     assert g.has_edge("b", "a")
+
+
+def test_constructor_names_its_edges_from_the_checked_pairs():
+    g = LabeledGraph(("a", "b", "c"), [["c", "a"], ("b", "c")], {"a": 1, "b": 2, "c": 3})
+    # The raw edges given to the constructor are not kept.
+    assert "edges" not in vars(g)
+    assert repr(g) == (
+        "LabeledGraph(vertices=('a', 'b', 'c'), edges=(('a', 'c'), ('b', 'c')), "
+        "labels={'a': Fraction(1, 1), 'b': Fraction(2, 1), 'c': Fraction(3, 1)})"
+    )
+    assert g.edges == (("a", "c"), ("b", "c"))
+
+
+@given(connected_graphs())
+def test_edges_are_named_only_when_read(g):
+    parsed = parse_graph(g.to_text())
+    order, gaps, ordered = _leaf_order(parsed)
+    "".join(_render_order(parsed.vertices, order, gaps, ordered, "text"))
+    assert "edges" not in vars(parsed)
+    h = LabeledGraph(parsed.vertices, parsed.edges, parsed.labels)
+    assert "edges" in vars(parsed)
+    assert (parsed.edges, repr(parsed)) == (h.edges, repr(h))
+    assert parsed == h == g
 
 
 def test_neighbors_in_declaration_order():
@@ -411,6 +437,84 @@ def test_parsed_weighted_documents_equal_the_constructed_graph(doc):
     assert g.skeleton == h.skeleton
     for (u, v), w in weights.items():
         assert g.weight(u, v) == g.weight(v, u) == h.weight(u, v) == Fraction(w)
+
+
+# Every line break str.splitlines knows: the reader counts lines by them.
+_LINE_BREAKS = (
+    "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029",
+)
+
+
+@st.composite
+def messy_documents(draw):
+    """A graph document of either format, well-formed or a few lines off.
+
+    A well-formed declaration of up to four vertices and some edges gets
+    blanks, comments, and some of: a duplicate vertex or edge (either
+    way round), a self-loop, an edge moved before its endpoints'
+    declarations, a bad label or weight, and a wrong line (an unknown
+    directive or a token count off).  Tokens are apart by spaces or
+    tabs, and lines by any line break of ``str.splitlines``.
+    """
+    weighted = draw(st.booleans())
+    value = st.sampled_from(("0", "1", "3/2", "15e-1", "2"))
+    names = draw(st.permutations("abcd"))[: draw(st.integers(1, 4))]
+    records = [
+        ["v", v, *([] if weighted and draw(st.booleans()) else [draw(value)])] for v in names
+    ]
+    for i, j in combinations(range(len(names)), 2):
+        if draw(st.booleans()):
+            u, v = (names[i], names[j]) if draw(st.booleans()) else (names[j], names[i])
+            records.append(["e", u, v, *([draw(value)] if weighted else [])])
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("repeat", "self-loop", "early edge", "bad value", "wrong")))
+        at = draw(st.integers(0, len(records)))
+        if kind == "repeat":
+            k = draw(st.integers(0, len(records) - 1))
+            head, *ends = records[k]
+            if head == "e" and draw(st.booleans()):
+                ends[:2] = ends[1::-1]
+            records.insert(draw(st.integers(k + 1, len(records))), [head, *ends])
+        elif kind == "bad value" and len(records[at - 1]) > 2 + (records[at - 1][0] == "e"):
+            records[at - 1][-1] = draw(st.sampled_from(("-1", "1/0", "x", "1_0")))
+        elif kind == "self-loop":
+            v = draw(st.sampled_from(names))
+            records.insert(at, ["e", v, v, *([draw(value)] if weighted else [])])
+        elif kind == "early edge" and records[-1][0] == "e":
+            records.insert(draw(st.integers(0, len(names) - 1)), records.pop())
+        elif kind == "wrong":
+            head = draw(st.sampled_from(("v", "e", "frog", "E", "ve")))
+            pool = st.sampled_from((*names, "0", "1/2", "-1", "1/0", "x"))
+            records.insert(at, [head, *draw(st.lists(pool, max_size=4))])
+    for _ in range(draw(st.integers(0, 4))):
+        filler = draw(st.sampled_from(([], ["#"], ["#", "note"], ["#e", "a", "a"], ["#v", "z"])))
+        records.insert(draw(st.integers(0, len(records))), filler)
+    space = st.sampled_from(("", " ", "\t", " \t"))
+    lines = []
+    for tokens in records:
+        sep = draw(st.sampled_from((" ", "\t", "  ", " \t ")))
+        lines.append(draw(space) + sep.join(tokens) + draw(space))
+        lines.append(draw(st.sampled_from(_LINE_BREAKS)))
+    if draw(st.booleans()):
+        lines.pop()  # no break after the last line
+    return "".join(lines)
+
+
+def _reading(read, text, shapes):
+    """The dicts ``read`` returns, as item lists to keep their order, or its refusal."""
+    try:
+        return [list(records.items()) for records in read(text, shapes)]
+    except GraphFormatError as err:
+        return (err.line_no, err.category, str(err))
+
+
+@settings(max_examples=400)
+@given(messy_documents())
+def test_reader_matches_the_reference_reader(text):
+    for shapes in (_LABELED_RECORDS, _WEIGHTED_RECORDS):
+        assert _reading(_read_records, text, shapes) == _reading(
+            oracles.reference_read_records, text, shapes
+        )
 
 
 @given(connected_graphs())
