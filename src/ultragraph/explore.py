@@ -24,8 +24,8 @@ internal nodes form one chain, here with heights rising toward the
 root, so the heights fix the tree.  Equal canonical forms mean
 isometric spaces.
 
-The search enumerates trees by Pruefer sequence and labelings over a
-finite universe and keeps the GH spaces.  On a tree every edge merges,
+The search enumerates labeled trees over a finite universe and keeps
+the GH spaces.  On a tree every edge merges,
 at its own maximum ``max(l(u), l(v))``, so the distance set is ``0`` and
 the edge maxima, and each GH space is checked against the proposition
 stated on its edge sweep: the sweep over the edges sorted by maximum
@@ -53,8 +53,10 @@ they are; the four criteria of :func:`ultragraph.analysis.tree_gh_report`
 all reduce to this.  The test is exact on ranks: the rank map is
 strictly increasing, so it keeps maxima and equalities.  Sampled mode
 runs the test on each draw; exhaustive mode enumerates only GH patterns
-(below).  The sweep check runs on the rank maxima, and a tree is
-checked to be one by a sweep over its decoded index pairs.  No graph,
+(below).  The sweep check runs on the rank maxima.  Sampled mode
+checks that each tree it decodes is one by a sweep over its index
+pairs; exhaustive mode joins each vertex but the first to an earlier
+one, which builds a tree.  No graph,
 dendrogram or canonical form is built, and labels become Fractions only
 in the message of a failed check.
 
@@ -91,19 +93,17 @@ least block is a tied adjacent pair and the rest attach as before,
 Growth orders.  So a GH pattern with ``n`` values, read in increasing
 label order, is an order in which its tree grows from one vertex by
 adding a neighbour, and one with ``n - 1`` values is such an order
-whose first two vertices share rank 1.  Exhaustive mode enumerates each
-tree's growth orders (:func:`_growths`), taking each tied pattern from
-the one of its two orders whose first two vertices ascend, and tests no
-weak order.  From a root a tree has ``n! / ∏_v s_v`` of them, ``s_v``
-the size of the subtree of ``v`` (the hook-length formula for trees;
-Knuth, TAOCP Vol. 3, §5.1.4).  The work is the same for every ``k >= n``;
-with ``k = n - 1`` only the orders whose first two vertices ascend are
-enumerated, half of them.
+whose first two vertices share rank 1.  Exhaustive mode enumerates the
+objects of that argument (:func:`_gh_patterns`): each order whose first
+two vertices ascend, with each of its ``(n - 1)!`` recursive trees, and
+for each tree its tied pattern and its two distinct ones.  It decodes
+no Pruefer sequence and tests no weak order.
 
-Work is partitioned by the first Pruefer symbol, and each shard
-enumerates only its own block of sequences, so shards can run in
-parallel processes; merging adds up counts, so the emitted report is
-byte-identical for every parallelism width.
+Exhaustive mode is split by the first vertex of the order, sampled
+mode by the first Pruefer symbol, each shard enumerating only its own
+block, so shards can run in parallel processes; merging adds up
+counts, so the emitted report is byte-identical for every parallelism
+width.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ import random
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb
 from typing import Callable, Iterator, Sequence
 
@@ -230,107 +230,96 @@ def _pruefer_block(n: int, prefix: int) -> Iterator[tuple[int, tuple[int, ...]]]
         yield base + k, (prefix, *rest)
 
 
-def _growths(
-    n: int, index_edges: Sequence[tuple[int, int]], ascending: bool = False
-) -> Iterator[tuple[int, ...]]:
-    """Every order, lexicographically, in which the tree grows from one vertex
-    by adding a neighbour: its GH patterns in increasing label order.
+def _gh_patterns(
+    n: int, first: int, k: int
+) -> Iterator[tuple[tuple[tuple[int, int], ...], tuple[int, ...]]]:
+    """The shard's (tree, GH pattern) pairs, as ``(index_edges, ranks)``.
 
-    An order starts with an edge ``(r, s)``; with ``ascending``, only the
-    orders with ``r < s`` come, one per tied pattern.
+    For each order of ``range(n)`` that starts ``first < order[1]``, each
+    vertex after the first is joined to one earlier vertex, in every way:
+    the ``(n - 1)!`` recursive trees of the order, each edge an index pair
+    ``i < j``.  Each tree comes with its tied pattern (``order[0]`` and
+    ``order[1]`` at rank 1, ``order[t]`` at rank ``t``) when ``k >= n - 1``,
+    then with ``k >= n`` its two distinct ones (rank ``t + 1``, with
+    ``order[0]`` or ``order[1]`` at rank 1).  The order with its first two
+    vertices swapped has the same trees, so each pair comes once.
     """
-    adjacent: list[list[int]] = [[] for _ in range(n)]
-    for i, j in index_edges:
-        adjacent[i].append(j)
-        adjacent[j].append(i)
+    if k < n - 1:
+        return
+    # The ranks by position in the order: tied, then the two distinct ones.
+    positional = [(1, *range(1, n))]
+    if k >= n:
+        positional += [tuple(range(1, n + 1)), (2, 1, *range(3, n + 1))]
+    for second in range(first + 1, n):
+        for tail in permutations([v for v in range(n) if v not in (first, second)]):
+            order = (first, second, *tail)
+            patterns = [tuple(r for _v, r in sorted(zip(order, p))) for p in positional]
+            # Vertex order[t]'s choices: the edge to each earlier vertex.
+            choices = [
+                [(u, v) if u < v else (v, u) for u in order[:t]] for t, v in enumerate(order) if t
+            ]
+            for index_edges in product(*choices):
+                for ranks in patterns:
+                    yield index_edges, ranks
 
-    def grow(order: tuple[int, ...], frontier: list[int]) -> Iterator[tuple[int, ...]]:
-        for v in frontier:
-            grown = (*order, v)
-            if len(grown) == n:
-                yield grown
-            else:
-                yield from grow(grown, sorted({*frontier, *adjacent[v]}.difference(grown)))
 
-    for r in range(n):
-        for s in sorted(adjacent[r]):
-            if r < s or not ascending:
-                frontier = sorted({*adjacent[r], *adjacent[s]}.difference((r, s)))
-                yield from grow((r, s), frontier) if frontier else [(r, s)]
+def _scan_shard(task: tuple[SearchConfig, int, int]) -> Counter:
+    """Scan one shard: in exhaustive mode the (tree, GH pattern) pairs of
+    :func:`_gh_patterns` whose order starts with vertex ``part``, in sampled
+    mode the trees whose Pruefer sequence starts with ``part``.
 
-
-def _scan_shard(task: tuple[SearchConfig, int, int]) -> tuple[int, int, Counter]:
-    """Scan the trees whose Pruefer sequence starts with ``prefix``.
-
-    Returns ``(trees, labelings, counts)``.  A tree is one sweep over its
-    decoded edges (see the module docstring).  Exhaustive mode reads a
-    tree's GH patterns off its growth orders, the tied pattern of an
-    order before its distinct one, counts the tree as its ``k**n``
-    labelings and tallies the GH patterns in ``counts`` by their number
-    ``m`` of values; sampled mode decides GH on each draw from its edge
-    maxima and counts the GH spaces per distance set, keyed by its
-    sorted rank maxima.  Each GH labeling (in exhaustive mode, each GH
-    pattern) is checked against the caterpillar proposition on its edge
+    Returns the tallies.  Exhaustive mode tallies the GH patterns by their
+    number ``m`` of values; sampled mode checks each tree by one sweep over
+    its decoded edges (see the module docstring), decides GH on each draw
+    from its edge maxima and counts the GH spaces per distance set, keyed
+    by its sorted rank maxima.  Each GH pattern (in sampled mode, each GH
+    labeling) is checked against the caterpillar proposition on its edge
     sweep: ``n - 1`` merges, whose gaps are the sorted edge maxima,
     strictly ascending.  Labels become Fractions only in messages.
     """
-    cfg, n, prefix = task
-    k = len(cfg.universe)
+    cfg, n, part = task
     label_of = (0, *cfg.universe)
     names = tuple(str(i + 1) for i in range(n))
-    # Exhaustive GH patterns: tied (start 0) with k >= n - 1, distinct (start 1) with k >= n.
-    starts = [start for start in (0, 1) if k >= n - 1 + start]
-    trees = 0
-    labelings = 0
     counts: Counter = Counter()
 
-    for tree_index, seq in _pruefer_block(n, prefix):
+    def check(
+        index_edges: Sequence[tuple[int, int]], ranks: Sequence[int], maxima: Sequence[int]
+    ) -> None:
+        """Raise unless the sweep of the tree labeled by ``ranks``, with edge
+        maxima ``maxima`` in edge order, is that of a caterpillar."""
+        _order, gaps, merges = _merge_order(n, sorted(zip(maxima, *zip(*index_edges))))
+        if merges != n - 1:
+            raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
+        # n - 1 gaps equal to the distinct maxima sorted: strictly ascending.
+        if gaps != sorted(set(maxima)):
+            edges = tuple((names[i], names[j]) for i, j in index_edges)
+            labels = ", ".join(str(label_of[r]) for r in ranks)
+            heights = ", ".join(str(label_of[w]) for w in gaps)
+            raise InternalCheckError(
+                "GH space is not the caterpillar of its distance set: tree "
+                f"{edges} labeled ({labels}) has sweep gaps ({heights})"
+            )
+
+    if cfg.mode == EXHAUSTIVE:
+        for index_edges, ranks in _gh_patterns(n, part, len(cfg.universe)):
+            check(index_edges, ranks, [max(ranks[i], ranks[j]) for i, j in index_edges])
+            counts[max(ranks)] += 1
+        return counts
+
+    for tree_index, seq in _pruefer_block(n, part):
         index_edges = tree_from_pruefer(seq, n)
         # Once per tree: n - 1 edges that join n points are a tree.
         # Nondegeneracy needs no check: every rank is at least 1.
         joins = _sweep(n, ((0, i, j) for i, j in index_edges))
         if len(index_edges) != n - 1 or sum(1 for _ in joins) != n - 1:
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
-        trees += 1
-        ends = tuple(zip(*index_edges))
-
-        def check(ranks: Sequence[int], maxima: Sequence[int]) -> None:
-            """Raise unless the sweep of the tree labeled by ``ranks``, with
-            edge maxima ``maxima`` in edge order, is that of a caterpillar."""
-            _order, gaps, merges = _merge_order(n, sorted(zip(maxima, *ends)))
-            if merges != n - 1:
-                raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
-            # n - 1 gaps equal to the distinct maxima sorted: strictly ascending.
-            if gaps != sorted(set(maxima)):
-                edges = tuple((names[i], names[j]) for i, j in index_edges)
-                labels = ", ".join(str(label_of[r]) for r in ranks)
-                heights = ", ".join(str(label_of[w]) for w in gaps)
-                raise InternalCheckError(
-                    "GH space is not the caterpillar of its distance set: tree "
-                    f"{edges} labeled ({labels}) has sweep gaps ({heights})"
-                )
-
-        if cfg.mode == EXHAUSTIVE:
-            labelings += k**n
-            # With k = n - 1 only the tied patterns count.
-            for order in _growths(n, index_edges, ascending=k < n) if starts else ():
-                for start in starts:
-                    if start or order[0] < order[1]:
-                        # Position t of the order has rank t + start, but at least 1.
-                        ranks = [0] * n
-                        for t, v in enumerate(order, start):
-                            ranks[v] = t or 1
-                        check(ranks, [max(ranks[i], ranks[j]) for i, j in index_edges])
-                        counts[n - 1 + start] += 1
-        else:
-            labelings += cfg.samples_per_tree
-            for ranks in _labelings(cfg, n, tree_index):
-                maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
-                # GH on a tree: the n - 1 edge maxima are pairwise distinct.
-                if len(set(maxima)) == n - 1:
-                    check(ranks, maxima)
-                    counts[tuple(sorted(maxima))] += 1  # the distance set, by rank
-    return trees, labelings, counts
+        for ranks in _labelings(cfg, n, tree_index):
+            maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
+            # GH on a tree: the n - 1 edge maxima are pairwise distinct.
+            if len(set(maxima)) == n - 1:
+                check(index_edges, ranks, maxima)
+                counts[tuple(sorted(maxima))] += 1  # the distance set, by rank
+    return counts
 
 
 def search_conjecture(
@@ -338,11 +327,13 @@ def search_conjecture(
 ) -> ConjectureReport:
     """Run the search over every tree size from 2 to ``cfg.n_max``.
 
-    Exhaustive mode is capped at 7 vertices (the ``n!·(n-1)!`` growth
-    orders over all trees, 3.6 million at 7, grow too fast beyond that);
-    sampled mode at 8.  Exhaustive shards tally GH patterns by their number of
-    values, and the merged tallies ``A`` and ``B`` give ``gh_spaces`` and
-    ``pairs_tested`` by the counting of the module docstring.  Sampled
+    Exhaustive mode is capped at 7 vertices (the ``n!·(n-1)!·3/2`` GH
+    patterns over all trees, 5.4 million at 7, grow too fast beyond that);
+    sampled mode at 8.  Every run examines the ``n**(n-2)`` trees.
+    Exhaustive shards, one per first vertex, tally GH patterns by their
+    number of values, and the merged tallies ``A`` and ``B`` give
+    ``gh_spaces`` and ``pairs_tested`` by the counting of the module
+    docstring.  Sampled
     shards return counts per distance set; ``pairs_tested`` adds up
     ``C(c, 2)`` over the merged counts.  Every GH space found is checked
     against the proposition of the module docstring, on its edge sweep
@@ -355,7 +346,9 @@ def search_conjecture(
     k = len(cfg.universe)
     runs = []
     for n in range(2, cfg.n_max + 1):
-        tasks = [(cfg, n, p) for p in ([0] if n == 2 else range(n))]
+        # Exhaustive shards by first vertex, sampled ones by first Pruefer symbol.
+        parts = range(n - 1) if cfg.mode == EXHAUSTIVE else [0] if n == 2 else range(n)
+        tasks = [(cfg, n, part) for part in parts]
         # Under fork, the pool starts every worker at once: never more
         # than there are shards or CPUs.
         workers = min(cfg.jobs, len(tasks), os.cpu_count() or 1)
@@ -369,16 +362,17 @@ def search_conjecture(
         else:
             results = [_scan_shard(task) for task in tasks]
 
-        trees = sum(r[0] for r in results)
-        labelings = sum(r[1] for r in results)
-        counts = sum((r[2] for r in results), Counter())
+        counts = sum(results, Counter())
+        trees = n ** (n - 2)  # Cayley's formula; sampled shards decode each one
         if cfg.mode == EXHAUSTIVE:
+            labelings = trees * k**n
             a, b = counts[n - 1], counts[n]
             gh_spaces = a * comb(k, n - 1) + b * comb(k, n)
             pairs_tested = sum(
                 comb(k - lo, n - 2) * comb(a + b * (lo - 1), 2) for lo in range(1, k + 1)
             )
         else:
+            labelings = trees * cfg.samples_per_tree
             gh_spaces = sum(counts.values())
             pairs_tested = sum(comb(c, 2) for c in counts.values())
         runs.append(RunRecord(n, trees, labelings, gh_spaces, pairs_tested))

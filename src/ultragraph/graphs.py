@@ -101,6 +101,8 @@ class LabeledGraph:
                 raise ValueError(f"duplicate vertex id {_quoted(v)}")
             index[v] = len(index)
 
+        if not isinstance(self.labels, Mapping):
+            raise TypeError(f"labels must be a mapping, not {type(self.labels).__name__}")
         labels = {v: _coerce_rational(x) for v, x in self.labels.items()}
         for v in self.vertices:
             if v not in labels:

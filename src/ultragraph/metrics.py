@@ -93,6 +93,8 @@ class WeightedGraph:
         skeleton = LabeledGraph(
             tuple(self.vertices), tuple(self.edges), {v: 0 for v in self.vertices}
         )
+        if not isinstance(self.weights, Mapping):
+            raise TypeError(f"weights must be a mapping, not {type(self.weights).__name__}")
         weights: dict[tuple[str, str], Fraction] = {}
         for key, value in self.weights.items():
             u, v = _endpoints(key, "weight key")

@@ -12,7 +12,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import islice, product
-from math import comb, factorial, prod
+from math import comb, factorial
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,7 @@ from ultragraph import (
 from ultragraph import analysis, dendrograms, explore, graphs, metrics
 from ultragraph.analysis import _tree_criteria
 from ultragraph.cli import main
-from ultragraph.explore import _growths, _labelings, _pruefer_block, _scan_shard
+from ultragraph.explore import _gh_patterns, _labelings, _pruefer_block, _scan_shard
 
 U123 = (Fraction(1), Fraction(2), Fraction(3))
 
@@ -183,8 +183,9 @@ def test_sampled_labelings_are_drawn_one_at_a_time():
 
 
 # sha256 of search_conjecture(...).to_json(), recorded before the scan
-# moved to label ranks (the first three) and before exhaustive mode
-# checked label patterns (the last two); the scan must reproduce them
+# moved to label ranks (the first three), before exhaustive mode checked
+# label patterns (the next two) and before it grew its trees from orders
+# (the two at n = 6, also pinned in CI); the scan must reproduce them
 # byte for byte.
 PINNED_REPORTS = [
     (
@@ -207,6 +208,15 @@ PINNED_REPORTS = [
     (
         dict(n_max=4, universe=("1/2", 1, "3/2", 2, 5, 7)),
         "bd0ec9cf0e5dbfda2f59fb5010576e6e49d33a458c7aacea39220b400aa68099",
+    ),
+    # k = n - 1 checks only tied patterns at n = 6; k = n the distinct ones too
+    (
+        dict(n_max=6, universe=(1, 2, 3, 4, 5)),
+        "53298de6e6c0abe0ad116770685a22d7fe2caf3f25a9c4ef435e15e6ac562394",
+    ),
+    (
+        dict(n_max=6, universe=(1, 2, 3, 4, 5, 6)),
+        "3f27546d6b3712aacfa205941618d937610a00704b768a75d248b828c90b6a49",
     ),
 ]
 
@@ -268,15 +278,9 @@ def test_patterns_are_the_weak_orders_with_their_multiplicities(n):
             assert set(pattern) == set(range(1, max(pattern) + 1))
 
 
-def _growth_patterns(n, k, index_edges):
-    """The GH patterns the scan reads off the tree's growth orders: the
-    tied one (the first two vertices share rank 1, taken from the order
-    whose first two ascend) with k >= n - 1, the distinct one with k >= n."""
-    for order in _growths(n, index_edges):
-        if k >= n - 1 and order[0] < order[1]:
-            yield tuple(max(order.index(v), 1) for v in range(n))
-        if k >= n:
-            yield tuple(order.index(v) + 1 for v in range(n))
+def _grown(n, k):
+    """Every (tree, GH pattern) pair of the exhaustive shards, one per first vertex."""
+    return [pair for first in range(n - 1) for pair in _gh_patterns(n, first, k)]
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -287,44 +291,41 @@ def test_growth_orders_give_each_gh_weak_order_once(n):
     pair_maxima = {
         (i, j): list(map(max, columns[i], columns[j])) for i in range(n) for j in range(n)
     }
+    gh = []
     for seq in product(range(n), repeat=n - 2):
         index_edges = tree_from_pruefer(seq, n)
         maxima = zip(*(pair_maxima[edge] for edge in index_edges))
-        gh = [ranks for ranks, m in zip(candidates, maxima) if len(set(m)) == n - 1]
-        for k in (n - 1, n):
-            expected = Counter(ranks for ranks in gh if max(ranks) <= k)
-            assert Counter(_growth_patterns(n, k, index_edges)) == expected
-
-
-def _hook_length_count(n, index_edges):
-    """Sum over roots of n! / (product of the subtree sizes)."""
-    adjacent = {v: [] for v in range(n)}
-    for i, j in index_edges:
-        adjacent[i].append(j)
-        adjacent[j].append(i)
-
-    def sizes(v, parent):
-        below = [sizes(w, v) for w in adjacent[v] if w != parent]
-        return [1 + sum(s[0] for s in below), *(x for s in below for x in s)]
-
-    return sum(factorial(n) // prod(sizes(root, None)) for root in range(n))
+        tree = frozenset(index_edges)
+        gh.extend((tree, ranks) for ranks, m in zip(candidates, maxima) if len(set(m)) == n - 1)
+    for k in (n - 1, n):
+        grown = _grown(n, k)
+        assert all(len(edges) == n - 1 and all(i < j for i, j in edges) for edges, _r in grown)
+        expected = Counter((tree, ranks) for tree, ranks in gh if max(ranks) <= k)
+        assert Counter((frozenset(edges), ranks) for edges, ranks in grown) == expected
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-def test_growth_orders_follow_the_hook_length_formula(n):
-    total = 0
-    for seq in product(range(n), repeat=n - 2):
-        index_edges = tree_from_pruefer(seq, n)
-        orders = list(_growths(n, index_edges))
-        assert len(orders) == len(set(orders)) == _hook_length_count(n, index_edges)
-        assert orders == sorted(orders)
-        # The orders of the tied patterns: those whose first two vertices ascend.
-        ascending = [order for order in orders if order[0] < order[1]]
-        assert list(_growths(n, index_edges, ascending=True)) == ascending
-        assert 2 * len(ascending) == len(orders)
-        total += len(orders)
-    # B = n!(n - 1)!: one GH pattern with n values per growth order
-    assert total == factorial(n) * factorial(n - 1)
+def test_grown_trees_are_the_pruefer_trees(n):
+    trees = {frozenset(edges) for edges, _ranks in _grown(n, n - 1)}
+    assert len(trees) == n ** (n - 2)
+    assert trees == {frozenset(tree_from_pruefer(s, n)) for s in product(range(n), repeat=n - 2)}
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_check_runs_once_per_gh_pattern(monkeypatch, n):
+    calls = []
+
+    def counted(n, sweep):
+        calls.append(n)
+        return metrics._merge_order(n, sweep)
+
+    monkeypatch.setattr(explore, "_merge_order", counted)
+    b = factorial(n) * factorial(n - 1)
+    for k, checks in ((n - 1, b // 2), (n, b // 2 + b), (n + 2, b // 2 + b)):
+        calls.clear()
+        cfg = SearchConfig(n_max=n, universe=range(1, k + 1))
+        tallies = sum((_scan_shard((cfg, n, first)) for first in range(n - 1)), Counter())
+        assert len(calls) == sum(tallies.values()) == checks
 
 
 def _pattern_of(ranks):
@@ -378,27 +379,31 @@ def test_pattern_scan_matches_the_labeling_scan(data):
     )
     k = len(cfg.universe)
     reference = Counter()
+    values = Counter()
+    trees = labelings = 0
     for prefix in [0] if n == 2 else range(n):
         task = (cfg, n, prefix)
-        trees, labelings, entries = oracles.reference_scan_shard(task)
+        shard_trees, shard_labelings, entries = oracles.reference_scan_shard(task)
         counts = Counter(entry[3] for entry in entries)
-        shard_trees, shard_labelings, tally = _scan_shard(task)
-        assert (shard_trees, shard_labelings) == (trees, labelings)
         if mode == SAMPLED:
             # sampled tallies are keyed by the sorted edge maxima, as ranks
             label_of = (0, *cfg.universe)
             assert Counter(
-                {(0, *map(label_of.__getitem__, key)): c for key, c in tally.items()}
+                {(0, *map(label_of.__getitem__, key)): c for key, c in _scan_shard(task).items()}
             ) == counts
-        else:
-            # a GH pattern with m values stands for its C(k, m) labelings
-            assert Counter({m: c * comb(k, m) for m, c in tally.items()}) == Counter(
-                len(set(entry[1])) for entry in entries
-            )
+        trees += shard_trees
+        labelings += shard_labelings
         reference += counts
+        values.update(len(set(entry[1])) for entry in entries)
         for entry in entries:
             assert entry[4] == _caterpillar_form(entry[3])
+    if mode == EXHAUSTIVE:
+        # Exhaustive shards split by first vertex: compare the totals.  A
+        # GH pattern with m values stands for its C(k, m) labelings.
+        tally = sum((_scan_shard((cfg, n, first)) for first in range(n - 1)), Counter())
+        assert Counter({m: c * comb(k, m) for m, c in tally.items()}) == values
     run = search_conjecture(cfg).runs[-1]
+    assert (run.trees_examined, run.labelings_examined) == (trees, labelings)
     assert run.gh_spaces == sum(reference.values())
     assert run.pairs_tested == sum(comb(c, 2) for c in reference.values())
 
@@ -406,9 +411,9 @@ def test_pattern_scan_matches_the_labeling_scan(data):
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_tallies_count_the_recursive_trees(n):
     cfg = SearchConfig(n_max=n, universe=tuple(range(1, n + 1)))
-    shards = [_scan_shard((cfg, n, prefix)) for prefix in ([0] if n == 2 else range(n))]
+    tallies = sum((_scan_shard((cfg, n, first)) for first in range(n - 1)), Counter())
     b = factorial(n) * factorial(n - 1)
-    assert sum((tally for _t, _l, tally in shards), Counter()) == Counter({n - 1: b // 2, n: b})
+    assert tallies == Counter({n - 1: b // 2, n: b})
 
 
 def _two_cherries(n, sweep):
@@ -447,11 +452,11 @@ def test_scan_checks_each_gh_space_against_its_caterpillar(monkeypatch, capsys):
 
 
 def test_scan_checks_that_the_gaps_ascend_strictly(monkeypatch):
-    # Leaves first: not a growth order of the star.  Its tied pattern
-    # labels the center 2, above two leaves, so two edges share the
-    # maximum 2: the sweep's gaps are the sorted maxima, but not strictly
-    # ascending.
-    monkeypatch.setattr(explore, "_growths", lambda _n, _edges, ascending: iter([(1, 2, 0, 3)]))
+    # Not a GH pattern: the star's center has rank 2, above two leaves, so
+    # two edges share the maximum 2: the sweep's gaps are the sorted
+    # maxima, but not strictly ascending.
+    star = ((0, 1), (0, 2), (0, 3))
+    monkeypatch.setattr(explore, "_gh_patterns", lambda _n, _first, _k: iter([(star, (2, 1, 1, 3))]))
     with pytest.raises(InternalCheckError) as err:
         _scan_shard((SearchConfig(n_max=4, universe=U123), 4, 0))
     assert str(err.value) == (
@@ -459,51 +464,59 @@ def test_scan_checks_that_the_gaps_ascend_strictly(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("mode", [EXHAUSTIVE, SAMPLED])
+_SWEEP_FAULTS = [
+    # d(1,2) = d(3,4) = 1 and every other distance 2: no leaf under the root.
+    (
+        "leaf-child",
+        "_merge_order",
+        lambda _n, _sweep: ([0, 1, 2, 3], [1, 2, 1], 3),
+        {
+            EXHAUSTIVE: f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 1, 2, 3) "
+            "has sweep gaps (1, 2, 1)",
+            SAMPLED: f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 3, 2, 1) "
+            "has sweep gaps (1, 2, 1)",
+        },
+    ),
+    (
+        "merge-count",
+        "_merge_order",
+        lambda _n, _sweep: ([0, 1, 2, 3], [1, 2, 3], 2),
+        dict.fromkeys((EXHAUSTIVE, SAMPLED), "sweep made 2 merges on 4 connected vertices"),
+    ),
+]
+# Only sampled mode decodes Pruefer sequences; exhaustive mode grows its trees.
+_TREE_FAULTS = [
+    ("tree", [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    # n - 1 edges that do not join n points: the sweep makes n - 2 merges.
+    ("tree-triangle", [(0, 1), (1, 2), (0, 2)]),
+    ("tree-duplicate", [(0, 1), (1, 2), (1, 2)]),
+]
+
+
 @pytest.mark.parametrize(
-    "name, fed, message",
+    "mode, name, fed, message",
     [
-        # d(1,2) = d(3,4) = 1 and every other distance 2: no leaf under the root.
-        (
-            "_merge_order",
-            lambda _n, _sweep: ([0, 1, 2, 3], [1, 2, 1], 3),
-            {
-                EXHAUSTIVE: f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 1, 2, 3) "
-                "has sweep gaps (1, 2, 1)",
-                SAMPLED: f"{_NOT_THE_CATERPILLAR}{_STAR4} labeled (1, 3, 2, 1) "
-                "has sweep gaps (1, 2, 1)",
-            },
-        ),
-        (
-            "_merge_order",
-            lambda _n, _sweep: ([0, 1, 2, 3], [1, 2, 3], 2),
-            "sweep made 2 merges on 4 connected vertices",
-        ),
-        (
+        pytest.param(mode, name, fed, messages[mode], id=f"{case}-{mode}")
+        for case, name, fed, messages in _SWEEP_FAULTS
+        for mode in (EXHAUSTIVE, SAMPLED)
+    ]
+    + [
+        pytest.param(
+            SAMPLED,
             "tree_from_pruefer",
-            lambda _seq, _n: [(0, 1), (1, 2), (0, 2), (2, 3)],
+            lambda _seq, _n, edges=edges: edges,
             "Pruefer sequence (0, 0) did not decode to a tree",
-        ),
-        # n - 1 edges that do not join n points: the sweep makes n - 2 merges.
-        (
-            "tree_from_pruefer",
-            lambda _seq, _n: [(0, 1), (1, 2), (0, 2)],
-            "Pruefer sequence (0, 0) did not decode to a tree",
-        ),
-        (
-            "tree_from_pruefer",
-            lambda _seq, _n: [(0, 1), (1, 2), (1, 2)],
-            "Pruefer sequence (0, 0) did not decode to a tree",
-        ),
+            id=f"{case}-{SAMPLED}",
+        )
+        for case, edges in _TREE_FAULTS
     ],
-    ids=["leaf-child", "merge-count", "tree", "tree-triangle", "tree-duplicate"],
 )
 def test_scan_checks_each_tree_and_sweep(monkeypatch, mode, name, fed, message):
     monkeypatch.setattr(explore, name, fed)
     cfg = SearchConfig(n_max=4, universe=U123, mode=mode)
     with pytest.raises(InternalCheckError) as err:
         _scan_shard((cfg, 4, 0))
-    assert str(err.value) == (message if isinstance(message, str) else message[mode])
+    assert str(err.value) == message
 
 
 def _assert_sweep_decides_the_caterpillar(names, index_edges, ranks, ordered):
@@ -688,6 +701,13 @@ def test_scan_builds_no_matrix(monkeypatch):
     assert not {"_replay", "canonical_form", "dendrograms", "LabeledGraph", "is_tree"} & set(
         vars(explore)
     )
+
+    def no_decoding(*_args):
+        raise AssertionError("exhaustive mode decoded a Pruefer sequence")
+
+    # Exhaustive mode grows its trees from orders.
+    monkeypatch.setattr(explore, "_pruefer_block", no_decoding)
+    monkeypatch.setattr(explore, "tree_from_pruefer", no_decoding)
     kwargs, digest = PINNED_REPORTS[0]
     report = search_conjecture(SearchConfig(**kwargs)).to_json()
     assert hashlib.sha256(report.encode()).hexdigest() == digest
@@ -720,7 +740,8 @@ def test_pool_never_exceeds_shards_or_cpus(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     expected = search_conjecture(SearchConfig(n_max=4, universe=U123)).to_json()
-    for cpus, pools in ((64, [3, 4]), (2, [2, 2]), (1, []), (None, [])):
+    # Exhaustive shards, one per first vertex but the last: 2 at n = 3, 3 at n = 4.
+    for cpus, pools in ((64, [2, 3]), (2, [2, 2]), (1, []), (None, [])):
         sizes.clear()
         monkeypatch.setattr(explore.os, "cpu_count", lambda: cpus)
         cfg = SearchConfig(n_max=4, universe=U123, jobs=10**6)

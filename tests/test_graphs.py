@@ -142,6 +142,27 @@ def test_inexact_label_types_rejected(bad):
 
 
 @pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LabeledGraph(("a",), (), None), "labels must be a mapping, not NoneType"),
+        (lambda: LabeledGraph(("a",), (), [("a", 1)]), "labels must be a mapping, not list"),
+        (
+            lambda: WeightedGraph(("a", "b"), (("a", "b"),), None),
+            "weights must be a mapping, not NoneType",
+        ),
+        (
+            lambda: WeightedGraph(("a", "b"), (("a", "b"),), [(("a", "b"), 1)]),
+            "weights must be a mapping, not list",
+        ),
+    ],
+)
+def test_constructors_refuse_labels_or_weights_that_are_not_mappings(build, message):
+    with pytest.raises(TypeError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "build",
     [
         lambda: LabeledGraph(("a",), (), {"a": "1_000"}),
