@@ -54,6 +54,10 @@ class Merge:
         height = _coerce_rational(self.height)
         if height <= 0:
             raise ValueError("merge heights must be positive")
+        if not isinstance(self.children, (tuple, list)):
+            raise TypeError(
+                f"children must be a tuple or a list, not {type(self.children).__name__}"
+            )
         if len(self.children) < 2:
             raise ValueError("merge nodes need at least two children")
         for child in self.children:

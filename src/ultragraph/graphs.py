@@ -14,7 +14,7 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -152,6 +152,8 @@ class LabeledGraph:
         object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_pairs", tuple(pairs))
 
+    # ``edges`` is a dataclass field, so it cannot be a cached_property
+    # (the descriptor would become the field's default): it is named here.
     def __getattr__(self, name: str):
         """``edges``, named from ``_pairs`` on first read and kept."""
         if name != "edges":
@@ -168,37 +170,31 @@ class LabeledGraph:
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         """Neighbors of ``v`` in vertex declaration order."""
-        return self._adjacency()[v]
+        return self._adjacency[v]
 
     def label(self, v: str) -> Fraction:
         return self.labels[v]
 
     def degree(self, v: str) -> int:
-        return len(self._adjacency()[v])
+        return len(self._adjacency[v])
 
     def has_edge(self, u: str, v: str) -> bool:
         i, j = self._index[u], self._index[v]
-        return ((i, j) if i < j else (j, i)) in self._edge_set()
+        return ((i, j) if i < j else (j, i)) in self._edge_set
 
+    @cached_property
     def _adjacency(self) -> dict[str, tuple[str, ...]]:
         """Each vertex -> its neighbors in declaration order; built on first use."""
-        cached = self.__dict__.get("_adj")
-        if cached is None:
-            names = self.vertices
-            adj: list[list[int]] = [[] for _ in names]
-            for i, j in self._pairs:
-                adj[i].append(j)
-                adj[j].append(i)
-            cached = {v: tuple([names[k] for k in sorted(ns)]) for v, ns in zip(names, adj)}
-            object.__setattr__(self, "_adj", cached)
-        return cached
+        names = self.vertices
+        adj: list[list[int]] = [[] for _ in names]
+        for i, j in self._pairs:
+            adj[i].append(j)
+            adj[j].append(i)
+        return {v: tuple([names[k] for k in sorted(ns)]) for v, ns in zip(names, adj)}
 
+    @cached_property
     def _edge_set(self) -> frozenset[tuple[int, int]]:
-        cached = self.__dict__.get("_edges_frozen")
-        if cached is None:
-            cached = frozenset(self._pairs)
-            object.__setattr__(self, "_edges_frozen", cached)
-        return cached
+        return frozenset(self._pairs)
 
     def edge_key(self, u: str, v: str) -> tuple[str, str]:
         """The stored orientation of an edge: endpoints by declaration index."""
@@ -480,6 +476,34 @@ def spanning_tree(g: LabeledGraph) -> LabeledGraph:
     return LabeledGraph(g.vertices, tree_edges, dict(g.labels))
 
 
+def _closing_paths(g: LabeledGraph, x: str, y: str, low: int) -> Iterator[list[str]]:
+    """Each simple path from ``x`` whose last vertex is a neighbor of ``y``.
+
+    The path never holds ``y``, and every vertex after ``x`` has a
+    declaration index above ``low``.  Paths come out in lexicographic
+    order of their index sequences.  The walk keeps an explicit stack of
+    neighbor iterators, so a path may be as long as the graph.  Each
+    yield is the live path, which changes as the walk goes on: copy it
+    to keep it.
+    """
+    adj, index = g._adjacency, g._index
+    path = [x]
+    on_path = {x}
+    stack = [iter(adj[x])]
+    while stack:
+        for w in stack[-1]:
+            if w == y:
+                yield path
+            elif w not in on_path and index[w] > low:
+                path.append(w)
+                on_path.add(w)
+                stack.append(iter(adj[w]))
+                break
+        else:
+            stack.pop()
+            on_path.remove(path.pop())
+
+
 def enumerate_simple_paths(g: LabeledGraph, x: str, y: str) -> Iterator[tuple[str, ...]]:
     """Yield every simple path from ``x`` to ``y``.
 
@@ -492,22 +516,8 @@ def enumerate_simple_paths(g: LabeledGraph, x: str, y: str) -> Iterator[tuple[st
             raise ValueError(f"unknown vertex {_quoted(v)}")
     if x == y:
         raise ValueError("path endpoints must be distinct")
-
-    path = [x]
-    on_path = {x}
-
-    def walk(u: str) -> Iterator[tuple[str, ...]]:
-        for w in g.neighbors(u):
-            if w == y:
-                yield tuple(path) + (y,)
-            elif w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                yield from walk(w)
-                path.pop()
-                on_path.remove(w)
-
-    yield from walk(x)
+    for path in _closing_paths(g, x, y, -1):
+        yield (*path, y)
 
 
 def enumerate_cycles(g: LabeledGraph, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[tuple[str, ...]]:
@@ -520,28 +530,10 @@ def enumerate_cycles(g: LabeledGraph, cap: int = DEFAULT_CYCLE_CAP) -> Iterator[
     """
     _require_cap("cycle enumeration", len(g.vertices), cap)
     index = g._index
-    adj = {v: [w for w in g.neighbors(v)] for v in g.vertices}
-
-    path: list[str] = []
-    on_path: set[str] = set()
-
-    def walk(start: str, u: str) -> Iterator[tuple[str, ...]]:
-        for w in adj[u]:
-            iw = index[w]
-            if w == start and len(path) >= 3:
-                if index[path[1]] < index[path[-1]]:
-                    yield tuple(path)
-            elif iw > index[start] and w not in on_path:
-                path.append(w)
-                on_path.add(w)
-                yield from walk(start, w)
-                path.pop()
-                on_path.remove(w)
-
     for start in g.vertices:
-        path = [start]
-        on_path = {start}
-        yield from walk(start, start)
+        for path in _closing_paths(g, start, start, index[start]):
+            if len(path) >= 3 and index[path[1]] < index[path[-1]]:
+                yield tuple(path)
 
 
 def tree_from_pruefer(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]:

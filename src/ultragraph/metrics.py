@@ -83,7 +83,11 @@ class NotUltrametricError(ValueError):
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Simple graph with one non-negative rational weight per edge."""
+    """Simple graph with one non-negative rational weight per edge.
+
+    ``skeleton`` is the underlying :class:`LabeledGraph`, with
+    placeholder labels.
+    """
 
     vertices: tuple[str, ...]
     edges: tuple[tuple[str, str], ...]
@@ -123,15 +127,10 @@ class WeightedGraph:
         object.__setattr__(self, "vertices", skeleton.vertices)
         object.__setattr__(self, "edges", skeleton.edges)
         object.__setattr__(self, "weights", dict(zip(skeleton.edges, weights)))
-        object.__setattr__(self, "_skeleton", skeleton)
-
-    @property
-    def skeleton(self) -> LabeledGraph:
-        """The underlying graph, with placeholder labels."""
-        return self._skeleton
+        object.__setattr__(self, "skeleton", skeleton)
 
     def weight(self, u: str, v: str) -> Fraction:
-        return self.weights[self._skeleton.edge_key(u, v)]
+        return self.weights[self.skeleton.edge_key(u, v)]
 
 
 @dataclass(frozen=True)

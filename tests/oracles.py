@@ -13,7 +13,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from ultragraph import (
     EXHAUSTIVE,
@@ -215,6 +215,58 @@ def cycle_vertex_sets(g: LabeledGraph) -> set[tuple[str, ...]]:
                 ):
                     found.add(tuple(names[k] for k in seq))
     return found
+
+
+def reference_simple_paths(g: LabeledGraph, x: str, y: str) -> Iterator[tuple[str, ...]]:
+    """``enumerate_simple_paths`` as a recursive walk, as it was before its explicit stack.
+
+    Kept as the reference of the package's walk: the same paths in the
+    same order.  Recurses once per path vertex, so only short paths.
+    """
+    path = [x]
+    on_path = {x}
+
+    def walk(u: str) -> Iterator[tuple[str, ...]]:
+        for w in g.neighbors(u):
+            if w == y:
+                yield tuple(path) + (y,)
+            elif w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                yield from walk(w)
+                path.pop()
+                on_path.remove(w)
+
+    yield from walk(x)
+
+
+def reference_cycles(g: LabeledGraph) -> Iterator[tuple[str, ...]]:
+    """``enumerate_cycles`` as a recursive walk, as it was before its explicit stack.
+
+    Kept as the reference of the package's walk: the same cycles in the
+    same order, each from its least-index vertex, with the second vertex
+    before the last.
+    """
+    index = {v: k for k, v in enumerate(g.vertices)}
+    path: list[str] = []
+    on_path: set[str] = set()
+
+    def walk(start: str, u: str) -> Iterator[tuple[str, ...]]:
+        for w in g.neighbors(u):
+            if w == start and len(path) >= 3:
+                if index[path[1]] < index[path[-1]]:
+                    yield tuple(path)
+            elif index[w] > index[start] and w not in on_path:
+                path.append(w)
+                on_path.add(w)
+                yield from walk(start, w)
+                path.pop()
+                on_path.remove(w)
+
+    for start in g.vertices:
+        path = [start]
+        on_path = {start}
+        yield from walk(start, start)
 
 
 def cycle_criterion_realizable(wg: WeightedGraph) -> bool:

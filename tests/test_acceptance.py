@@ -405,6 +405,6 @@ def test_report_reads_every_corpus_tree_without_adjacency(corpus, monkeypatch):
     def no_adjacency(self):
         raise AssertionError("an adjacency was built")
 
-    monkeypatch.setattr(LabeledGraph, "_adjacency", no_adjacency)
+    monkeypatch.setattr(LabeledGraph, "_adjacency", property(no_adjacency))
     assert [gh_report(t).tree_equivalences for t in trees] == expected
     assert sum(e is not None for e in expected) > 0

@@ -317,6 +317,15 @@ def test_realizable_oracle_agrees(graph_file, capsys, text, rc):
     assert capsys.readouterr().err == ""
 
 
+def test_realizable_oracle_reports_a_disagreement(graph_file, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_cycle_criterion", lambda wg: False)
+    assert main(["realizable", "--oracle", graph_file(WEIGHTED_GOOD)]) == 3
+    assert capsys.readouterr() == (
+        "",
+        "oracle mismatch: edge check says True, cycle enumeration says False\n",
+    )
+
+
 def test_realizable_rejects_bad_weight(graph_file, capsys):
     assert main(["realizable", graph_file("v a\nv b\ne a b x\n")]) == 2
 

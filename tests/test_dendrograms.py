@@ -103,6 +103,26 @@ def test_merge_children_that_are_not_nodes_get_one_short_line(child):
     assert len(message) < 200
 
 
+@pytest.mark.parametrize(
+    "children, kind",
+    [
+        (None, "NoneType"),
+        ("ab", "str"),
+        ({Leaf("a"), Leaf("b")}, "set"),
+        (iter(()), "tuple_iterator"),
+    ],
+    ids=("None", "str", "set", "iterator"),
+)
+def test_merge_children_must_be_a_tuple_or_a_list(children, kind):
+    # None used to raise "object of type 'NoneType' has no len()", and a
+    # string "merge child 'a' is not a Leaf or a Merge".
+    with pytest.raises(TypeError) as err:
+        Merge(1, children)
+    assert str(err.value) == f"children must be a tuple or a list, not {kind}"
+    pair = (Leaf("a"), Leaf("b"))
+    assert Merge(1, list(pair)) == Merge(1, pair)
+
+
 @pytest.mark.parametrize("vertex", [5, None, b"a", ("a",)])
 def test_leaves_refuse_names_that_are_not_strings(vertex):
     # The wording of LabeledGraph and DistanceMatrix.

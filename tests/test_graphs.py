@@ -671,6 +671,26 @@ def test_trees_have_one_path_per_pair(t):
             assert len(list(enumerate_simple_paths(t, x, y))) == 1
 
 
+def test_a_path_as_long_as_the_graph_is_found():
+    # The walk keeps its own stack: 3,000 vertices is far past the
+    # interpreter's recursion limit, which a recursive walk hit.
+    n = 3000
+    names = tuple(f"x{i}" for i in range(n))
+    g = LabeledGraph(names, tuple(zip(names, names[1:])), dict.fromkeys(names, 1))
+    assert list(enumerate_simple_paths(g, names[0], names[-1])) == [names]
+
+
+@given(connected_graphs(max_n=7))
+def test_walks_match_the_recursive_references(g):
+    # The same paths and cycles, in the same order, as the recursive walks.
+    assert list(enumerate_cycles(g)) == list(oracles.reference_cycles(g))
+    for x in g.vertices:
+        for y in g.vertices:
+            if x != y:
+                paths = list(enumerate_simple_paths(g, x, y))
+                assert paths == list(oracles.reference_simple_paths(g, x, y))
+
+
 # -- cycle enumeration -----------------------------------------------------
 
 
@@ -745,6 +765,11 @@ def test_trees_match_edge_subset_oracle():
 def test_trees_on_seven_vertices_are_distinct(n):
     seen = {frozenset(t.edges) for t in enumerate_trees(n)}
     assert len(seen) == n ** (n - 2)
+
+
+def test_tree_enumeration_needs_a_vertex():
+    with pytest.raises(ValueError, match="^need at least one vertex$"):
+        next(enumerate_trees(0))
 
 
 def test_tree_enumeration_cap():

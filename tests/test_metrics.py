@@ -197,6 +197,14 @@ def test_oracle_rejects_equal_endpoints_and_big_graphs():
     assert distance_oracle(wide, "a", "b", cap=10) == 2
 
 
+def test_oracle_names_a_pair_that_no_path_joins():
+    split = graph_on(3, [(1, 2)], (1, 2, 3))
+    with pytest.raises(DisconnectedGraphError) as err:
+        distance_oracle(split, "a", "b")
+    assert str(err.value) == "graph is disconnected: no path joins 'a' and 'b'"
+    assert err.value.witnesses == ("a", "b")
+
+
 @given(labeled_trees())
 def test_tree_distance_is_path_maximum(t):
     labels = t.labels
@@ -621,10 +629,27 @@ def test_json_reader_refuses_other_shapes(doc):
         DistanceMatrix.from_json_dict(doc)
 
 
-def test_constructor_refuses_vertex_names_that_are_not_strings():
-    # ("a", None) used to be accepted, and to_csv wrote its header as "a,".
-    with pytest.raises(ValueError, match="vertex names must be strings"):
-        DistanceMatrix(("a", None), ((0, 1), (1, 0)))
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        # ("a", None) used to be accepted, and to_csv wrote its header as "a,".
+        (lambda: DistanceMatrix(("a", None), ((0, 1), (1, 0))), "vertex names must be strings"),
+        (
+            lambda: DistanceMatrix(("a", "a"), ((0, 1), (1, 0))),
+            "vertex names must be unique and non-empty",
+        ),
+        (lambda: DistanceMatrix((), ()), "vertex names must be unique and non-empty"),
+        (lambda: DistanceMatrix(("a", "b"), ((0, 1),)), "entries must form a 2x2 matrix"),
+        (lambda: DistanceMatrix(("a", "b"), ((0, 1), (1,))), "entries must form a 2x2 matrix"),
+        (lambda: DistanceMatrix.from_csv(""), "empty CSV document"),
+        (lambda: DistanceMatrix.from_csv("\n\n"), "empty CSV document"),
+    ],
+    ids=("not-strings", "repeated", "none", "one-row", "short-row", "empty-csv", "blank-csv"),
+)
+def test_matrix_constructors_refuse_malformed_shapes(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 @given(connected_graphs())
