@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .graphs import (
@@ -36,6 +35,7 @@ from .metrics import (
     NotUltrametricError,
     _bottleneck_rows,
     _leaf_order,
+    _rank_buckets,
     _ranks,
     _validate_rows,
     classify_metric,
@@ -144,18 +144,17 @@ def _tree_criteria(
     equality of labels are used, so the verdicts are those of the labels
     themselves.  Guards on the tree itself are the caller's job.
     """
-    weighted = [(max(ranks[i], ranks[j]), i, j) for i, j in index_edges]
-    weighted.sort(key=itemgetter(0))
-    rows = _bottleneck_rows(vertices, weighted)
+    maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
+    rows = _bottleneck_rows(vertices, enumerate(_rank_buckets(len(ordered), maxima, index_edges)))
     _order, gaps = _validate_rows(vertices, rows, ordered)
     if 0 in gaps:
         raise NotUltrametricError(_ULTRAMETRIC_ONLY)
     # the diagonal contributes the zero distance
     sizes = len(set(chain.from_iterable(rows)))
-    n, m = len(vertices), len(weighted)
+    n, m = len(vertices), len(maxima)
     return (
         sizes == n,
-        len({w for w, _i, _j in weighted}) == m,
+        len(set(maxima)) == m,
         sizes == m + 1,
         2 * sizes == 2 + degree_total,
     )

@@ -287,7 +287,8 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> Counter:
     ) -> None:
         """Raise unless the sweep of the tree labeled by ``ranks``, with edge
         maxima ``maxima`` in edge order, is that of a caterpillar."""
-        _order, gaps, merges = _merge_order(n, sorted(zip(maxima, *zip(*index_edges))))
+        # Each edge is its own group, so equal maxima sort by index pair.
+        _order, gaps, merges = _merge_order(n, sorted(zip(maxima, zip(index_edges))))
         if merges != n - 1:
             raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
         # n - 1 gaps equal to the distinct maxima sorted: strictly ascending.
@@ -310,7 +311,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> Counter:
         index_edges = tree_from_pruefer(seq, n)
         # Once per tree: n - 1 edges that join n points are a tree.
         # Nondegeneracy needs no check: every rank is at least 1.
-        joins = _sweep(n, ((0, i, j) for i, j in index_edges))
+        joins = _sweep(n, [(0, index_edges)])
         if len(index_edges) != n - 1 or sum(1 for _ in joins) != n - 1:
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         for ranks in _labelings(cfg, n, tree_index):

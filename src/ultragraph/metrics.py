@@ -44,8 +44,6 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graphs import (
@@ -271,12 +269,12 @@ def _validate_rows(
     inequality ``d(x,y) <= max(d(x,z), d(z,y))`` through a Kruskal sweep
     over the matrix's own entries: the inequality holds for all triples
     exactly when every pair first joined at height ``w`` has entry
-    ``w``.  The pairs are ordered by a stable sort on their int ranks,
-    ties in row-major order.  Returns the sweep's leaf order and gaps,
+    ``w``.  The pairs ``i < j`` are bucketed by their int ranks, ties
+    in row-major order.  Returns the sweep's leaf order and gaps,
     as :func:`_leaf_order` returns them for a graph.
     """
     n = len(vertices)
-    pairs = []
+    buckets: list[list[tuple[int, int]]] = [[] for _ in ordered]
     for i, row in enumerate(m):
         if row[i] != 0:
             raise MatrixInvariantError(f"nonzero diagonal at {_quoted(vertices[i])}")
@@ -290,11 +288,10 @@ def _validate_rows(
                 raise MatrixInvariantError(
                     f"negative distance at ({_quoted(vertices[i])}, {_quoted(vertices[j])})"
                 )
-            pairs.append((w, i, j))
-    pairs.sort(key=itemgetter(0))
+            buckets[w].append((i, j))
     after = [0] * n
     order = [0]
-    for w, a, b in _sweep(n, pairs):
+    for w, a, b in _sweep(n, enumerate(buckets)):
         for x in a:
             row = m[x]
             for y in b:
@@ -343,27 +340,42 @@ def edge_weights(g: LabeledGraph) -> WeightedGraph:
     return WeightedGraph._checked(skeleton, [max(labels[u], labels[v]) for u, v in g.edges])
 
 
-def _sweep(n: int, pairs: Iterable[tuple]) -> Iterator[tuple]:
+def _sweep(n: int, groups: Iterable[tuple]) -> Iterator[tuple]:
     """Kruskal-style union-find sweep over points ``0 .. n-1``.
 
-    ``pairs`` yields ``(w, i, j)`` triples sorted by ``w``.  Each time
-    two clusters first meet, yield ``(w, a, b)`` with their member
-    lists, then absorb ``b`` into ``a``; ``a[0]`` is the surviving
-    root.  Every pair across ``a`` and ``b`` has minimax distance
-    exactly ``w``.
+    ``groups`` yields ``(w, pairs)``, ``w`` ascending, with the index
+    pairs ``(i, j)`` of weight ``w`` in tie order.  Each time two
+    clusters first meet, yield ``(w, a, b)`` with their member lists,
+    then absorb ``b`` into ``a``; ``a[0]`` is the surviving root.  Every
+    pair across ``a`` and ``b`` has minimax distance exactly ``w``.
     """
     root = list(range(n))
     members = [[i] for i in range(n)]
-    for w, i, j in pairs:
-        a, b = members[root[i]], members[root[j]]
-        if a is b:
-            continue
-        if len(a) < len(b):
-            a, b = b, a
-        yield w, a, b
-        for x in b:
-            root[x] = a[0]
-        a.extend(b)
+    for w, pairs in groups:
+        for i, j in pairs:
+            a, b = members[root[i]], members[root[j]]
+            if a is b:
+                continue
+            if len(a) < len(b):
+                a, b = b, a
+            yield w, a, b
+            for x in b:
+                root[x] = a[0]
+            a.extend(b)
+
+
+def _rank_buckets(size: int, ranks: Iterable[int], items: Iterable) -> list[list]:
+    """``items`` bucketed by their ``ranks`` in ``range(size)``, ties in input order.
+
+    One pass sorts by rank stably; ``enumerate`` of the buckets is the
+    groups :func:`_sweep` takes.  The rank map is strictly increasing
+    and every distance is a weight or ``0``, so a sweep over the ranks
+    joins the same clusters at the same heights as one over the values.
+    """
+    buckets: list[list] = [[] for _ in range(size)]
+    for r, item in zip(ranks, items):
+        buckets[r].append(item)
+    return buckets
 
 
 def _ranks(values: Sequence[Fraction]) -> tuple[list[int], list[Fraction]]:
@@ -403,15 +415,14 @@ def _ranks(values: Sequence[Fraction]) -> tuple[list[int], list[Fraction]]:
     return list(map(rank_of.__getitem__, pairs)), ordered[zero:] + ordered[:zero]
 
 
-def _bottleneck_rows(
-    vertices: Sequence[str], weighted_edges: Iterable[tuple]
-) -> list[list]:
+def _bottleneck_rows(vertices: Sequence[str], groups: Iterable[tuple]) -> list[list]:
     """Minimax distances via :func:`_sweep` over the weighted edges, as rows.
 
-    ``weighted_edges`` yields ``(w, i, j)`` triples already sorted by
-    weight, ties in declaration order.  Weights may be of any totally
-    ordered type; the diagonal is ``0``.  Row ``0`` fills exactly when the
-    graph is connected; its first gap is the :func:`connectivity_witness` pair.
+    ``groups`` yields ``(w, pairs)`` as :func:`_sweep` takes them: the
+    edges' index pairs grouped by ascending weight, ties in declaration
+    order.  Weights may be of any totally ordered type; the diagonal is
+    ``0``.  Row ``0`` fills exactly when the graph is connected; its
+    first gap is the :func:`connectivity_witness` pair.
     Its n^2 slots are for the callers that want every entry:
     :func:`distance_matrix`, :func:`rho_w` and
     :func:`ultragraph.analysis._tree_criteria`.  The commands print from
@@ -424,7 +435,7 @@ def _bottleneck_rows(
     for i in range(n):
         dist[i][i] = 0
 
-    for w, a, b in _sweep(n, weighted_edges):
+    for w, a, b in _sweep(n, groups):
         for x in a:
             row = dist[x]
             for y in b:
@@ -436,29 +447,16 @@ def _bottleneck_rows(
     return dist
 
 
-def _sorted_edges(
-    rank_edges: Iterable[tuple[int, int, int]], ordered: Sequence
-) -> Iterator[tuple[int, int, int]]:
-    """``(r, i, j)`` edge triples sorted by their rank ``r``, ties in input order.
-
-    ``r`` ranks the edge's weight into ``ordered`` (see :func:`_ranks`).
-    Ranks are bounded by ``len(ordered)``, so one stable bucket pass
-    sorts them.  The rank map is strictly increasing and every distance
-    is an edge weight or ``0``, so a sweep over the ranks joins the same
-    clusters at the same heights as a sweep over the values themselves.
-    """
-    buckets: list[list[tuple[int, int, int]]] = [[] for _ in ordered]
-    for edge in rank_edges:
-        buckets[edge[0]].append(edge)
-    return chain.from_iterable(buckets)
-
-
-def _label_edges(g: LabeledGraph) -> tuple[Iterator[tuple[int, int, int]], list[Fraction]]:
-    """The edges weighted ``max(l(u), l(v))`` as sorted rank triples, with the rank table."""
+def _label_edges(g: LabeledGraph) -> tuple[Iterator[tuple], list[Fraction]]:
+    """The edges weighted ``max(l(u), l(v))`` as :func:`_sweep` groups of
+    the graph's own ``_pairs`` tuples, with the rank table."""
     rank, ordered = _ranks([g.labels[v] for v in g.vertices])
-    # The larger rank by a conditional: a call to max per edge costs more.
-    rank_edges = ((rank[i] if rank[i] > rank[j] else rank[j], i, j) for i, j in g._pairs)
-    return _sorted_edges(rank_edges, ordered), ordered
+    buckets: list[list[tuple[int, int]]] = [[] for _ in ordered]
+    for pair in g._pairs:
+        i, j = pair
+        # The larger rank by a conditional: a call to max per edge costs more.
+        buckets[rank[i] if rank[i] > rank[j] else rank[j]].append(pair)
+    return enumerate(buckets), ordered
 
 
 def _leaf_order(g: LabeledGraph) -> tuple[list[int], list[int], list[Fraction]]:
@@ -475,17 +473,17 @@ def _leaf_order(g: LabeledGraph) -> tuple[list[int], list[int], list[Fraction]]:
     reported with the witness of :func:`ultragraph.graphs.require_connected`.
     """
     n = len(g.vertices)
-    edges, ordered = _label_edges(g)
-    order, gaps, merges = _merge_order(n, edges)
+    groups, ordered = _label_edges(g)
+    order, gaps, merges = _merge_order(n, groups)
     if merges != n - 1:
         require_connected(g)
         raise InternalCheckError(f"sweep made {merges} merges on {n} connected vertices")
     return order, gaps, ordered
 
 
-def _merge_order(n: int, edges: Iterable[tuple]) -> tuple[list[int], list[int], int]:
-    """The leaf order and gaps of :func:`_sweep` over sorted ``(w, i, j)`` edges,
-    and its number of merges.
+def _merge_order(n: int, groups: Iterable[tuple]) -> tuple[list[int], list[int], int]:
+    """The leaf order and gaps of :func:`_sweep` over its ``(w, pairs)``
+    ``groups``, and its number of merges.
 
     The order and gaps are those of :func:`_leaf_order`, and cover every
     point only when the merges number ``n - 1``; the caller checks that.
@@ -496,7 +494,7 @@ def _merge_order(n: int, edges: Iterable[tuple]) -> tuple[list[int], list[int], 
     """
     after = [0] * n
     order, merges = [0], 0
-    for w, a, b in _sweep(n, edges):
+    for w, a, b in _sweep(n, groups):
         after[a[-1]] = w
         order = a
         merges += 1
@@ -526,15 +524,15 @@ def _zero_runs(
 
 def distance_matrix(g: LabeledGraph) -> DistanceMatrix:
     """All pairwise labeled distances of a connected graph, exactly."""
-    edges, ordered = _label_edges(g)
-    return DistanceMatrix._from_ranks(g.vertices, _bottleneck_rows(g.vertices, edges), ordered)
+    groups, ordered = _label_edges(g)
+    return DistanceMatrix._from_ranks(g.vertices, _bottleneck_rows(g.vertices, groups), ordered)
 
 
 def rho_w(wg: WeightedGraph) -> DistanceMatrix:
     """Minimax path distances for explicit edge weights."""
     rank, ordered = _ranks([wg.weights[e] for e in wg.edges])
-    rank_edges = ((r, i, j) for r, (i, j) in zip(rank, wg.skeleton._pairs))
-    rows = _bottleneck_rows(wg.vertices, _sorted_edges(rank_edges, ordered))
+    buckets = _rank_buckets(len(ordered), rank, wg.skeleton._pairs)
+    rows = _bottleneck_rows(wg.vertices, enumerate(buckets))
     return DistanceMatrix._from_ranks(wg.vertices, rows, ordered)
 
 
@@ -627,9 +625,7 @@ def is_weight_realizable(wg: WeightedGraph) -> RealizabilityResult:
     """
     rank, ordered = _ranks([wg.weights[e] for e in wg.edges])
     pairs = wg.skeleton._pairs
-    buckets: list[list[int]] = [[] for _ in ordered]
-    for k, r in enumerate(rank):
-        buckets[r].append(k)
+    buckets = _rank_buckets(len(ordered), rank, range(len(pairs)))
     parent = list(range(len(wg.vertices)))
 
     def find(x: int) -> int:

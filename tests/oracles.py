@@ -469,6 +469,40 @@ def _fraction_sorted_pairs(m) -> list[tuple[Fraction, int, int]]:
     return pairs
 
 
+def _fraction_leaf_order(n: int, pairs) -> tuple[list[int], list[Fraction]]:
+    """The leaf order of a sweep over sorted ``(w, i, j)`` pairs, with the
+    Fraction gap after each point but the last."""
+    after = [_ZERO] * n
+    order = [0]
+    for w, a, b in _fraction_sweep(n, pairs):
+        after[a[-1]] = w
+        order = a
+    return order, [after[x] for x in order[:-1]]
+
+
+def reference_leaf_order(vertices, edges, labels) -> tuple[list[int], list[Fraction]]:
+    """``metrics._leaf_order``'s order and gaps, with Fraction gaps, from a
+    declaration: the edges ``(u, v)`` in declaration order, either way round.
+
+    Each edge weighs ``max(l(u), l(v))`` and is swept as ``(i, j)``, its
+    ends' declaration indices ascending; the edges are sorted stably by
+    their Fraction weights, so ties keep declaration order.
+    """
+    index = {v: k for k, v in enumerate(vertices)}
+    weighted = []
+    for u, v in edges:
+        i, j = sorted((index[u], index[v]))
+        weighted.append((max(labels[u], labels[v]), i, j))
+    weighted.sort(key=lambda edge: edge[0])
+    return _fraction_leaf_order(len(vertices), weighted)
+
+
+def reference_matrix_leaf_order(dm: DistanceMatrix) -> tuple[list[int], list[Fraction]]:
+    """``DistanceMatrix._leaf_order``'s order and gaps, with Fraction gaps:
+    the pairs ``i < j`` sorted by entry, ties in row-major order."""
+    return _fraction_leaf_order(len(dm.vertices), _fraction_sorted_pairs(dm.entries))
+
+
 def fraction_validate(dm: DistanceMatrix) -> None:
     """Pseudoultrametric checks on the Fraction entries, sorted by value."""
     vertices, m = dm.vertices, dm.entries

@@ -524,7 +524,7 @@ def _assert_sweep_decides_the_caterpillar(names, index_edges, ranks, ordered):
     the caterpillar of the distance set; returns whether they do."""
     n = len(names)
     maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
-    sweep = sorted((w, i, j) for w, (i, j) in zip(maxima, index_edges))
+    sweep = [(w, [pair]) for w, pair in sorted(zip(maxima, index_edges))]
     _order, gaps, merges = metrics._merge_order(n, sweep)
     assert merges == n - 1
     labels = {v: ordered[r] for v, r in zip(names, ranks)}

@@ -47,11 +47,12 @@ from ultragraph import (
     is_nondegenerate,
     is_weight_realizable,
     oracle_matrix,
+    parse_graph,
     parse_weighted_graph,
     rho_w,
     zero_quotient,
 )
-from ultragraph import metrics
+from ultragraph import cli, metrics
 
 
 def _weighted_triangle(wab, wbc, wca) -> WeightedGraph:
@@ -170,11 +171,65 @@ def test_merge_route_names_the_matrix_witnesses(edges, witnesses):
         assert err.value.witnesses == witnesses
 
 
-def test_merge_route_counts_its_merges(monkeypatch):
+def _command(name):
+    """The CLI command ``name`` on a graph, through its handler, so a raise shows."""
+
+    def run(g, tmp_path):
+        path = tmp_path / "g.graph"
+        path.write_text(g.to_text())
+        args = cli.build_parser().parse_args([name, str(path)])
+        return args.func(args)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        pytest.param(lambda g, _tmp_path: gh_report(g), id="gh_report"),
+        pytest.param(lambda g, _tmp_path: graph_dendrogram(g), id="graph_dendrogram"),
+        pytest.param(_command("dist"), id="cmd_dist"),
+        pytest.param(_command("quotient"), id="cmd_quotient"),
+    ],
+)
+def test_merge_route_counts_its_merges(monkeypatch, tmp_path, route):
+    # Every caller of _leaf_order: a sweep cut short is an internal fault.
     real = metrics._sweep
-    monkeypatch.setattr(metrics, "_sweep", lambda n, pairs: islice(real(n, pairs), n - 2))
+    monkeypatch.setattr(metrics, "_sweep", lambda n, groups: islice(real(n, groups), n - 2))
     with pytest.raises(InternalCheckError, match="^sweep made 1 merges on 3 connected"):
-        gh_report(path_graph(1, 2, 3))
+        route(path_graph(1, 2, 3), tmp_path)
+
+
+@st.composite
+def _declarations(draw):
+    """A connected graph as declared: a random tree plus extra edges, in a
+    drawn order and each either way round, with tied and zero labels."""
+    n = draw(st.integers(1, 9))
+    names = tuple(f"v{k}" for k in range(n))
+    tree = [(draw(st.integers(0, k - 1)), k) for k in range(1, n)]
+    extra = [e for e in combinations(range(n), 2) if e not in tree and draw(st.booleans())]
+    edges = draw(st.permutations(tree + extra))
+    declared = tuple(
+        (names[j], names[i]) if draw(st.booleans()) else (names[i], names[j]) for i, j in edges
+    )
+    pool = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+    labels = {v: draw(st.sampled_from(pool)) for v in names}
+    return names, declared, labels
+
+
+@given(_declarations())
+def test_leaf_order_matches_the_reference_sweep(declaration):
+    vertices, edges, labels = declaration
+    expected = oracles.reference_leaf_order(vertices, edges, labels)
+    text = "".join(f"v {v} {labels[v]}\n" for v in vertices)
+    text += "".join(f"e {u} {v}\n" for u, v in edges)
+    for g in (LabeledGraph(vertices, edges, labels), parse_graph(text)):
+        order, gaps, ordered = metrics._leaf_order(g)
+        assert (order, [ordered[w] for w in gaps]) == expected
+    built = distance_matrix(g)
+    for dm in (built, DistanceMatrix(built.vertices, built.entries)):
+        order, gaps = dm._leaf_order()
+        assert (order, [dm._ordered[w] for w in gaps]) == oracles.reference_matrix_leaf_order(dm)
 
 
 # -- the slow route ---------------------------------------------------------
