@@ -15,6 +15,7 @@ refuses a gap of ``0``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
@@ -43,9 +44,14 @@ class Leaf:
             raise ValueError("vertex names must be strings")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Merge:
-    """Internal node: the clusters below fuse at distance ``height``."""
+    """Internal node: the clusters below fuse at distance ``height``.
+
+    ``==``, ``hash`` and ``repr`` mean what the dataclass-generated
+    methods mean, but walk the tree without recursion, so they work at
+    any depth.
+    """
 
     height: Fraction
     children: tuple["Node", ...]
@@ -79,6 +85,43 @@ class Merge:
         object.__setattr__(node, "height", height)
         object.__setattr__(node, "children", children)
         return node
+
+    def _shape(self) -> list[tuple]:
+        # A post-order with each node's arity fixes an ordered tree.
+        return [
+            (item.vertex,) if isinstance(item, Leaf) else (item.height, len(item.children))
+            for item in _postorder(self)
+        ]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(tuple(self._shape()))
+
+    def __repr__(self) -> str:
+        # Pieces in order from a stack of (node, next child index): the
+        # nested strings of a recursive repr would be quadratic in depth.
+        pieces: list[str] = []
+        stack = [(self, 0)]
+        while stack:
+            node, k = stack.pop()
+            if k == 0:
+                pieces.append(f"Merge(height={node.height!r}, children=(")
+            if k == len(node.children):
+                pieces.append("))")
+                continue
+            if k:
+                pieces.append(", ")
+            stack.append((node, k + 1))
+            child = node.children[k]
+            if isinstance(child, Merge):
+                stack.append((child, 0))
+            else:
+                pieces.append(repr(child))
+        return "".join(pieces)
 
 
 Node = Union[Leaf, Merge]
@@ -186,6 +229,18 @@ def _replay(
     return item[2]
 
 
+def _postorder(node: Node) -> list[Node]:
+    """The nodes under ``node`` in post-order: the right-to-left pre-order, reversed."""
+    order, stack = [], [node]
+    while stack:
+        item = stack.pop()
+        order.append(item)
+        if isinstance(item, Merge):
+            stack.extend(item.children)
+    order.reverse()
+    return order
+
+
 def canonical_form(node: Node) -> str:
     """Order-independent string of a dendrogram.
 
@@ -193,23 +248,21 @@ def canonical_form(node: Node) -> str:
     height in lowest terms + the children's canonical strings in
     byte order + ``)``.  Equal strings mean isometric spaces.
     """
-    # Post-order with an explicit stack, so depth is not bounded by the
-    # interpreter's recursion limit.
-    done: list[str] = []
-    stack: list[tuple[Node, bool]] = [(node, False)]
-    while stack:
-        item, expanded = stack.pop()
+    # A merge's string starts with "(", which sorts before the leaf mark: only merge
+    # siblings are joined and sorted, and a lone merge child's pieces grow in place.
+    done: list = []
+    for item in _postorder(node):
         if isinstance(item, Leaf):
             done.append(LEAF_MARK)
-        elif not expanded:
-            stack.append((item, True))
-            stack.extend((child, False) for child in item.children)
-        else:
-            k = len(item.children)
-            parts = sorted(done[-k:])
-            del done[-k:]
-            done.append("(" + str(item.height) + "".join(parts) + ")")
-    return done[0]
+            continue
+        k = len(item.children)
+        merges = [part for part in done[-k:] if isinstance(part, deque)]
+        marks = LEAF_MARK * (k - len(merges)) + ")"
+        part = merges[0] if len(merges) == 1 else deque(sorted(map("".join, merges)))
+        part.appendleft("(" + str(item.height))
+        part.append(marks)
+        done[-k:] = [part]
+    return "".join(done[0])
 
 
 def are_isometric(dm1: DistanceMatrix, dm2: DistanceMatrix) -> bool:
@@ -219,26 +272,15 @@ def are_isometric(dm1: DistanceMatrix, dm2: DistanceMatrix) -> bool:
 
 def leaves(node: Node) -> Iterator[str]:
     """Leaf vertices, left to right."""
-    # Explicit stacks here and below, so depth is not bounded by the
-    # interpreter's recursion limit.
-    stack = [node]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, Leaf):
-            yield item.vertex
-        else:
-            stack.extend(reversed(item.children))
+    return (item.vertex for item in _postorder(node) if isinstance(item, Leaf))
 
 
 def to_json_dict(node: Node) -> dict:
-    root: dict = {}
-    stack: list[tuple[Node, dict]] = [(node, root)]
-    while stack:
-        item, doc = stack.pop()
+    done: list[dict] = []
+    for item in _postorder(node):
         if isinstance(item, Leaf):
-            doc["leaf"] = item.vertex
+            done.append({"leaf": item.vertex})
         else:
-            doc["height"] = str(item.height)
-            doc["children"] = kids = [{} for _ in item.children]
-            stack.extend(zip(item.children, kids))
-    return root
+            k = len(item.children)
+            done[-k:] = [{"height": str(item.height), "children": done[-k:]}]
+    return done[0]

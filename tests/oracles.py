@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable, Iterator
@@ -37,7 +38,7 @@ from ultragraph import (
     tree_from_pruefer,
 )
 from ultragraph.analysis import _tree_criteria
-from ultragraph.dendrograms import Node
+from ultragraph.dendrograms import LEAF_MARK, Node
 from ultragraph.explore import _pruefer_block
 from ultragraph.graphs import GraphFormatError, _parse_rational, _quoted
 
@@ -413,6 +414,76 @@ def cophenetic_distances(node: Node) -> dict[frozenset[str], Fraction]:
                             dists[frozenset((x, y))] = item.height
             done.append([x for block in blocks for x in block])
     return dists
+
+
+# -- dendrogram readers, each with its own stack ------------------------------
+#
+# The readers as they were before one post-order walk served them all.
+# The canonical form builds every subtree's whole string.
+
+
+def reference_canonical_form(node: Node) -> str:
+    """Canonical string with each merge's children rendered, then sorted."""
+    done: list[str] = []
+    stack: list[tuple[Node, bool]] = [(node, False)]
+    while stack:
+        item, expanded = stack.pop()
+        if isinstance(item, Leaf):
+            done.append(LEAF_MARK)
+        elif not expanded:
+            stack.append((item, True))
+            stack.extend((child, False) for child in item.children)
+        else:
+            k = len(item.children)
+            parts = sorted(done[-k:])
+            del done[-k:]
+            done.append("(" + str(item.height) + "".join(parts) + ")")
+    return done[0]
+
+
+def reference_leaves(node: Node) -> Iterator[str]:
+    """Leaf vertices, left to right."""
+    stack = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, Leaf):
+            yield item.vertex
+        else:
+            stack.extend(reversed(item.children))
+
+
+def reference_to_json_dict(node: Node) -> dict:
+    """The JSON document of a tree, filled in from the root down."""
+    root: dict = {}
+    stack: list[tuple[Node, dict]] = [(node, root)]
+    while stack:
+        item, doc = stack.pop()
+        if isinstance(item, Leaf):
+            doc["leaf"] = item.vertex
+        else:
+            doc["height"] = str(item.height)
+            doc["children"] = kids = [{} for _ in item.children]
+            stack.extend(zip(item.children, kids))
+    return root
+
+
+
+@dataclass(frozen=True)
+class GeneratedMerge:
+    """``Merge`` with the dataclass-generated, recursive ``==``, ``hash`` and ``repr``."""
+
+    # The generated repr names the class by its qualified name.
+    __qualname__ = "Merge"
+
+    height: Fraction
+    children: tuple
+
+
+def generated_twin(node: Node):
+    """``node`` rebuilt from :class:`GeneratedMerge` nodes, by recursion."""
+    if isinstance(node, Leaf):
+        return node
+    return GeneratedMerge(node.height, tuple(generated_twin(child) for child in node.children))
 
 
 def bucket_by_distance_set(

@@ -1,6 +1,7 @@
 """Merge trees, canonical strings, and the isometry decision."""
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -271,28 +272,111 @@ def _chain(depth: int) -> Merge:
     return node
 
 
+DEPTHS = (5000, 100_000)
+
+
 def test_canonical_form_of_a_very_deep_chain():
-    depth = 5000
-    node = _chain(depth)
-    expected = (
-        "".join(f"({k}" for k in range(depth, 1, -1))
-        + "(1··)"
-        + "·)" * (depth - 1)
-    )
-    assert canonical_form(node) == expected
+    for depth in DEPTHS:
+        expected = (
+            "".join(f"({k}" for k in range(depth, 1, -1))
+            + "(1··)"
+            + "·)" * (depth - 1)
+        )
+        assert canonical_form(_chain(depth)) == expected
 
 
 def test_leaves_of_a_very_deep_chain():
-    assert list(leaves(_chain(5000))) == [f"x{k}" for k in range(5001)]
+    for depth in DEPTHS:
+        assert list(leaves(_chain(depth))) == [f"x{k}" for k in range(depth + 1)]
 
 
 def test_json_of_a_very_deep_chain():
-    doc = to_json_dict(_chain(5000))
-    for k in range(5000, 1, -1):
-        assert doc["height"] == str(k)
-        assert doc["children"][1] == {"leaf": f"x{k}"}
-        doc = doc["children"][0]
-    assert doc == {"height": "1", "children": [{"leaf": "x0"}, {"leaf": "x1"}]}
+    for depth in DEPTHS:
+        doc = to_json_dict(_chain(depth))
+        for k in range(depth, 1, -1):
+            assert doc["height"] == str(k)
+            assert doc["children"][1] == {"leaf": f"x{k}"}
+            doc = doc["children"][0]
+        assert doc == {"height": "1", "children": [{"leaf": "x0"}, {"leaf": "x1"}]}
+
+
+def test_canonical_form_of_a_cherry_chain():
+    # Every level has two merge children, the rest of the chain and a
+    # cherry, so every level joins and sorts merge siblings.
+    depth = 5000
+    node = Merge(Fraction(1), (Leaf("a1"), Leaf("b1")))
+    for k in range(2, depth + 1):
+        cherry = Merge(Fraction(1, 2), (Leaf(f"b{k}"), Leaf(f"c{k}")))
+        node = Merge(Fraction(k), (node, cherry, Leaf(f"a{k}")))
+    expected = (
+        "".join(f"({k}(1/2··)" for k in range(depth, 1, -1))
+        + "(1··)"
+        + "·)" * (depth - 1)
+    )
+    assert canonical_form(node) == expected == oracles.reference_canonical_form(node)
+
+
+def test_merge_compares_hashes_and_prints_a_very_deep_chain():
+    depth = DEPTHS[-1]
+    node, twin = _chain(depth), _chain(depth)
+    assert node == twin and hash(node) == hash(twin)
+    assert node != Merge(Fraction(depth + 1), (twin, Leaf("y")))
+    assert repr(node) == (
+        "".join(f"Merge(height=Fraction({k}, 1), children=(" for k in range(depth, 1, -1))
+        + "Merge(height=Fraction(1, 1), children=(Leaf(vertex='x0'), Leaf(vertex='x1')))"
+        + "".join(f", Leaf(vertex='x{k}')))" for k in range(2, depth + 1))
+    )
+
+
+def test_merges_with_the_same_leaves_and_heights_can_differ():
+    # Both list a, b, c, d, 1, 2 in post-order; only the arities differ.
+    a, b, c, d = (Leaf(v) for v in "abcd")
+    wide = Merge(Fraction(2), (a, b, Merge(Fraction(1), (c, d))))
+    narrow = Merge(Fraction(2), (a, Merge(Fraction(1), (b, c, d))))
+    assert wide != narrow
+
+
+# Heights whose strings share prefixes, so merge siblings sort on more than
+# their first few characters.
+SHARED_PREFIX_HEIGHTS = tuple(Fraction(h) for h in ("1/20", "1/2", "1", "10", "12"))
+TIED_POOL = tuple(Fraction(x) for x in ("1/2", "2/3", "1", "2", "3", "10", "11"))
+
+
+@st.composite
+def multiway_trees(draw):
+    """Hand-built trees with merge siblings and heights from ``SHARED_PREFIX_HEIGHTS``."""
+    names = itertools.count()
+
+    def tree(below):
+        if below == 0 or not draw(st.integers(0, 3)):
+            return Leaf(f"v{next(names)}")
+        height = draw(st.integers(0, below - 1))
+        arity = draw(st.integers(2, 3))
+        return Merge(SHARED_PREFIX_HEIGHTS[height], tuple(tree(height) for _ in range(arity)))
+
+    return tree(len(SHARED_PREFIX_HEIGHTS))
+
+
+@given(
+    st.one_of(
+        connected_graphs(pool=TIED_POOL, max_n=12).map(graph_dendrogram),
+        multiway_trees(),
+    )
+)
+def test_readers_match_their_references(node):
+    assert canonical_form(node) == oracles.reference_canonical_form(node)
+    assert list(leaves(node)) == list(oracles.reference_leaves(node))
+    assert json.dumps(to_json_dict(node)) == json.dumps(oracles.reference_to_json_dict(node))
+
+
+@given(multiway_trees(), multiway_trees())
+def test_merge_methods_match_the_generated_ones(a, b):
+    for x, y in ((a, b), (a, _rebuilt(a))):
+        twin_x, twin_y = oracles.generated_twin(x), oracles.generated_twin(y)
+        assert repr(x) == repr(twin_x)
+        assert (x == y) == (twin_x == twin_y)
+        if x == y:
+            assert hash(x) == hash(y)
 
 
 def test_cophenetic_distances_deeper_than_the_recursion_limit():
