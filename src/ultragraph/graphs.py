@@ -327,47 +327,83 @@ def _read_records(text: str, shapes: Mapping[str, tuple[tuple[int, ...], str]]):
 
     A dense graph is mostly edge lines, so a line with head ``e`` and
     the format's edge token count is tested first.  Such a line costs
-    its two index lookups, its pair and one dict test; a refusal's text
-    is built only once the line is known to be wrong
+    its two index lookups and appends its pair (and its weight) to a
+    list.  Duplicate edges are found in one pass after the loop, when
+    the pairs become the ``edges`` dict.  A refusal still names the
+    first bad line: before any refusal is raised, the pairs read so far
+    are checked for a duplicate (:func:`_duplicate_refusal`), so a
+    duplicate edge before a later bad line is the one reported.  A
+    refusal's text is built only once the line is known to be wrong
     (:func:`_edge_refusal`, :func:`_line_refusal`).
     """
     index: dict[str, int] = {}
     labels: dict[str, Fraction | None] = {}
-    edges: dict[tuple[int, int], Fraction | None] = {}
+    pairs: list[tuple[int, int]] = []
+    weights: list[Fraction] = []
+    add_pair, add_weight = pairs.append, weights.append
     (width,) = shapes["e"][0]  # an edge record has one token count
     vertex_counts = shapes["v"][0]
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split()
-        if len(tokens) == width and tokens[0] == "e":
-            try:
-                i, j = index[tokens[1]], index[tokens[2]]
-            except KeyError:
-                raise _edge_refusal(line_no, tokens, index) from None
-            pair = (i, j) if i < j else (j, i)
-            if i == j or pair in edges:
-                raise _edge_refusal(line_no, tokens, index)
-            edges[pair] = (
-                _parse_rational(tokens[3], line_no, "bad-weight", "weight") if width == 4 else None
-            )
-        elif not tokens or tokens[0][0] == "#":
-            continue
-        elif tokens[0] == "v" and len(tokens) in vertex_counts:
-            vid = tokens[1]
-            if vid in index:
-                raise GraphFormatError(
-                    line_no, "duplicate-vertex", f"duplicate vertex id {_quoted(vid)}"
+    lines = text.splitlines()
+    try:
+        for line_no, raw in enumerate(lines, start=1):
+            tokens = raw.split()
+            if len(tokens) == width and tokens[0] == "e":
+                try:
+                    i, j = index[tokens[1]], index[tokens[2]]
+                except KeyError:
+                    raise _edge_refusal(line_no, tokens, index) from None
+                if i == j:
+                    raise _edge_refusal(line_no, tokens, index)
+                add_pair((i, j) if i < j else (j, i))
+                if width == 4:
+                    add_weight(_parse_rational(tokens[3], line_no, "bad-weight", "weight"))
+            elif not tokens or tokens[0][0] == "#":
+                continue
+            elif tokens[0] == "v" and len(tokens) in vertex_counts:
+                vid = tokens[1]
+                if vid in index:
+                    raise GraphFormatError(
+                        line_no, "duplicate-vertex", f"duplicate vertex id {_quoted(vid)}"
+                    )
+                index[vid] = len(index)
+                labels[vid] = (
+                    _parse_rational(tokens[2], line_no, "bad-label", "label")
+                    if len(tokens) == 3
+                    else None
                 )
-            index[vid] = len(index)
-            labels[vid] = (
-                _parse_rational(tokens[2], line_no, "bad-label", "label")
-                if len(tokens) == 3
-                else None
-            )
-        else:
-            raise _line_refusal(line_no, raw, tokens[0], shapes)
+            else:
+                raise _line_refusal(line_no, raw, tokens[0], shapes)
+    except GraphFormatError as refusal:
+        raise _duplicate_refusal(lines, width, pairs, index) or refusal from None
+    edges = dict(zip(pairs, weights)) if width == 4 else dict.fromkeys(pairs)
+    if len(edges) != len(pairs):
+        raise _duplicate_refusal(lines, width, pairs, index)
     if not index:
         raise GraphFormatError(0, "empty-graph", "no vertices declared")
     return index, labels, edges
+
+
+def _duplicate_refusal(
+    lines: list[str], width: int, pairs: list[tuple[int, int]], index: Mapping[str, int]
+) -> GraphFormatError | None:
+    """The refusal of the first edge line whose pair repeats an earlier one, or ``None``.
+
+    ``pairs`` are the pairs of the document's first well-formed edge
+    lines of ``width`` tokens, in order; the lines are read again to
+    find the one the repeat came from, only when there is one.
+    """
+    if len(set(pairs)) == len(pairs):
+        return None
+    seen: set[tuple[int, int]] = set()
+    edge_lines = (
+        (line_no, tokens)
+        for line_no, tokens in enumerate(map(str.split, lines), start=1)
+        if len(tokens) == width and tokens[0] == "e"
+    )
+    for pair, (line_no, tokens) in zip(pairs, edge_lines):
+        if pair in seen:
+            return _edge_refusal(line_no, tokens, index)
+        seen.add(pair)
 
 
 def _edge_refusal(line_no: int, tokens: list[str], index: Mapping[str, int]) -> GraphFormatError:

@@ -136,7 +136,8 @@ def _render_order(
                 widest[k] = max(len(text[g[k]]), widest[nge[k]])
             wide.append(widest)
         width = list(map(max, map(len, map(names.__getitem__, order)), wide[0], reversed(wide[1])))
-        padded = {w: [t.rjust(w) for t in text] for w in set(width)}
+        # A text cell carries the two spaces in front of it, so a row is one join.
+        padded = {w: ["  " + t.rjust(w) for t in text] for w in set(width)}
         # cell[p][r]: the value of rank r as shown in the column at position p.
         cell = list(map(padded.__getitem__, width))
     else:
@@ -164,7 +165,7 @@ def _render_order(
         row.append(cell[p][0])
         row = perm(fore(p, row))
         if fmt == "text":
-            yield name.ljust(name_w) + "  " + "  ".join(row) + "\n"
+            yield name.ljust(name_w) + "".join(row) + "\n"
         elif fmt == "csv":
             # The str of a Fraction never needs CSV quoting.
             yield ",".join(row) + "\n"

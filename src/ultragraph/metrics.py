@@ -348,14 +348,18 @@ def _sweep(n: int, groups: Iterable[tuple]) -> Iterator[tuple]:
     clusters first meet, yield ``(w, a, b)`` with their member lists,
     then absorb ``b`` into ``a``; ``a[0]`` is the surviving root.  Every
     pair across ``a`` and ``b`` has minimax distance exactly ``w``.
+
+    The roots of ``i`` and ``j`` are compared before their member lists
+    are read: most edges of a dense graph join nothing.
     """
     root = list(range(n))
     members = [[i] for i in range(n)]
     for w, pairs in groups:
         for i, j in pairs:
-            a, b = members[root[i]], members[root[j]]
-            if a is b:
+            ri, rj = root[i], root[j]
+            if ri == rj:
                 continue
+            a, b = members[ri], members[rj]
             if len(a) < len(b):
                 a, b = b, a
             yield w, a, b

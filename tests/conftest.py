@@ -309,4 +309,9 @@ PARSE_CASES = (
         ("bad-label", 2, "malformed label 'beef'"),
         ("bad-label", 2, "malformed label 'beef'"),
     ),
+    (
+        "v a\nv b\ne a b 1\ne b a pork\n",
+        ("malformed-line", 1, "expected 'v <id> <label>', got 'v a'"),
+        ("duplicate-edge", 4, "duplicate edge 'b' 'a'"),
+    ),
 )

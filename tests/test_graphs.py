@@ -217,6 +217,10 @@ def test_parse_skips_comments_and_blanks():
         ("v a beef", "bad-label", 1),
         ("v a 1/0", "bad-label", 1),
         ("v a 1\nv b 2\ne a b\ne b a", "duplicate-edge", 4),
+        # A duplicate edge is refused before any later bad line.
+        ("v a 1\nv b 2\ne a b\ne b a\nv c beef", "duplicate-edge", 4),
+        ("v a 1\nv b 2\ne a b\ne b a\nv a 3", "duplicate-edge", 4),
+        ("v a 1\nv b 2\ne a b\ne b a\ne a", "duplicate-edge", 4),
         ("frog a 1", "malformed-line", 1),
         ("v a", "malformed-line", 1),
         ("v a 1 9", "malformed-line", 1),
@@ -380,6 +384,8 @@ EDGE_ERRORS = [
     (["y z"], ("undeclared-endpoint", 5, "undeclared endpoint 'y'")),
     (["z z"], ("undeclared-endpoint", 5, "undeclared endpoint 'z'")),
     (["a b", "c c"], ("self-loop", 6, "self-loop at 'c'")),
+    (["a b", "b a", "c z"], ("duplicate-edge", 6, "duplicate edge 'b' 'a'")),
+    (["a b", "b a", "c c"], ("duplicate-edge", 6, "duplicate edge 'b' 'a'")),
 ]
 
 
