@@ -39,7 +39,6 @@ from .metrics import (
     _ranks,
     _validate_rows,
     classify_metric,
-    is_nondegenerate,
 )
 
 
@@ -114,9 +113,9 @@ def tree_gh_report(t: LabeledGraph) -> tuple[bool, bool, bool, bool]:
         raise NotATreeError("tree_gh_report needs a tree")
     if len(t.vertices) < 2:
         raise ValueError("tree_gh_report needs at least two vertices")
-    if not is_nondegenerate(t):
-        raise DegenerateLabelingError("every edge needs a positively labeled endpoint")
     ranks, ordered = _ranks([t.labels[v] for v in t.vertices])
+    if not all(ranks[i] or ranks[j] for i, j in t._pairs):  # rank 0 is the label 0
+        raise DegenerateLabelingError("every edge needs a positively labeled endpoint")
     return _tree_criteria(
         t.vertices,
         t._pairs,
@@ -170,6 +169,8 @@ def is_gh_complete(labels: Sequence) -> bool:
     exactly when they are pairwise distinct: ``1, 1, 2`` is GH, ``1, 2, 2``
     is not.  Refusals are the graph constructor's, vertex ``k`` named ``'k'``.
     """
+    if isinstance(labels, (str, bytes)):
+        raise ValueError("labels must be a sequence of labels, not a string")
     values = [_coerce_rational(x) for x in labels]
     if not values:
         raise ValueError("need at least one label")

@@ -266,8 +266,11 @@ def canonical_form(node: Node) -> str:
 
 
 def are_isometric(dm1: DistanceMatrix, dm2: DistanceMatrix) -> bool:
-    """Decide isometry of two ultrametric spaces via canonical forms."""
-    return canonical_form(dendrogram(dm1)) == canonical_form(dendrogram(dm2))
+    """Decide isometry via canonical forms, each kept in its matrix's ``__dict__`` once built."""
+    for dm in (dm1, dm2):
+        if "_canonical_form" not in dm.__dict__:
+            dm.__dict__["_canonical_form"] = canonical_form(dendrogram(dm))
+    return dm1._canonical_form == dm2._canonical_form
 
 
 def leaves(node: Node) -> Iterator[str]:

@@ -142,6 +142,8 @@ class SearchConfig:
     def __post_init__(self):
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
+        if isinstance(self.universe, (str, bytes)):
+            raise ValueError("label universe must be a sequence of labels, not a string")
         values = tuple(sorted(_coerce_rational(x) for x in self.universe))
         if not values:
             raise ValueError("label universe must be non-empty")

@@ -101,18 +101,7 @@ class LabeledGraph:
                 raise ValueError(f"duplicate vertex id {_quoted(v)}")
             index[v] = len(index)
 
-        if not isinstance(self.labels, Mapping):
-            raise TypeError(f"labels must be a mapping, not {type(self.labels).__name__}")
-        labels = {v: _coerce_rational(x) for v, x in self.labels.items()}
-        for v in self.vertices:
-            if v not in labels:
-                raise ValueError(f"vertex {_quoted(v)} has no label")
-        for v, x in labels.items():
-            if v not in index:
-                raise ValueError(f"label given for undeclared vertex {_quoted(v)}")
-            if x < 0:
-                raise ValueError(f"vertex {_quoted(v)} has negative label {x}")
-
+        labels = _checked_labels(index, self.labels)
         pairs: dict[tuple[int, int], None] = {}
         for u, v in map(_endpoints, self.edges):
             if u not in index or v not in index:
@@ -203,14 +192,34 @@ class LabeledGraph:
         return (u, v) if self._index[u] < self._index[v] else (v, u)
 
     def with_labels(self, labels: Mapping[str, object]) -> "LabeledGraph":
-        """Same structure, new labeling."""
-        return LabeledGraph(self.vertices, self.edges, dict(labels))
+        """Same structure, new labeling: only the labels are checked; built views carry over."""
+        labels = _checked_labels(self._index, dict(labels))
+        g = LabeledGraph._checked(self._index, self._pairs, labels)
+        views = ("edges", "_adjacency", "_edge_set")
+        g.__dict__.update({k: v for k, v in self.__dict__.items() if k in views})
+        return g
 
     def to_text(self) -> str:
         """Render in the line-based file format accepted by :func:`parse_graph`."""
         lines = [f"v {v} {self.labels[v]}" for v in self.vertices]
         lines.extend(f"e {u} {v}" for u, v in self.edges)
         return "\n".join(lines) + "\n"
+
+
+def _checked_labels(index: Mapping[str, int], labels) -> dict[str, Fraction]:
+    """The constructor's checks of ``labels``: a non-negative rational per vertex of ``index``."""
+    if not isinstance(labels, Mapping):
+        raise TypeError(f"labels must be a mapping, not {type(labels).__name__}")
+    checked = {v: _coerce_rational(x) for v, x in labels.items()}
+    for v in index:
+        if v not in checked:
+            raise ValueError(f"vertex {_quoted(v)} has no label")
+    for v, x in checked.items():
+        if v not in index:
+            raise ValueError(f"label given for undeclared vertex {_quoted(v)}")
+        if x < 0:
+            raise ValueError(f"vertex {_quoted(v)} has negative label {x}")
+    return checked
 
 
 # -- parsing -----------------------------------------------------------
@@ -598,20 +607,17 @@ def enumerate_trees(n: int, cap: int = DEFAULT_TREE_CAP) -> Iterator[LabeledGrap
     """Yield all ``n**(n-2)`` labeled trees on vertices ``"1"`` .. ``"n"``.
 
     Trees are produced by decoding Pruefer sequences in lexicographic
-    order.  Every vertex gets the placeholder label 0; callers bind real
-    labelings with :meth:`LabeledGraph.with_labels`.
+    order, into checked index pairs.  Every vertex gets the placeholder
+    label 0, in a dict of its tree's own; callers bind real labelings
+    with :meth:`LabeledGraph.with_labels`.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
     _require_cap("tree enumeration", n, cap)
-    names = tuple(str(i + 1) for i in range(n))
-    labels = {v: Fraction(0) for v in names}
-    if n == 1:
-        yield LabeledGraph(names, (), labels)
-        return
-    for seq in product(range(n), repeat=n - 2):
-        edges = tuple((names[i], names[j]) for i, j in tree_from_pruefer(seq, n))
-        yield LabeledGraph(names, edges, labels)
+    index = {str(i + 1): i for i in range(n)}
+    trees = (tree_from_pruefer(s, n) for s in product(range(n), repeat=n - 2)) if n > 1 else [()]
+    for pairs in trees:
+        yield LabeledGraph._checked(index, pairs, dict.fromkeys(index, Fraction(0)))
 
 
 def root_levels(t: LabeledGraph, root: str) -> dict[str, int]:

@@ -1,7 +1,7 @@
 """Distance sets, GH verdicts, tree equivalences, and labeling constructors."""
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import assume, given
@@ -28,6 +28,7 @@ from ultragraph import (
     classify_metric,
     distance_matrix,
     distance_set,
+    enumerate_trees,
     gh_labeling,
     gh_report,
     is_gh,
@@ -106,6 +107,23 @@ def test_tree_report_guards():
         tree_gh_report(LabeledGraph(("a",), (), {"a": 1}))
 
 
+def test_tree_report_refuses_exactly_the_degenerate_labelings():
+    # 1e-400 rounds to the float 0.0, yet its rank is positive.
+    pool = (Fraction(0), Fraction(1, 10**400), Fraction(1))
+    refused = 0
+    for skeleton in enumerate_trees(4):
+        for labeling in product(pool, repeat=4):
+            t = skeleton.with_labels(dict(zip(skeleton.vertices, labeling)))
+            if is_nondegenerate(t):
+                assert len(set(tree_gh_report(t))) == 1
+                continue
+            refused += 1
+            with pytest.raises(DegenerateLabelingError) as err:
+                tree_gh_report(t)
+            assert str(err.value) == "every edge needs a positively labeled endpoint"
+    assert refused > 0
+
+
 @given(labeled_trees(pool=tuple(Fraction(i) for i in range(1, 8))))
 def test_tree_criteria_never_disagree(t):
     verdicts = tree_gh_report(t)
@@ -150,11 +168,14 @@ def test_complete_graph_verdict_matches_hand_computation():
             assert is_gh_complete(labels) == expected
 
 
-# Each refusal with its exact type and message.  Coercion comes first,
-# element by element, then the empty list, two zeros, and negative
-# labels, named as the graph constructor names vertex k of K_n.
+# Each refusal with its exact type and message.  A string is no sequence
+# of labels.  Coercion comes first, element by element, then the empty
+# list, two zeros, and negative labels, named as the graph constructor
+# names vertex k of K_n.
 _FLOAT = "expected a Fraction, int, or string, not {} (floats are rejected to keep values exact)"
 COMPLETE_GRAPH_REFUSALS = [
+    ("12", ValueError, "labels must be a sequence of labels, not a string"),
+    (b"12", ValueError, "labels must be a sequence of labels, not a string"),
     ([], ValueError, "need at least one label"),
     ([1.5], TypeError, _FLOAT.format("float")),
     ([1, True], TypeError, _FLOAT.format("bool")),

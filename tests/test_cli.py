@@ -577,28 +577,74 @@ def test_cli_output_bytes_are_pinned(tmp_path, monkeypatch, capsys, command, fmt
     assert h.hexdigest() == _PINNED[command, fmt]
 
 
-# sha256 over exit code, stdout and stderr of each PARSE_CASES document,
-# recorded before the two parsers were merged, and again by the reader
-# that still checked duplicate edges line by line, when the document with
-# a duplicate edge before a bad weight joined the table.
-_PINNED_PARSE_CASES = {
-    "dist": "3060b0f133fe154489e7000ef35d0d5c7a5e1335648806b165fcd4dea1336c30",
-    "check": "e59a08353c9fa3330e0fe7b8a037233e8af7c96313e5111bde74660a6c983198",
-    "realizable": "9d13d674aec31a40fd5f223d232c3f9c3e9e149edb231305f5e33862becab78b",
-}
+# One sha256 per PARSE_CASES row, in table order: the exit code, stdout
+# and stderr of dist, check and realizable on the row's document.
+# Recorded before the per-row pins replaced one digest per command over
+# the whole table, by the code those digests pinned.
+_PINNED_PARSE_CASES = (
+    "9bbd1d01eee371f11de3ae2ae941735ab1fe91fe208aadf02f35de3a7f11d435",
+    "5f4177cbdab8abaab0d9c5317d623d9a97d9403f08db668a7304444b32246522",
+    "6f817302534c22d933f0add46b657884d63ddd215a15299b81282fc5771ea851",
+    "3adbcd1208db30d5218099b550975825d2c6d4751579b7db821ceed16b466698",
+    "c662094ad8a5a7d4c77160e4d6e9bcdbb7546cc2a35da9b18ba0ab5dbbe6a5fd",
+    "716947dfea8fcefc2ecb9822e18d0d0fc745991f0ff155bda7f58436d9f5b39f",
+    "2e6cb1cc66a584c6640a91447a3da316a671bed49a0da31f7cbed8b9e1227821",
+    "50cc0d225680a3d725aaed95294ccc39bcc7614703717a9344a7be2ee9b9f254",
+    "44476a748d99d2109dee5d3059516edf922273471033c6c1e0e297bd88b5abb9",
+    "e9e35e0e1da3f9b08fc763174545a0a8a51f5172b3f62d5800ce9b8412678814",
+    "c3a99129ac7cbb6956d3cfda17b267f97ec446b93e562aa3a030573dbccedfb8",
+    "e31de386c97e168cf27ae25a725133c970acc790f7c17672d9b52ffcc4bd2772",
+    "1367bcb47b3654f858728a1d80dae257ce3540f2a95279af76236a9642d8b974",
+    "7bb0304dc74c12090c34c9c1d60ec46db1c63bd52aa8fadd732cfc385f8e6725",
+    "f88bd635f874aae60681964435f60342ebb7e51fd787727771aae79da9ed109c",
+    "2f065bf083a146e562a7d23b4cec8642080460a9f6b98d19f57396a0dac5bd4f",
+    "1367bcb47b3654f858728a1d80dae257ce3540f2a95279af76236a9642d8b974",
+    "ec44cde3234afc43185a65a114eb014921cbc4ac9ba925a23f44ad0fd954558e",
+    "1367bcb47b3654f858728a1d80dae257ce3540f2a95279af76236a9642d8b974",
+    "1367bcb47b3654f858728a1d80dae257ce3540f2a95279af76236a9642d8b974",
+    "b823532c2ea49aa51108f72ce69ca13bb3eb518fb9b241157790932e19f5b4a4",
+    "d054536f98ed11ef255c1254c93e5ad042a06ad9c3d54c520889ca668c7486f2",
+    "4cf3688af33c9187d48f15e6fa39b8f94e4a0784f5d6bc8a1c34f690196fca52",
+    "07751a811d134dce89d446583458bedf19a7981f81c52f41583e6cf4dc226f7a",
+    "aaaa07ae4683120e643994ecf6f318a1426dc4812ce6e247b04cfc2fc44f7f63",
+    "f9fa6bd075f1437d1b5a6313185a88f40e82d1c1cc552e82764a97fc154365b1",
+    "a8336c36c87d3e64617c67264d9d2dc1de6e1b1536a9010e0439b4e3faf7823d",
+    "96f5cf35104f9371d680a9ccae1263444a02fa447e3c3647c4efb77ced54d9c0",
+    "94ffee10653969cae1cb6ee60b817d5644a512abe8ff52ebc147d5c01e99bab5",
+    "ed5ae4685b32359f8b84d070d95d02fa10ad671d71ecf8d2f049abf947563fbd",
+    "5371648e4c388246a128ba15896e6a0b1131150b3e2ab0f04a28d782f01f8fa2",
+    "9520a70db25a64939d757f8856edf978faeea9269326549c29fc9b49ab5d333e",
+    "ed5ae4685b32359f8b84d070d95d02fa10ad671d71ecf8d2f049abf947563fbd",
+    "dcd40a7872c17509cc592c6ace652f0fbf4974fe2f8839c901c09762685a1a75",
+    "dcd40a7872c17509cc592c6ace652f0fbf4974fe2f8839c901c09762685a1a75",
+    "575a77f502bc6b7e91b0a8e8712c65f63e67a7a28eda3ef225d697539b30bb9c",
+    "e109a98a8d48a3fc5b7b50ee7c3ae3836f7e5c39f8d414a61e4d4fcbc0bf3983",
+    "a486003935a8c0a30efdd8887a71677097d60e7914f885a9ac971b5a54367bb3",
+    "da6fc1a017a69c2e6ec51e2752a2afd587cc3c51d94dfb19849e0cbb2990a12b",
+    "d6f035a96db2343a70bb3f924c3d55e724fff0eba3ba024e2301c82ba3849069",
+    "ec056bb519fbaaf41cfb18baccba94dc97ebf1f05c79ba26c72dedaedc905c65",
+)
 
 
-@pytest.mark.parametrize("command", list(_PINNED_PARSE_CASES))
-def test_parse_case_outputs_are_pinned(tmp_path, monkeypatch, capsys, command):
+def test_every_parse_case_is_pinned():
+    assert len(_PINNED_PARSE_CASES) == len(PARSE_CASES), "pin each PARSE_CASES row"
+
+
+@pytest.mark.parametrize(
+    "row, doc",
+    [(k, doc) for k, (doc, _labeled, _weighted) in enumerate(PARSE_CASES)],
+    ids=[doc for doc, _labeled, _weighted in PARSE_CASES],
+)
+def test_parse_case_outputs_are_pinned(tmp_path, monkeypatch, capsys, row, doc):
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "case.graph").write_bytes(doc.encode())
     h = hashlib.sha256()
-    for k, (doc, _labeled, _weighted) in enumerate(PARSE_CASES):
-        name = f"m{k}.graph"
-        (tmp_path / name).write_bytes(doc.encode())
-        code = main([command, name])
+    for command in ("dist", "check", "realizable"):
+        code = main([command, "case.graph"])
         out, err = capsys.readouterr()
         h.update(f"{code}\n{out}\n{err}\n".encode())
-    assert h.hexdigest() == _PINNED_PARSE_CASES[command]
+    pin = _PINNED_PARSE_CASES[row] if row < len(_PINNED_PARSE_CASES) else None
+    assert h.hexdigest() == pin, f"PARSE_CASES row {row}: {doc!r}"
 
 
 # -- deep and oversized input ---------------------------------------------

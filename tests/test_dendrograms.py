@@ -25,6 +25,7 @@ from ultragraph import (
     InternalCheckError,
     LabeledGraph,
     Leaf,
+    MatrixInvariantError,
     Merge,
     NotUltrametricError,
     are_isometric,
@@ -203,6 +204,34 @@ def test_isometry_of_path_and_star_spaces():
 
 def test_different_distance_sets_are_never_isometric():
     assert not are_isometric(_space(path_graph(1, 2, 3)), _space(path_graph(3, 2, 3)))
+
+
+def test_isometry_builds_each_canonical_form_once(monkeypatch):
+    spaces = [
+        _space(path_graph(1, 2, 3, 4)),
+        _space(star_graph(1, 2, 3, 4)),
+        _space(path_graph(3, 2, 3, 4)),
+    ]
+    fresh = [DistanceMatrix(dm.vertices, dm.entries) for dm in spaces]
+    built = []
+    real = dendrograms.canonical_form
+    monkeypatch.setattr(dendrograms, "canonical_form", lambda node: built.append(node) or real(node))
+    verdicts = [are_isometric(a, b) for a, b in itertools.combinations(spaces, 2)]
+    assert verdicts == [True, False, False]
+    assert len(built) == 3
+    # The kept form is no field: equality, hash and repr read the fields only.
+    for dm, other in zip(spaces, fresh):
+        assert (dm, hash(dm), repr(dm)) == (other, hash(other), repr(other))
+    # A refusal is not kept: it is raised again on every call.
+    refused = [
+        (_space(path_graph(0, 0, 1)), NotUltrametricError),
+        (DistanceMatrix(("a", "b", "c"), ((0, 1, 3), (1, 0, 1), (3, 1, 0))), MatrixInvariantError),
+    ]
+    for dm, error in refused:
+        for _ in range(2):
+            with pytest.raises(error):
+                are_isometric(dm, spaces[0])
+    assert len(built) == 3
 
 
 def test_json_rendering():

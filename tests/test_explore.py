@@ -65,6 +65,8 @@ def test_config_normalizes_universe():
         dict(n_max=3, universe=U123, mode="guess"),
         dict(n_max=3, universe=U123, jobs=0),
         dict(n_max=3, universe=U123, mode=SAMPLED, samples_per_tree=0),
+        dict(n_max=3, universe="12"),
+        dict(n_max=3, universe=b"12"),
     ],
 )
 def test_config_rejects_bad_values(kwargs):

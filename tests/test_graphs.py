@@ -2,7 +2,7 @@
 
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +182,54 @@ def test_with_labels_keeps_structure():
     assert h.edges == g.edges
     assert h.label("a") == 5
     assert g.label("a") == 1
+
+
+def _outcome(build):
+    """What ``build()`` returns, as the graph and its repr, or its refusal's type and message."""
+    try:
+        g = build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return g, repr(g)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {"c": "1/2", "a": 0, "b": 2},
+        [("a", 1), ("b", "3/2"), ("c", 0)],
+        {"a": 1, "b": 2},
+        {"a": 1, "b": 2, "c": 3, "d": 4},
+        {"a": 1, "b": -2, "c": 3},
+        {"a": 1, "b": 0.5, "c": 3},
+        {"a": 1, "b": True, "c": 3},
+        None,
+        {"a": 1, "b": 2, "c": 3, 7: 1},
+    ],
+    ids=["dict", "pairs", "missing", "extra", "negative", "float", "bool", "none", "int-key"],
+)
+def test_with_labels_checks_labels_as_the_constructor_does(labels):
+    # The reference is relabeling by the constructor, on the labels as a dict.
+    g = triangle(1, 2, 3)
+    expected = _outcome(lambda: LabeledGraph(g.vertices, g.edges, dict(labels)))
+    assert _outcome(lambda: g.with_labels(labels)) == expected
+
+
+def test_relabeling_checks_only_the_labels(monkeypatch):
+    posts = []
+    post_init = LabeledGraph.__post_init__
+    monkeypatch.setattr(LabeledGraph, "__post_init__", lambda g: posts.append(g) or post_init(g))
+    g = parse_graph("v a 1\nv b 2\nv c 3\ne c a\ne a b\n")
+    h = g.with_labels({"a": 0, "b": 5, "c": 5})
+    assert posts == []
+    assert h._pairs is g._pairs and h._index is g._index
+    assert not {"edges", "_adjacency", "_edge_set"} & vars(h).keys()
+    # Views the source has built carry over.
+    assert g.neighbors("a") == ("b", "c") and g.has_edge("c", "a") and g.edges
+    k = g.with_labels(h.labels)
+    assert k._adjacency is g._adjacency and k._edge_set is g._edge_set and k.edges is g.edges
+    assert posts == []
+    assert k == h == LabeledGraph(g.vertices, g.edges, {"a": 0, "b": 5, "c": 5})
 
 
 # -- parsing -------------------------------------------------------------
@@ -771,6 +819,25 @@ def test_trees_match_edge_subset_oracle():
 def test_trees_on_seven_vertices_are_distinct(n):
     seen = {frozenset(t.edges) for t in enumerate_trees(n)}
     assert len(seen) == n ** (n - 2)
+
+
+def test_enumerated_trees_equal_the_constructed_trees(monkeypatch):
+    posts = []
+    post_init = LabeledGraph.__post_init__
+    monkeypatch.setattr(LabeledGraph, "__post_init__", lambda g: posts.append(g) or post_init(g))
+    enumerated = {n: list(enumerate_trees(n)) for n in range(1, 7)}
+    assert posts == []
+    for n, trees in enumerated.items():
+        names = tuple(str(i + 1) for i in range(n))
+        seqs = product(range(n), repeat=max(n - 2, 0))
+        edge_sets = [tree_from_pruefer(seq, n) for seq in seqs] if n > 1 else [()]
+        expected = [
+            LabeledGraph(names, [(names[i], names[j]) for i, j in pairs], dict.fromkeys(names, 0))
+            for pairs in edge_sets
+        ]
+        assert [(t, repr(t)) for t in trees] == [(e, repr(e)) for e in expected]
+        # Each tree has a labels dict of its own.
+        assert len({id(t.labels) for t in trees}) == len(trees)
 
 
 def test_tree_enumeration_needs_a_vertex():
