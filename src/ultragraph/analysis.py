@@ -22,10 +22,11 @@ from typing import NamedTuple, Sequence
 from .graphs import (
     LabeledGraph,
     NotATreeError,
+    _bfs,
     _coerce_rational,
     is_tree,
+    require_connected,
     root_levels,
-    spanning_tree,
 )
 from .metrics import (
     PSEUDOULTRAMETRIC,
@@ -192,20 +193,29 @@ def level_labeling(t: LabeledGraph, root: str) -> dict[str, Fraction]:
     1, 2, 3, ...; the resulting space is GH and its distance reduces to
     ``max(l(x), l(y))``.
     """
-    levels = root_levels(t, root)
-    order = sorted(t.vertices, key=lambda v: (levels[v], t.index_of(v)))
+    return _by_level(t.vertices, root_levels(t, root))
+
+
+def _by_level(vertices: Sequence[str], levels: dict[str, int]) -> dict[str, Fraction]:
+    """Labels ``1, 2, 3, ...`` in order of level, ties in the order of ``vertices``."""
+    order = sorted(vertices, key=levels.__getitem__)  # stable: ties keep declaration order
     return {v: Fraction(i + 1) for i, v in enumerate(order)}
 
 
 def gh_labeling(g: LabeledGraph) -> dict[str, Fraction]:
     """A labeling making any connected graph a GH space.
 
-    Takes the breadth-first spanning tree from the first-declared
-    vertex and applies :func:`level_labeling` there; on such labelings
-    the whole graph's distances agree with the tree's.
+    The :func:`level_labeling` of the breadth-first spanning tree from
+    the first-declared vertex; on such labelings the whole graph's
+    distances agree with the tree's.  The levels are read off one
+    breadth-first walk of ``g``, which keeps every vertex at its level
+    in that tree; a graph it does not span is refused by
+    :func:`~ultragraph.graphs.require_connected`.
     """
-    t = spanning_tree(g)
-    return level_labeling(t, g.vertices[0])
+    found = _bfs(g, g.vertices[0])
+    if len(found) < len(g.vertices):
+        require_connected(g)  # raises, with its witness
+    return _by_level(g.vertices, {v: level for v, (_parent, level) in found.items()})
 
 
 @dataclass(frozen=True)

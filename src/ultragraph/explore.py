@@ -304,9 +304,14 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> Counter:
             )
 
     if cfg.mode == EXHAUSTIVE:
+        # Tallied by m in a list, which costs less per pattern than a Counter.
+        tally = [0] * (n + 1)
         for index_edges, ranks in _gh_patterns(n, part, len(cfg.universe)):
-            check(index_edges, ranks, [max(ranks[i], ranks[j]) for i, j in index_edges])
-            counts[max(ranks)] += 1
+            # The larger rank by a conditional: a call to max per edge costs more.
+            maxima = [ranks[i] if ranks[i] > ranks[j] else ranks[j] for i, j in index_edges]
+            check(index_edges, ranks, maxima)
+            tally[max(ranks)] += 1
+        counts.update({m: c for m, c in enumerate(tally) if c})
         return counts
 
     for tree_index, seq in _pruefer_block(n, part):
@@ -317,7 +322,7 @@ def _scan_shard(task: tuple[SearchConfig, int, int]) -> Counter:
         if len(index_edges) != n - 1 or sum(1 for _ in joins) != n - 1:
             raise InternalCheckError(f"Pruefer sequence {seq} did not decode to a tree")
         for ranks in _labelings(cfg, n, tree_index):
-            maxima = [max(ranks[i], ranks[j]) for i, j in index_edges]
+            maxima = [ranks[i] if ranks[i] > ranks[j] else ranks[j] for i, j in index_edges]
             # GH on a tree: the n - 1 edge maxima are pairwise distinct.
             if len(set(maxima)) == n - 1:
                 check(index_edges, ranks, maxima)

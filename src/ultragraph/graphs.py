@@ -12,10 +12,10 @@ rejected at construction time; pass strings like ``"1/2"`` instead.
 from __future__ import annotations
 
 import sys
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import product
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -468,11 +468,10 @@ def _bfs(g: LabeledGraph, start: str) -> dict[str, tuple[str | None, int]]:
     order of discovery; ``start`` has parent ``None`` and level ``0``.
     """
     found: dict[str, tuple[str | None, int]] = {start: (None, 0)}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
+    adj, queue = g._adjacency, [start]
+    for u in queue:  # grows as the walk goes
         level = found[u][1] + 1
-        for w in g.neighbors(u):
+        for w in adj[u]:
             if w not in found:
                 found[w] = (u, level)
                 queue.append(w)
@@ -482,10 +481,7 @@ def _bfs(g: LabeledGraph, start: str) -> dict[str, tuple[str | None, int]]:
 def connectivity_witness(g: LabeledGraph) -> tuple[str, str] | None:
     """``None`` if connected, else a pair of vertices in different components."""
     reached = _bfs(g, g.vertices[0])
-    for v in g.vertices:
-        if v not in reached:
-            return (g.vertices[0], v)
-    return None
+    return next(((g.vertices[0], v) for v in g.vertices if v not in reached), None)
 
 
 def is_connected(g: LabeledGraph) -> bool:
@@ -494,8 +490,7 @@ def is_connected(g: LabeledGraph) -> bool:
 
 
 def require_connected(g: LabeledGraph) -> None:
-    witness = connectivity_witness(g)
-    if witness is not None:
+    if (witness := connectivity_witness(g)) is not None:
         raise DisconnectedGraphError(*witness)
 
 
@@ -515,10 +510,12 @@ def spanning_tree(g: LabeledGraph) -> LabeledGraph:
     Neighbors are scanned in declaration order, so the result is a
     deterministic function of the input document.  Labels carry over.
     """
-    require_connected(g)
     found = _bfs(g, g.vertices[0])
-    tree_edges = tuple((u, w) for w, (u, _level) in found.items() if u is not None)
-    return LabeledGraph(g.vertices, tree_edges, dict(g.labels))
+    if len(found) < len(g.vertices):
+        require_connected(g)  # raises, with its witness
+    ends = [(g._index[u], g._index[w]) for w, (u, _level) in found.items() if u is not None]
+    pairs = [(i, j) if i < j else (j, i) for i, j in ends]
+    return LabeledGraph._checked(g._index, pairs, dict(g.labels))
 
 
 def _closing_paths(g: LabeledGraph, x: str, y: str, low: int) -> Iterator[list[str]]:
@@ -592,14 +589,15 @@ def tree_from_pruefer(seq: Sequence[int], n: int) -> tuple[tuple[int, int], ...]
         if not 0 <= s < n:
             raise ValueError(f"Pruefer symbol {s!r} is not in range({n})")
         degree[s] += 1
+    leaves = [i for i in range(n) if degree[i] == 1]  # a heap: O(n log n)
     edges: list[tuple[int, int]] = []
     for s in seq:
-        leaf = min(i for i in range(n) if degree[i] == 1)
+        leaf = heappop(leaves)
         edges.append((leaf, s) if leaf < s else (s, leaf))
-        degree[leaf] -= 1
         degree[s] -= 1
-    u, v = (i for i in range(n) if degree[i] == 1)
-    edges.append((u, v))
+        if degree[s] == 1:
+            heappush(leaves, s)
+    edges.append((leaves[0], leaves[1]))  # a heap of two, least first
     return tuple(edges)
 
 
@@ -624,6 +622,8 @@ def root_levels(t: LabeledGraph, root: str) -> dict[str, int]:
     """Distance-from-root levels of a tree, by breadth-first traversal."""
     if root not in t._index:
         raise ValueError(f"unknown root {_quoted(root)}")
-    if not is_tree(t):
+    found = _bfs(t, root)
+    if len(found) < len(t.vertices) or len(t._pairs) != len(t.vertices) - 1:
+        require_connected(t)  # if disconnected, is_tree's refusal and witness
         raise NotATreeError("root levels are only defined for trees")
-    return {v: level for v, (_parent, level) in _bfs(t, root).items()}
+    return {v: level for v, (_parent, level) in found.items()}

@@ -35,7 +35,6 @@ from ultragraph import (
     is_gh,
     is_tree,
     rho_w,
-    tree_from_pruefer,
 )
 from ultragraph.analysis import _tree_criteria
 from ultragraph.dendrograms import LEAF_MARK, Node
@@ -314,6 +313,32 @@ def is_valid_spanning_tree(g: LabeledGraph, t: LabeledGraph) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) == len(t.vertices)
+
+
+def reference_tree_from_pruefer(seq, n: int) -> tuple[tuple[int, int], ...]:
+    """The Pruefer decoder as it was before its heap of leaves.
+
+    Kept verbatim as the reference of ``graphs.tree_from_pruefer``: each
+    step scans every vertex for the least leaf, so it is quadratic.
+    """
+    if n < 2:
+        raise ValueError("a Pruefer sequence encodes a tree on at least 2 vertices")
+    if len(seq) != n - 2:
+        raise ValueError(f"sequence for {n} vertices must have length {n - 2}")
+    degree = [1] * n
+    for s in seq:
+        if not 0 <= s < n:
+            raise ValueError(f"Pruefer symbol {s!r} is not in range({n})")
+        degree[s] += 1
+    edges: list[tuple[int, int]] = []
+    for s in seq:
+        leaf = min(i for i in range(n) if degree[i] == 1)
+        edges.append((leaf, s) if leaf < s else (s, leaf))
+        degree[leaf] -= 1
+        degree[s] -= 1
+    u, v = (i for i in range(n) if degree[i] == 1)
+    edges.append((u, v))
+    return tuple(edges)
 
 
 def trees_by_edge_subsets(n: int) -> set[frozenset[tuple[int, int]]]:
@@ -733,7 +758,7 @@ def reference_scan_shard(task) -> tuple[int, int, list]:
     entries: list = []
 
     for tree_index, seq in _pruefer_block(n, prefix):
-        index_edges = tree_from_pruefer(seq, n)
+        index_edges = reference_tree_from_pruefer(seq, n)
         edges = tuple((names[i], names[j]) for i, j in index_edges)
         skeleton = LabeledGraph(names, edges, zero_labels)
         if not is_tree(skeleton):

@@ -20,6 +20,7 @@ from ultragraph import (
     PSEUDOULTRAMETRIC,
     ULTRAMETRIC,
     DegenerateLabelingError,
+    DisconnectedGraphError,
     LabeledGraph,
     NotATreeError,
     NotUltrametricError,
@@ -41,6 +42,7 @@ from ultragraph import (
     tree_gh_report,
 )
 from ultragraph import analysis, graphs, metrics
+from ultragraph.cli import main
 
 
 # -- distance sets and the two inequalities ---------------------------------
@@ -301,6 +303,56 @@ def test_gh_labeling_agrees_with_spanning_tree(g):
     assert is_gh(dm)
     tree = spanning_tree(relabeled)
     assert distance_matrix(tree).entries == dm.entries
+
+
+def test_labeling_walks_the_graph_once(monkeypatch, tmp_path):
+    ring = graph_on(4, [(0, 1), (1, 2), (2, 3), (0, 3)], (9, 9, 9, 9))
+    star = star_graph(1, 2, 3, 4)
+    split = graph_on(4, [(0, 2), (1, 3)], (1, 2, 3, 4))
+    # n - 1 edges, yet no tree: a triangle and a lone vertex.
+    lone = graph_on(4, [(0, 1), (1, 2), (0, 2)], (1, 2, 3, 4))
+    starts = []
+    bfs = graphs._bfs
+
+    def counted(g, start):
+        starts.append(start)
+        return bfs(g, start)
+
+    def no_constructor(g):
+        raise AssertionError("the public constructor re-checks a checked graph")
+
+    monkeypatch.setattr(graphs, "_bfs", counted)
+    monkeypatch.setattr(analysis, "_bfs", counted)
+    monkeypatch.setattr(LabeledGraph, "__post_init__", no_constructor)
+    for call, walked, expected in (
+        (lambda: gh_labeling(ring), ["a"], {"a": 1, "b": 2, "d": 3, "c": 4}),
+        (lambda: level_labeling(star, "b"), ["b"], {"b": 1, "a": 2, "c": 3, "d": 4}),
+        (lambda: root_levels(star, "b"), ["b"], {"b": 0, "a": 1, "c": 2, "d": 2}),
+        (lambda: spanning_tree(ring).edges, ["a"], (("a", "b"), ("a", "d"), ("b", "c"))),
+    ):
+        starts.clear()
+        assert call() == expected
+        assert starts == walked
+    # Refusals walk again, from the first vertex, for their witness.
+    for call, walked, witness in (
+        (lambda: gh_labeling(split), ["a", "a"], ("a", "b")),
+        (lambda: spanning_tree(split), ["a", "a"], ("a", "b")),
+        (lambda: root_levels(split, "d"), ["d", "a"], ("a", "b")),
+        (lambda: root_levels(lone, "b"), ["b", "a"], ("a", "d")),
+    ):
+        starts.clear()
+        with pytest.raises(DisconnectedGraphError) as err:
+            call()
+        assert err.value.witnesses == witness
+        assert starts == walked
+    with pytest.raises(NotATreeError, match="^root levels are only defined for trees$"):
+        root_levels(ring, "c")
+    # The command: one walk, and the relabeled graph is built from checked parts.
+    path = tmp_path / "ring.graph"
+    path.write_text(ring.to_text())
+    starts.clear()
+    assert main(["label", str(path)]) == 0
+    assert starts == ["a"]
 
 
 @given(connected_graphs())

@@ -794,6 +794,48 @@ def test_pruefer_decoding_basics():
             tree_from_pruefer((bad,), 3)
 
 
+def _decoded(decode, seq, n):
+    """The edges ``decode`` gives, or the type and message of its refusal."""
+    try:
+        return decode(seq, n)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", range(0, 8))
+def test_pruefer_decoding_matches_the_reference_on_every_sequence(n):
+    seqs = [(), (0,), (n,), (-1,), (0,) * n] + list(product(range(n), repeat=max(n - 2, 0)))
+    for seq in seqs:
+        assert _decoded(tree_from_pruefer, seq, n) == _decoded(
+            oracles.reference_tree_from_pruefer, seq, n
+        )
+
+
+@given(st.data())
+def test_pruefer_decoding_matches_the_reference(data):
+    n = data.draw(st.integers(2, 300))
+    seq = data.draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    assert tree_from_pruefer(seq, n) == oracles.reference_tree_from_pruefer(seq, n)
+
+
+def test_pruefer_decoding_of_a_long_sequence():
+    # The reference's scan for the least leaf would take minutes here.
+    n = 100_000
+    seq = [(i * 7919) % (n // 3) for i in range(n - 2)]
+    edges = tree_from_pruefer(seq, n)
+    degree, count = [0] * n, [0] * n
+    for i, j in edges:
+        assert i < j
+        degree[i] += 1
+        degree[j] += 1
+    for s in seq:
+        count[s] += 1
+    # A vertex's degree is one more than the times it occurs in the sequence.
+    assert degree == [c + 1 for c in count]
+    index = {str(i): i for i in range(n)}
+    assert is_tree(LabeledGraph._checked(index, edges, dict.fromkeys(index, Fraction(0))))
+
+
 def test_tree_counts_match_cayley_formula():
     expected = {1: 1, 2: 1, 3: 3, 4: 16, 5: 125, 6: 1296}
     for n, count in expected.items():
